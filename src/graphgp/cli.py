@@ -505,10 +505,10 @@ def run_experiment(config: dict) -> dict:
                 if result is None or candidate.objective > result.objective:
                     result = candidate
             model = gp.fit(result.kernel, x_train, y_train, result.noise, normalize_y=True)
-            mean, _var = gp.predict(model, x_test)
+            mean, var = gp.predict(model, x_test)
             entry["methods"][method] = {
                 "rmse": datasets.rmse(mean, y_test),
-                "log_lik": datasets.predictive_log_likelihood(model, x_test, y_test),
+                "log_lik": datasets.log_likelihood_of_prediction(model, mean, var, y_test),
             }
         splits.append(entry)
 

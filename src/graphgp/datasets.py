@@ -268,7 +268,15 @@ def predictive_log_likelihood(model: gp.GPModel, xs: Sequence[GraphCode], ys: Se
     if len(xs) == 0 or len(xs) != len(ys):
         raise ValueError(f"need equally many codes and targets, got {len(xs)} and {len(ys)}")
     mean, var = gp.predict(model, xs)
+    return log_likelihood_of_prediction(model, mean, var, ys)
+
+
+def log_likelihood_of_prediction(
+    model: gp.GPModel, mean: np.ndarray, var: np.ndarray, ys: Sequence[float]
+) -> float:
+    """:func:`predictive_log_likelihood` from a ``gp.predict(model, xs)`` already made."""
     total_var = var + model.noise * model.y_std**2
+    ys = np.asarray(ys, dtype=float)
     return float(np.sum(-0.5 * (np.log(2.0 * math.pi * total_var) + (ys - mean) ** 2 / total_var)))
 
 

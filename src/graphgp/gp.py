@@ -29,7 +29,6 @@ from scipy.optimize import minimize
 
 from .kernels import (
     Heat,
-    IsotropicKernel,
     KernelSpec,
     LinearKernel,
     Matern,
@@ -122,16 +121,10 @@ def fit(kernel, xs: Sequence[GraphCode], ys: Sequence[float], noise: float, norm
     return GPModel(kernel, xs, ys, noise_eff, y_mean, y_std, L, alpha, jitter)
 
 
-def _kernel_diag(kernel, xs: Sequence[GraphCode]) -> np.ndarray:
-    if isinstance(kernel, IsotropicKernel):
-        return np.full(len(xs), kernel.spec.variance)
-    return np.diag(kernel.gram(xs))
-
-
 def prior_moments(kernel, xs: Sequence[GraphCode]) -> tuple[np.ndarray, np.ndarray]:
     """Mean and pointwise variance before conditioning on any data: (0, k(x, x))."""
     xs = tuple(xs)
-    return np.zeros(len(xs)), _kernel_diag(kernel, xs)
+    return np.zeros(len(xs)), kernel.diag(xs)
 
 
 def predict(model: GPModel, xs: Sequence[GraphCode], full_cov: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -150,7 +143,7 @@ def predict(model: GPModel, xs: Sequence[GraphCode], full_cov: bool = False) -> 
         Kss = model.kernel.gram(xs)
         cov = (Kss - V.T @ V) * model.y_std**2
         return mean, cov
-    var = _kernel_diag(model.kernel, xs) - np.sum(V**2, axis=0)
+    var = model.kernel.diag(xs) - np.sum(V**2, axis=0)
     return mean, np.clip(var, 0.0, None) * model.y_std**2
 
 
@@ -169,11 +162,18 @@ def log_marginal_likelihood(model: GPModel) -> float:
 
 @dataclass
 class OptimizationResult:
+    """Outcome of :func:`optimize_hyperparameters`.
+
+    ``failed`` counts the evaluations scored as a wall because the
+    covariance could not be factored or the likelihood was not finite.
+    """
+
     kernel: object
     noise: float
     objective: float
     evaluations: int
     names: tuple[str, ...]
+    failed: int
 
 
 _LOG_BOUND = 10.0
@@ -238,7 +238,10 @@ def optimize_hyperparameters(
     differences, capped at ``budget`` objective evaluations. Deterministic
     given the initial kernel and budget; the best parameters seen are
     returned, so the final objective never falls below the initial one. A
-    zero budget returns the initial parameters unchanged.
+    zero budget returns the initial parameters unchanged. An evaluation
+    whose covariance cannot be factored or whose likelihood is not finite
+    scores as a wall and is counted in ``failed``; any other error
+    propagates.
     """
     xs = tuple(xs)
     d = xs[0].space.d
@@ -247,17 +250,17 @@ def optimize_hyperparameters(
         if not np.isfinite(value):
             raise ValueError(f"initial value of parameter {name!r} is not finite in log space")
 
-    state = {"best_theta": theta0.copy(), "best_f": np.inf, "evals": 0}
+    state = {"best_theta": theta0.copy(), "best_f": np.inf, "evals": 0, "failed": 0}
 
     def objective(theta):
         state["evals"] += 1
         k2, n2 = rebuild(theta)
         try:
-            model = fit(k2, xs, ys, n2, normalize_y=normalize_y)
-            f = -log_marginal_likelihood(model)
-        except (np.linalg.LinAlgError, ValueError):
-            return 1e12
+            f = -log_marginal_likelihood(fit(k2, xs, ys, n2, normalize_y=normalize_y))
+        except np.linalg.LinAlgError:
+            f = np.nan
         if not np.isfinite(f):
+            state["failed"] += 1
             return 1e12
         if f < state["best_f"]:
             state["best_f"] = f
@@ -287,6 +290,7 @@ def optimize_hyperparameters(
         objective=-state["best_f"],
         evaluations=state["evals"],
         names=names,
+        failed=state["failed"],
     )
 
 

@@ -7,7 +7,13 @@ orbit-constant ("projected") process:
 
     k_H(x, y) = (1/|H|^2) sum over (s1, s2) in H x H of k(s1(x), s2(y))
 
-which, because k is isotropic, collapses to a single average over H. Exact
+which, because k is isotropic, collapses to a single average over H. So an
+exact projected Gram is the kernel profile k(0..d) contracted with the
+distance counts C[i, j, m] = #{sigma in H : |sigma(x_i) XOR y_j| = m} / |H|.
+The counts do not depend on the kernel: they are built once per (H, xs, ys),
+one vectorized XOR/popcount of each x's orbit images against all the ys,
+and kept in a small cache, so every objective evaluation of a tuning run
+costs one tensor-vector product. Exact
 evaluation requires enumerating H; deciding whether two graphs share an
 orbit reduces to three such kernel values, so no shortcut exists in general
 (for H the full symmetric group this is exactly graph-isomorphism testing).
@@ -51,6 +57,11 @@ ENUMERATION_CAP = 5_000_000
 
 #: Refuse to enumerate graph spaces with more than 2^QUOTIENT_MAX_DIM codes.
 QUOTIENT_MAX_DIM = 16
+
+#: Distance-count tensors kept for reuse; a tuning run needs two (training
+#: square, test-by-training cross), shared by every restart and projected
+#: kernel on the same split.
+COUNT_CACHE_SIZE = 8
 
 _WORD_MASK = (1 << 64) - 1
 
@@ -192,22 +203,26 @@ def _orbit_image_words(H: PermSubgroup, x: GraphCode) -> np.ndarray:
     return words
 
 
-def _distances_to_code(words: np.ndarray, bits: int) -> np.ndarray:
-    n_words = words.shape[1]
-    target = np.array(_bits_to_words(bits, n_words), dtype=np.uint64)
-    acc = np.zeros(words.shape[0], dtype=np.int64)
-    for w in range(n_words):
-        acc += popcount_u64(words[:, w] ^ target[w])
+def _distances(words: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """(len(words), len(targets)) Hamming distances between two word matrices."""
+    acc = np.zeros((words.shape[0], targets.shape[0]), dtype=np.int64)
+    for w in range(words.shape[1]):
+        acc += popcount_u64(words[:, w, None] ^ targets[None, :, w])
     return acc
+
+
+def _distances_to_code(words: np.ndarray, bits: int) -> np.ndarray:
+    target = np.array([_bits_to_words(bits, words.shape[1])], dtype=np.uint64)
+    return _distances(words, target)[:, 0]
 
 
 @lru_cache(maxsize=200_000)
 def pair_histogram(H: PermSubgroup, x: GraphCode, y: GraphCode) -> np.ndarray:
     """Counts, over sigma in H, of the Hamming distance between sigma(x) and y.
 
-    The histogram is symmetric in (x, y) and is what every exact
-    group-averaged kernel value reduces to; caching it makes repeated kernel
-    evaluations during hyperparameter search cheap.
+    The histogram is symmetric in (x, y) and is what a single exact
+    group-averaged kernel value reduces to; Gram matrices take the same
+    counts for all pairs at once from the count tensor instead.
     """
     if x.space != y.space:
         raise ValueError("codes live in different spaces")
@@ -279,31 +294,75 @@ def invariant_kernel_exact(spec: KernelSpec, H: PermSubgroup, x: GraphCode, y: G
     return float(hist @ profile) / H.order()
 
 
+def _distance_top(xs: Sequence[GraphCode], ys: Sequence[GraphCode]) -> int:
+    """Length of the distance axis: |sigma(x) XOR y| <= |x| + |y| since sigma keeps |x|."""
+    return min(xs[0].space.d, max(x.weight for x in xs) + max(y.weight for y in ys)) + 1
+
+
+def _mirror_upper(a: np.ndarray) -> np.ndarray:
+    """Copy the upper triangle of the two leading axes into the lower one, in place."""
+    i, j = np.tril_indices(a.shape[0], -1)
+    a[i, j] = a[j, i]
+    return a
+
+
+@lru_cache(maxsize=COUNT_CACHE_SIZE)
+def _count_tensor(
+    H: PermSubgroup, xs: tuple[GraphCode, ...], ys: tuple[GraphCode, ...] | None
+) -> np.ndarray:
+    """(len(xs), len(ys), top) distance counts over H, divided by |H|; ys=None means xs.
+
+    Keyed by the codes themselves, so a hit returns counts built from the
+    same codes (and spaces) as a call that passed the checks below.
+    """
+    targets = xs if ys is None else ys
+    space = xs[0].space
+    for c in xs + (ys or ()):
+        if c.space != space:
+            raise ValueError("codes live in different spaces")
+    top = _distance_top(xs, targets)
+    n_words = (space.d + 63) // 64 or 1
+    words = _perm_image_words([y.bits for y in targets], n_words)
+    offsets = top * np.arange(len(targets))
+    out = np.zeros((len(xs), len(targets), top))
+    for i, x in enumerate(xs):
+        first = i if ys is None else 0  # a square tensor fills its upper triangle only
+        dist = _distances(_orbit_image_words(H, x), words[first:]) + offsets[: len(targets) - first]
+        counts = np.bincount(dist.ravel(), minlength=(len(targets) - first) * top)
+        out[i, first:] = counts.reshape(-1, top)
+    out /= H.order()
+    if ys is None:
+        _mirror_upper(out)
+    out.setflags(write=False)
+    return out
+
+
 def invariant_gram_exact(
     spec: KernelSpec,
     H: PermSubgroup,
     xs: Sequence[GraphCode],
     ys: Sequence[GraphCode] | None = None,
 ) -> np.ndarray:
+    """Exact projected Gram matrix: the cached distance counts times the kernel profile.
+
+    A square Gram (``ys`` omitted) is exactly symmetric.
+    """
+    if len(xs) == 0 or (ys is not None and len(ys) == 0):
+        return np.zeros((len(xs), len(xs) if ys is None else len(ys)))
+    counts = _count_tensor(H, tuple(xs), None if ys is None else tuple(ys))
+    out = counts @ kernel_profile(spec, xs[0].space.d)[: counts.shape[2]]
+    return out if ys is not None else _mirror_upper(out)
+
+
+def invariant_diag_exact(spec: KernelSpec, H: PermSubgroup, xs: Sequence[GraphCode]) -> np.ndarray:
+    """Diagonal of the exact projected Gram, from each point's self-count row alone."""
     if len(xs) == 0:
-        return np.zeros((0, 0 if ys is None else len(ys)))
-    d = xs[0].space.d
-    profile = kernel_profile(spec, d)
-    order = H.order()
-    if ys is None:
-        n = len(xs)
-        out = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                v = float(pair_histogram(H, xs[i], xs[j]) @ profile) / order
-                out[i, j] = v
-                out[j, i] = v
-        return out
-    out = np.empty((len(xs), len(ys)))
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            out[i, j] = float(pair_histogram(H, x, y) @ profile) / order
-    return out
+        return np.zeros(0)
+    top = _distance_top(xs, xs)
+    counts = np.stack(
+        [np.bincount(_distances_to_code(_orbit_image_words(H, x), x.bits), minlength=top) for x in xs]
+    )
+    return (counts / H.order()) @ kernel_profile(spec, xs[0].space.d)[:top]
 
 
 def _sample_image_words(
@@ -642,6 +701,14 @@ class ProjectedKernel:
         if self.sample is None:
             return invariant_gram_exact(self.spec, self.subgroup, xs, ys)
         return invariant_gram_sampled(self.spec, self.sample, xs, ys)
+
+    def diag(self, xs: Sequence[GraphCode]) -> np.ndarray:
+        """Prior variances k_H(x, x), without the square Gram."""
+        if self.sample is None:
+            return invariant_diag_exact(self.spec, self.subgroup, xs)
+        profile = kernel_profile(self.spec, self.space.d)
+        words = [_sample_image_words(self.sample, x) for x in xs]
+        return np.array([_sampled_value(profile, w, w) for w in words])
 
     def with_spec(self, spec: KernelSpec) -> "ProjectedKernel":
         return ProjectedKernel(spec, self.subgroup, self.space, sample=self.sample)

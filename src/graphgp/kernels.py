@@ -12,6 +12,14 @@ Phi(lambda_j) * C(d, j) for a nonnegative spectral density Phi evaluated at
 the hypercube Laplacian eigenvalue of level j. The normalizer is computed
 with a max-shifted log-sum-exp so very peaked or very flat spectra stay
 finite, and it guarantees k(x, x) = sigma^2.
+
+The whole kernel is its profile, the d + 1 values k(0..d), which is one
+vector-matrix product of the c_j with the table of G'. Every Gram matrix in
+the package is distance counts contracted with that profile: here each
+pair contributes the single count at its Hamming distance, so the Gram is
+the profile indexed by a Hamming matrix, which is cached for the code lists
+it was built from; :mod:`graphgp.invariance` averages the counts over a
+permutation group.
 """
 
 from __future__ import annotations
@@ -175,7 +183,10 @@ def log_normalizer(spec: KernelSpec, d: int) -> float:
     Computed with a max-shifted log-sum-exp; dividing the raw level masses
     by C is what pins k(x, x) to sigma^2.
     """
-    log_raw, _ = _log_level_masses(spec, d)
+    return _log_sum_exp(_log_level_masses(spec, d)[0])
+
+
+def _log_sum_exp(log_raw: np.ndarray) -> float:
     finite = np.isfinite(log_raw)
     if not finite.any():
         raise ValueError("degenerate kernel: the spectral density vanishes on every retained level")
@@ -187,37 +198,28 @@ def log_normalizer(spec: KernelSpec, d: int) -> float:
 def spectral_coefficients(spec: KernelSpec, d: int) -> CoefficientVector:
     """Normalized per-level coefficients of the kernel on a d-bit space."""
     log_raw, lam = _log_level_masses(spec, d)
-    return CoefficientVector(d, log_raw - log_normalizer(spec, d), lam)
-
-
-def evaluate(spec: KernelSpec, table: KravchukTable, m: int) -> float:
-    """Kernel value at Hamming distance m, via the cached level-sum table.
-
-    Terms c_j * G'(d, j, m) carry signs from G', so the summation tracks
-    signs explicitly and shifts by the largest log magnitude. At m = 0 every
-    G' equals one and the value is exactly sigma^2 by normalization.
-    """
-    d = table.d
-    if not (0 <= m <= d):
-        raise ValueError(f"distance m={m} out of range for d={d}")
-    if m == 0:
-        return spec.variance
-    coeffs = spectral_coefficients(spec, d)
-    g = table.values[:, m]
-    live = np.isfinite(coeffs.log_weights) & (g != 0.0)
-    if not live.any():
-        return 0.0
-    log_terms = coeffs.log_weights[live] + np.log(np.abs(g[live]))
-    signs = np.sign(g[live])
-    shift = log_terms.max()
-    acc = float(np.sum(signs * np.exp(log_terms - shift)))
-    return spec.variance * acc * math.exp(shift)
+    return CoefficientVector(d, log_raw - _log_sum_exp(log_raw), lam)
 
 
 def kernel_profile(spec: KernelSpec, d: int) -> np.ndarray:
-    """Vector of kernel values at every distance m = 0..d."""
-    table = build_table(d)
-    return np.array([evaluate(spec, table, m) for m in range(d + 1)])
+    """Vector of kernel values at every distance m = 0..d.
+
+    One product of the level weights with the level-sum table,
+    k(m) = sigma^2 * sum_j c_j G'(d, j, m), with k(0) pinned to sigma^2 (the
+    normalization gives it up to rounding). Every |G'| <= 1 and the c_j sum
+    to one, so however the signed terms cancel, each value is within a few
+    (d + 1) rounding units of sigma^2 of the exact sum.
+    """
+    profile = spec.variance * (spectral_coefficients(spec, d).weights() @ build_table(d).values)
+    profile[0] = spec.variance
+    return profile
+
+
+def evaluate(spec: KernelSpec, table: KravchukTable, m: int) -> float:
+    """Kernel value at Hamming distance m: one entry of :func:`kernel_profile`."""
+    if not (0 <= m <= table.d):
+        raise ValueError(f"distance m={m} out of range for d={table.d}")
+    return float(kernel_profile(spec, table.d)[m])
 
 
 def heat_closed_form(kappa: float, sigma2: float, m: int) -> float:
@@ -234,15 +236,26 @@ def heat_closed_form(kappa: float, sigma2: float, m: int) -> float:
     return sigma2 * math.tanh(kappa**2 / 2.0) ** m
 
 
+#: Hamming matrices kept for reuse, keyed by the code lists they came from;
+#: one tuning run needs two (training square, test-by-training cross).
+HAMMING_CACHE_SIZE = 8
+
+
+@lru_cache(maxsize=HAMMING_CACHE_SIZE)
+def _hamming_matrix(xs: tuple[GraphCode, ...], ys: tuple[GraphCode, ...] | None) -> np.ndarray:
+    out = pairwise_hamming(xs, ys)
+    out.setflags(write=False)
+    return out
+
+
 def gram(
     spec: KernelSpec, xs: Sequence[GraphCode], ys: Sequence[GraphCode] | None = None
 ) -> np.ndarray:
     """Gram matrix of kernel values at pairwise Hamming distances."""
     if len(xs) == 0:
         return np.zeros((0, 0 if ys is None else len(ys)))
-    d = xs[0].space.d
-    profile = kernel_profile(spec, d)
-    return profile[pairwise_hamming(xs, ys)]
+    profile = kernel_profile(spec, xs[0].space.d)
+    return profile[_hamming_matrix(tuple(xs), None if ys is None else tuple(ys))]
 
 
 class IsotropicKernel:
@@ -254,6 +267,10 @@ class IsotropicKernel:
 
     def gram(self, xs: Sequence[GraphCode], ys: Sequence[GraphCode] | None = None) -> np.ndarray:
         return gram(self.spec, xs, ys)
+
+    def diag(self, xs: Sequence[GraphCode]) -> np.ndarray:
+        """Prior variances k(x, x), without the square Gram."""
+        return np.full(len(xs), self.spec.variance)
 
     def profile(self) -> np.ndarray:
         return kernel_profile(self.spec, self.space.d)
@@ -277,6 +294,10 @@ class LinearKernel:
         bx = bit_matrix(xs)
         by = bx if ys is None else bit_matrix(ys)
         return self.variance * (bx @ by.T + 1.0)
+
+    def diag(self, xs: Sequence[GraphCode]) -> np.ndarray:
+        """Prior variances sigma^2 (|x| + 1), without the square Gram."""
+        return self.variance * (np.array([x.weight for x in xs], dtype=float) + 1.0)
 
     def with_variance(self, variance: float) -> "LinearKernel":
         return LinearKernel(variance)

@@ -58,14 +58,20 @@ def dimension(kind: GraphSpaceKind, n: int) -> int:
     return n * n
 
 
-def _build_slots(kind: GraphSpaceKind, n: int) -> tuple[tuple[int, int], ...]:
+@lru_cache(maxsize=None)
+def _slot_table(
+    kind: GraphSpaceKind, n: int
+) -> tuple[tuple[tuple[int, int], ...], dict[tuple[int, int], int]]:
+    """Slot index -> node pair and its inverse; one shared table per (kind, n)."""
     if kind is GraphSpaceKind.UNDIRECTED:
-        return tuple((i, j) for i in range(n) for j in range(i + 1, n))
-    if kind is GraphSpaceKind.UNDIRECTED_LOOPS:
-        return tuple((i, j) for i in range(n) for j in range(i, n))
-    if kind is GraphSpaceKind.DIRECTED:
-        return tuple((i, j) for i in range(n) for j in range(n) if i != j)
-    return tuple((i, j) for i in range(n) for j in range(n))
+        slots = tuple((i, j) for i in range(n) for j in range(i + 1, n))
+    elif kind is GraphSpaceKind.UNDIRECTED_LOOPS:
+        slots = tuple((i, j) for i in range(n) for j in range(i, n))
+    elif kind is GraphSpaceKind.DIRECTED:
+        slots = tuple((i, j) for i in range(n) for j in range(n) if i != j)
+    else:
+        slots = tuple((i, j) for i in range(n) for j in range(n))
+    return slots, {pair: s for s, pair in enumerate(slots)}
 
 
 @dataclass(frozen=True)
@@ -73,7 +79,8 @@ class GraphSpace:
     """One of the four graph sets, with its edge-slot indexing.
 
     Two spaces compare equal iff they have the same kind and node count;
-    the slot table is derived deterministically from those.
+    the slot table is derived deterministically from those and shared by
+    every space of that kind and size.
     """
 
     kind: GraphSpaceKind
@@ -97,11 +104,11 @@ class GraphSpace:
     @cached_property
     def slots(self) -> tuple[tuple[int, int], ...]:
         """Slot index -> node pair, lexicographic over pairs."""
-        return _build_slots(self.kind, self.n)
+        return _slot_table(self.kind, self.n)[0]
 
     @cached_property
     def _slot_index(self) -> dict[tuple[int, int], int]:
-        return {pair: s for s, pair in enumerate(self.slots)}
+        return _slot_table(self.kind, self.n)[1]
 
     def canonical_pair(self, i: int, j: int) -> tuple[int, int]:
         """Validate a node pair and put it in slot-table form."""
@@ -178,6 +185,11 @@ class GraphCode:
     def __post_init__(self) -> None:
         if not (0 <= self.bits < (1 << self.space.d)):
             raise ValueError(f"bits out of range for d={self.space.d}")
+
+    def __hash__(self) -> int:
+        # equal codes have equal bits; hashing the bits alone keeps the
+        # code-keyed caches cheap
+        return hash(self.bits)
 
     def __xor__(self, other: "GraphCode") -> "GraphCode":
         _check_same_space(self, other)
@@ -295,10 +307,13 @@ _M1 = np.uint64(0x5555555555555555)
 _M2 = np.uint64(0x3333333333333333)
 _M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
 _H01 = np.uint64(0x0101010101010101)
+_bitwise_count = getattr(np, "bitwise_count", None)  # numpy >= 2.0
 
 
 def popcount_u64(a: np.ndarray) -> np.ndarray:
     """Per-element population count of a uint64 array."""
+    if _bitwise_count is not None:
+        return _bitwise_count(a.astype(np.uint64, copy=False)).astype(np.int64)
     a = a.astype(np.uint64, copy=True)
     a -= (a >> np.uint64(1)) & _M1
     a = (a & _M2) + ((a >> np.uint64(2)) & _M2)

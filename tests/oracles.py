@@ -5,11 +5,14 @@ matrices, dense solves, direct enumeration) and deliberately avoids the
 code paths under test.
 """
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
-from graphgp.kernels import KernelSpec, LaplacianVariant
+from graphgp.invariance import pair_histogram
+from graphgp.kernels import KernelSpec, LaplacianVariant, kernel_profile, spectral_coefficients
+from graphgp.kravchuk import KravchukTable, build_table
 
 
 def hypercube_laplacian(d: int, variant: LaplacianVariant) -> np.ndarray:
@@ -65,3 +68,43 @@ def dense_log_marginal_likelihood(K, y, noise):
     sign, logdet = np.linalg.slogdet(A)
     assert sign > 0
     return float(-0.5 * y @ np.linalg.solve(A, y) - 0.5 * logdet - 0.5 * len(y) * np.log(2 * np.pi))
+
+
+def log_sign_evaluate(spec: KernelSpec, table: KravchukTable, m: int) -> float:
+    """Kernel value at distance m, summing c_j * G'(d, j, m) in sign + log form.
+
+    Terms carry signs from G', so the summation tracks signs explicitly and
+    shifts by the largest log magnitude. At m = 0 every G' equals one and
+    the value is exactly sigma^2 by normalization.
+    """
+    d = table.d
+    assert 0 <= m <= d
+    if m == 0:
+        return spec.variance
+    coeffs = spectral_coefficients(spec, d)
+    g = table.values[:, m]
+    live = np.isfinite(coeffs.log_weights) & (g != 0.0)
+    if not live.any():
+        return 0.0
+    log_terms = coeffs.log_weights[live] + np.log(np.abs(g[live]))
+    signs = np.sign(g[live])
+    shift = log_terms.max()
+    acc = float(np.sum(signs * np.exp(log_terms - shift)))
+    return spec.variance * acc * math.exp(shift)
+
+
+def log_sign_profile(spec: KernelSpec, d: int) -> np.ndarray:
+    table = build_table(d)
+    return np.array([log_sign_evaluate(spec, table, m) for m in range(d + 1)])
+
+
+def exact_gram_by_pairs(spec: KernelSpec, H, xs, ys=None) -> np.ndarray:
+    """Exact projected Gram, one cached pair histogram per entry."""
+    profile = kernel_profile(spec, xs[0].space.d)
+    order = H.order()
+    ys = xs if ys is None else ys
+    out = np.empty((len(xs), len(ys)))
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            out[i, j] = float(pair_histogram(H, x, y) @ profile) / order
+    return out

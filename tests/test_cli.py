@@ -9,7 +9,7 @@ import pytest
 from synthetic import molecules_from_prior, molecules_mixed_elements
 
 from graphgp import datasets, gp
-from graphgp.cli import EXPERIMENT_METHODS, load_model, main, named_seed
+from graphgp.cli import EXPERIMENT_METHODS, load_model, main, named_seed, run_experiment
 from graphgp.invariance import PermSubgroup, invariant_kernel_exact, invariant_kernel_mc
 from graphgp.kernels import Heat, IsotropicKernel, KernelSpec, LaplacianVariant, evaluate
 from graphgp.kravchuk import build_table
@@ -292,6 +292,23 @@ class TestExperiment:
         a = json.loads((tmp_path / "run1" / "report.json").read_text())
         b = json.loads((tmp_path / "run2" / "report.json").read_text())
         assert a["splits"] == b["splits"]
+
+    def test_each_model_predicted_once(self, tmp_path, monkeypatch):
+        mols_path = tmp_path / "mols.jsonl"
+        datasets.save_molecules(mols_path, molecules_from_prior(16, 4, seed=2))
+        config = {"dataset": str(mols_path), "methods": ["naive", "linear", "heat_arbitrary"],
+                  "n_splits": 2, "budget": 5, "restart_multipliers": [1.0], "seed": 3}
+        predicted = []
+        original = gp.predict
+
+        def counted(model, xs, full_cov=False):
+            predicted.append(len(xs))
+            return original(model, xs, full_cov)
+
+        monkeypatch.setattr(gp, "predict", counted)
+        report = run_experiment(config)
+        assert len(predicted) == 2 * 2  # two GP methods, two splits
+        assert all(s["methods"]["linear"]["log_lik"] is not None for s in report["splits"])
 
     def test_all_method_rows_on_mixed_dataset(self, tmp_path):
         mols_path = tmp_path / "mixed.jsonl"

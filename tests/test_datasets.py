@@ -15,6 +15,7 @@ from graphgp.datasets import (
     layout_from_json,
     layout_to_json,
     load_molecules,
+    log_likelihood_of_prediction,
     predictive_log_likelihood,
     read_codes,
     rmse,
@@ -250,6 +251,7 @@ class TestMetrics:
             for m, v, y in zip(mean, var, test_y)
         )
         assert value == pytest.approx(expect, rel=1e-10)
+        assert log_likelihood_of_prediction(model, mean, var, test_y) == value
 
 
 class TestCodeFiles:

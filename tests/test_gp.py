@@ -287,3 +287,60 @@ class TestJitter:
 
         with pytest.raises(np.linalg.LinAlgError, match="jitter"):
             gp.fit(BrokenKernel(), [U4.empty_code(), U4.code_from_int(1)], [0.0, 1.0], 0.0)
+
+
+class FailingKernel(IsotropicKernel):
+    """Kernel whose Gram raises ``error`` away from its starting spec, logging each raise."""
+
+    def __init__(self, spec, space, start, error, raised):
+        super().__init__(spec, space)
+        self.start, self.error, self.raised = start, error, raised
+
+    def gram(self, xs, ys=None):
+        if self.spec != self.start:
+            self.raised.append(self.spec)
+            raise self.error("injected failure")
+        return super().gram(xs, ys)
+
+    def with_spec(self, spec):
+        return FailingKernel(spec, self.space, self.start, self.error, self.raised)
+
+
+class TestTunerFailures:
+    def data(self, rng):
+        xs = [U4.random_code(rng) for _ in range(8)]
+        return xs, rng.standard_normal(len(xs))
+
+    def test_clean_run_counts_no_failure(self, rng):
+        xs, ys = self.data(rng)
+        result = gp.optimize_hyperparameters(heat_kernel(U4), xs, ys, budget=20)
+        assert result.evaluations > 1 and result.failed == 0
+
+    def test_factorization_failures_are_counted(self, rng):
+        xs, ys = self.data(rng)
+        spec = KernelSpec(Heat(1.0))
+        raised = []
+        kernel = FailingKernel(spec, U4, spec, np.linalg.LinAlgError, raised)
+        result = gp.optimize_hyperparameters(kernel, xs, ys, budget=20)
+        assert result.failed == len(raised) > 0
+        assert result.kernel.spec == spec
+
+    def test_non_finite_likelihoods_are_counted(self, rng, monkeypatch):
+        xs, ys = self.data(rng)
+        calls = []
+        original = gp.log_marginal_likelihood
+
+        def first_finite(model):
+            calls.append(model)
+            return original(model) if len(calls) == 1 else math.nan
+
+        monkeypatch.setattr(gp, "log_marginal_likelihood", first_finite)
+        result = gp.optimize_hyperparameters(heat_kernel(U4), xs, ys, budget=20)
+        assert result.failed == result.evaluations - 1 > 0
+
+    def test_other_errors_propagate(self, rng):
+        xs, ys = self.data(rng)
+        spec = KernelSpec(Heat(1.0))
+        kernel = FailingKernel(spec, U4, spec, ValueError, [])
+        with pytest.raises(ValueError, match="injected"):
+            gp.optimize_hyperparameters(kernel, xs, ys, budget=20)

@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
 
+from oracles import exact_gram_by_pairs
+
+from graphgp import gp
 from graphgp.invariance import (
+    COUNT_CACHE_SIZE,
     GroupTooLargeError,
     PermSubgroup,
     ProjectedKernel,
     build_quotient,
     draw_sample,
     enumerate_orbit,
+    _count_tensor,
     invariant_gram_exact,
     invariant_gram_sampled,
     invariant_kernel_exact,
@@ -464,3 +469,81 @@ class TestProjectedKernelObject:
         kernel2 = kernel.with_spec(matern_u4(variance=2.0))
         assert kernel2.sample == kernel.sample
         assert np.allclose(kernel2.gram(xs), 2.0 * K1)
+
+
+U12 = GraphSpace(GraphSpaceKind.UNDIRECTED, 12)
+BLOCKS_12 = PermSubgroup(12, ((0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11)))  # d = 66 > 64, |H| = 1296
+
+
+def sparse_codes(space, rng, count, density=0.2):
+    """Random graphs with about ``density`` of the edge slots set, like molecules."""
+    out = []
+    for _ in range(count):
+        bits = sum(1 << s for s in range(space.d) if rng.random() < density)
+        out.append(space.code_from_int(bits))
+    return out
+
+
+class TestCountTensorGram:
+    """Exact projected Grams from the cached count tensor vs one pair histogram per entry."""
+
+    @pytest.mark.parametrize("space,H", [(U4, PermSubgroup.full(4)), (U12, BLOCKS_12)])
+    def test_square_and_cross_match_pair_loop(self, rng, space, H):
+        spec = KernelSpec(Heat(float(np.sqrt(space.d))), variance=1.7)
+        xs = sparse_codes(space, rng, 7)
+        ys = sparse_codes(space, rng, 5)
+        np.testing.assert_allclose(
+            invariant_gram_exact(spec, H, xs), exact_gram_by_pairs(spec, H, xs), rtol=1e-12
+        )
+        np.testing.assert_allclose(
+            invariant_gram_exact(spec, H, xs, ys), exact_gram_by_pairs(spec, H, xs, ys), rtol=1e-12
+        )
+        np.testing.assert_allclose(
+            invariant_gram_exact(spec, H, xs, xs), invariant_gram_exact(spec, H, xs), rtol=1e-12
+        )
+
+    def test_square_is_exactly_symmetric(self, rng):
+        xs = sparse_codes(U12, rng, 9, density=0.3)
+        for spec in (KernelSpec(Heat(3.0)), matern_spec(U12.d, kappa=2.0, variance=0.6)):
+            K = invariant_gram_exact(spec, BLOCKS_12, xs)
+            assert np.array_equal(K, K.T)
+
+    def test_empty_code_lists(self, rng):
+        spec = KernelSpec(Heat(1.0))
+        xs = sparse_codes(U4, rng, 3)
+        H = PermSubgroup.full(4)
+        assert invariant_gram_exact(spec, H, []).shape == (0, 0)
+        assert invariant_gram_exact(spec, H, [], xs).shape == (0, 3)
+        assert invariant_gram_exact(spec, H, xs, []).shape == (3, 0)
+
+    def test_mixed_spaces_rejected(self):
+        U5 = GraphSpace(GraphSpaceKind.UNDIRECTED, 5)
+        spec, H = KernelSpec(Heat(1.0)), PermSubgroup.full(4)
+        with pytest.raises(ValueError, match="spaces"):
+            invariant_gram_exact(spec, H, [U4.code_from_int(3)], [U5.code_from_int(3)])
+
+    def test_diag_matches_gram_diagonal(self, rng):
+        spec = KernelSpec(Heat(2.0), variance=1.3)
+        xs = sparse_codes(U12, rng, 10, density=0.3)
+        exact = ProjectedKernel(spec, BLOCKS_12, U12)
+        mc = ProjectedKernel.monte_carlo(spec, BLOCKS_12, U12, sample_size=6, seed=3)
+        for kernel in (exact, mc):
+            assert np.array_equal(kernel.diag(xs), np.diag(kernel.gram(xs)))
+            assert kernel.diag([]).shape == (0,)
+
+    def test_one_tuning_run_builds_the_counts_once(self, rng):
+        xs = sparse_codes(U12, rng, 12, density=0.3)
+        ys = rng.standard_normal(len(xs))
+        kernel = ProjectedKernel(KernelSpec(Heat(4.0)), BLOCKS_12, U12)
+        before = _count_tensor.cache_info().misses
+        result = gp.optimize_hyperparameters(kernel, xs, ys, budget=30, normalize_y=True)
+        assert result.evaluations > 10
+        assert _count_tensor.cache_info().misses - before == 1
+
+    def test_cache_stays_within_its_size(self, rng):
+        spec = KernelSpec(Heat(1.0))
+        H = PermSubgroup.full(4)
+        for k in range(COUNT_CACHE_SIZE + 5):
+            invariant_gram_exact(spec, H, sparse_codes(U4, rng, 3 + k % 4))
+            assert _count_tensor.cache_info().currsize <= COUNT_CACHE_SIZE
+        assert _count_tensor.cache_info().maxsize == COUNT_CACHE_SIZE

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from oracles import dense_spectral_profile
+from oracles import dense_spectral_profile, log_sign_profile
 
 from graphgp.kernels import (
+    HAMMING_CACHE_SIZE,
     CustomPhi,
     Heat,
     IsotropicKernel,
@@ -13,6 +14,7 @@ from graphgp.kernels import (
     LaplacianVariant,
     LinearKernel,
     Matern,
+    _hamming_matrix,
     evaluate,
     gram,
     heat_closed_form,
@@ -301,3 +303,60 @@ class TestIsotropicKernelObject:
         assert np.array_equal(kernel.gram(xs), gram(spec, xs))
         spec2 = KernelSpec(Heat(2.0), 3.0)
         assert kernel.with_spec(spec2).spec == spec2
+
+
+class TestProfileAgainstLogSignSum:
+    """The one-product profile against the sign + log-magnitude level sum.
+
+    Tolerance: (d + 1) rounding units of sigma^2 per value. Every |G'| <= 1
+    and the level weights sum to one, so each summation order is within
+    that of the exact sum however the signed terms cancel.
+    """
+
+    @pytest.mark.parametrize("d", [1, 2, 6, 15, 66, 256])
+    def test_every_family_variant_and_truncation(self, d):
+        families = [
+            Heat(0.3),
+            Heat(3.0),
+            Heat(math.sqrt(d)),
+            Matern(nu=d / 2 + 0.5, kappa=1.0),
+            Matern(nu=d / 2 + 2.5, kappa=4.0),
+            CustomPhi(lambda lam: 1.0 / (1.0 + lam)),
+        ]
+        for family in families:
+            for variant in LaplacianVariant:
+                for truncation in (None, 0, d // 2):
+                    spec = KernelSpec(family, 1.7, variant, truncation)
+                    tol = (d + 1) * np.finfo(float).eps * spec.variance
+                    got = kernel_profile(spec, d)
+                    assert got[0] == spec.variance
+                    assert np.abs(got - log_sign_profile(spec, d)).max() <= tol
+
+    def test_evaluate_indexes_the_profile(self, rng):
+        table = build_table(10)
+        spec = random_spec(rng, d=10)
+        profile = kernel_profile(spec, 10)
+        assert [evaluate(spec, table, m) for m in range(11)] == list(profile)
+
+
+class TestDiag:
+    def test_isotropic_and_linear_match_gram_diagonal(self, rng):
+        space = GraphSpace(GraphSpaceKind.UNDIRECTED, 6)
+        xs = [space.random_code(rng) for _ in range(12)]
+        for kernel in (IsotropicKernel(random_spec(rng, d=space.d), space), LinearKernel(2.5)):
+            assert np.array_equal(kernel.diag(xs), np.diag(kernel.gram(xs)))
+            assert kernel.diag([]).shape == (0,)
+
+
+class TestHammingCache:
+    def test_reused_and_bounded(self, rng):
+        space = GraphSpace(GraphSpaceKind.UNDIRECTED, 5)
+        xs = tuple(space.random_code(rng) for _ in range(6))
+        spec = KernelSpec(Heat(1.0))
+        gram(spec, xs)
+        before = _hamming_matrix.cache_info()
+        gram(KernelSpec(Heat(2.0)), xs)
+        assert _hamming_matrix.cache_info().hits == before.hits + 1
+        for k in range(HAMMING_CACHE_SIZE + 5):
+            gram(spec, [space.random_code(rng) for _ in range(2 + k % 3)])
+            assert _hamming_matrix.cache_info().currsize <= HAMMING_CACHE_SIZE

@@ -66,6 +66,13 @@ class TestSlotTable:
         directed = GraphSpace(GraphSpaceKind.DIRECTED, 3)
         assert directed.slots == ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
 
+    def test_one_table_per_kind_and_size(self):
+        a = graph_from_json({"kind": "U", "n": 5, "edges": [[0, 1]]}).space
+        b = graph_from_json({"kind": "U", "n": 5, "edges": [[1, 2]]}).space
+        assert a is not b
+        assert a.slots is b.slots and a._slot_index is b._slot_index
+        assert GraphSpace(GraphSpaceKind.DIRECTED, 5).slots is not a.slots
+
     def test_undirected_pair_canonicalized(self):
         space = GraphSpace(GraphSpaceKind.UNDIRECTED, 4)
         assert space.slot_of(3, 1) == space.slot_of(1, 3)
@@ -100,6 +107,14 @@ class TestGraphCode:
             for _ in range(20):
                 x = space.random_code(rng)
                 assert space.code_from_edges(x.edges()) == x
+
+    def test_hash_agrees_with_equality(self):
+        a = GraphSpace(GraphSpaceKind.UNDIRECTED, 4).code_from_int(5)
+        b = GraphSpace(GraphSpaceKind.UNDIRECTED, 4).code_from_int(5)
+        other = GraphSpace(GraphSpaceKind.DIRECTED, 4).code_from_int(5)
+        assert a == b and hash(a) == hash(b)
+        assert a != other
+        assert len({a, b, other}) == 2
 
     def test_bits_length_checked(self):
         space = GraphSpace(GraphSpaceKind.UNDIRECTED, 3)
