@@ -62,10 +62,8 @@ from .invariance import (
     draw_sample,
     enumerate_orbit,
     invariant_gram_exact,
-    invariant_gram_mc,
     invariant_gram_sampled,
     invariant_kernel_exact,
-    invariant_kernel_mc,
     invariant_kernel_sampled,
     orbit_equivalence_test,
     project_function,

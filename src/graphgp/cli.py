@@ -42,8 +42,9 @@ from .invariance import (
     PermSubgroup,
     ProjectedKernel,
     build_quotient,
+    draw_sample,
     invariant_kernel_exact,
-    invariant_kernel_mc,
+    invariant_kernel_sampled,
 )
 from .kernels import (
     IsotropicKernel,
@@ -179,7 +180,7 @@ def _cmd_kernel_invariant(args) -> int:
     else:
         if args.samples < 1:
             raise ValueError("--samples must be >= 1 in mc mode")
-        print(invariant_kernel_mc(spec, H, x, y, args.samples, args.seed))
+        print(invariant_kernel_sampled(spec, draw_sample(H, args.samples, args.seed), x, y))
     return 0
 
 

@@ -7,18 +7,20 @@ orbit-constant ("projected") process:
 
     k_H(x, y) = (1/|H|^2) sum over (s1, s2) in H x H of k(s1(x), s2(y))
 
-which, because k is isotropic, collapses to a single average over H. So an
-exact projected Gram is the kernel profile k(0..d) contracted with the
-distance counts C[i, j, m] = #{sigma in H : |sigma(x_i) XOR y_j| = m} / |H|.
-The counts do not depend on the kernel: they are built once per (H, xs, ys),
-one vectorized XOR/popcount of each x's orbit images against all the ys,
-and kept in a small cache, so every objective evaluation of a tuning run
-costs one tensor-vector product. Exact
-evaluation requires enumerating H; deciding whether two graphs share an
-orbit reduces to three such kernel values, so no shortcut exists in general
-(for H the full symmetric group this is exactly graph-isomorphism testing).
-A Monte Carlo estimator over one shared sample S of H handles larger groups
-and is positive semidefinite by construction.
+which, because k is isotropic, collapses to a single average over H. A Monte
+Carlo estimator keeps the double average over one shared sample S of H
+instead; it handles larger groups and is positive semidefinite by
+construction. Both are the kernel profile k(0..d) contracted with distance
+counts C[i, j, m]: the share of image pairs (a, b) with |a XOR b| = m, a
+running over the |H| orbit images of x_i and b = y_j (exact), or a and b over
+the |S| sample images of x_i and y_j (Monte Carlo). One builder makes them
+all, by one vectorized XOR/popcount of each x's images against all the ys.
+The counts do not depend on the kernel; the exact ones are cached per
+(H, xs, ys), so every objective evaluation of a tuning run costs one
+tensor-vector product. Exact evaluation requires enumerating H; deciding
+whether two graphs share an orbit reduces to three such kernel values, so
+no shortcut exists in general (for H the full symmetric group this is
+exactly graph-isomorphism testing).
 
 The same orbits, viewed as vertices of a weighted quotient graph, carry the
 spectral kernel directly: the group-averaged kernel equals the quotient
@@ -31,8 +33,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator, Sequence
+from functools import lru_cache, partial
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -62,6 +64,15 @@ QUOTIENT_MAX_DIM = 16
 #: square, test-by-training cross), shared by every restart and projected
 #: kernel on the same split.
 COUNT_CACHE_SIZE = 8
+
+#: Slot-permutation tables of enumerated groups kept for reuse, one per
+#: (group, space); the benchmark's |H| = 1296 table at d = 66 holds about 0.8 MB.
+SLOT_PERMS_CACHE_SIZE = 4
+
+#: Orbit-image matrices kept for reuse, one per (group, code), of
+#: |H| * ceil(d/64) * 8 bytes each: 512 is about 10.6 MB at |H| = 1296,
+#: d = 66, and covers the 256 codes a 64-train, 192-point prediction touches.
+ORBIT_IMAGE_CACHE_SIZE = 512
 
 _WORD_MASK = (1 << 64) - 1
 
@@ -179,28 +190,35 @@ def _apply_slot_perm(bits: int, perm: Sequence[int]) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SLOT_PERMS_CACHE_SIZE)
 def _slot_perms(H: PermSubgroup, space: GraphSpace) -> tuple[tuple[int, ...], ...]:
     if H.order() > ENUMERATION_CAP:
         raise _too_large(H.order(), ENUMERATION_CAP)
     return tuple(edge_permutation(sigma, space) for sigma in H.elements())
 
 
-def _perm_image_words(perms_bits: list[int], n_words: int) -> np.ndarray:
-    return np.array([_bits_to_words(b, n_words) for b in perms_bits], dtype=np.uint64).reshape(
-        len(perms_bits), n_words
-    )
+def _words(bits: Sequence[int], d: int) -> np.ndarray:
+    """(len(bits), ceil(d/64)) uint64 matrix of bit patterns in a space of dimension d."""
+    n_words = (d + 63) // 64 or 1
+    return np.array([_bits_to_words(b, n_words) for b in bits], dtype=np.uint64).reshape(len(bits), n_words)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=ORBIT_IMAGE_CACHE_SIZE)
 def _orbit_image_words(H: PermSubgroup, x: GraphCode) -> np.ndarray:
     """(|H|, ceil(d/64)) uint64 matrix of sigma(x) over all sigma in H."""
-    space = x.space
-    n_words = (space.d + 63) // 64 or 1
-    images = [_apply_slot_perm(x.bits, perm) for perm in _slot_perms(H, space)]
-    words = _perm_image_words(images, n_words)
+    words = _words([_apply_slot_perm(x.bits, perm) for perm in _slot_perms(H, x.space)], x.space.d)
     words.setflags(write=False)
     return words
+
+
+def _sample_image_words(sample: Sequence[NodePermutation], xs: Sequence[GraphCode]) -> list[np.ndarray]:
+    """Per code, the (|S|, ceil(d/64)) uint64 matrix of s(x) over the sample S."""
+    if len(sample) == 0:
+        raise ValueError("sample must contain at least one permutation")
+    return [
+        _words([_apply_slot_perm(x.bits, edge_permutation(s, x.space)) for s in sample], x.space.d)
+        for x in xs
+    ]
 
 
 def _distances(words: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -209,11 +227,6 @@ def _distances(words: np.ndarray, targets: np.ndarray) -> np.ndarray:
     for w in range(words.shape[1]):
         acc += popcount_u64(words[:, w, None] ^ targets[None, :, w])
     return acc
-
-
-def _distances_to_code(words: np.ndarray, bits: int) -> np.ndarray:
-    target = np.array([_bits_to_words(bits, words.shape[1])], dtype=np.uint64)
-    return _distances(words, target)[:, 0]
 
 
 @lru_cache(maxsize=200_000)
@@ -228,7 +241,7 @@ def pair_histogram(H: PermSubgroup, x: GraphCode, y: GraphCode) -> np.ndarray:
         raise ValueError("codes live in different spaces")
     if y.bits < x.bits:
         x, y = y, x
-    dists = _distances_to_code(_orbit_image_words(H, x), y.bits)
+    dists = _distances(_orbit_image_words(H, x), _words([y.bits], x.space.d))[:, 0]
     hist = np.bincount(dists, minlength=x.space.d + 1).astype(float)
     hist.setflags(write=False)
     return hist
@@ -295,46 +308,82 @@ def invariant_kernel_exact(spec: KernelSpec, H: PermSubgroup, x: GraphCode, y: G
 
 
 def _distance_top(xs: Sequence[GraphCode], ys: Sequence[GraphCode]) -> int:
-    """Length of the distance axis: |sigma(x) XOR y| <= |x| + |y| since sigma keeps |x|."""
-    return min(xs[0].space.d, max(x.weight for x in xs) + max(y.weight for y in ys)) + 1
+    """Length of the distance axis: |a XOR b| <= |x| + |y| for images a of x and b of y.
+
+    Raises if the codes do not all live in one space.
+    """
+    space = xs[0].space
+    for c in itertools.chain(xs, ys):
+        if c.space != space:
+            raise ValueError("codes live in different spaces")
+    return min(space.d, max(x.weight for x in xs) + max(y.weight for y in ys)) + 1
+
+
+def _distance_counts(
+    images_x: Sequence[np.ndarray], images_y: Sequence[np.ndarray], top: int, upper: bool = False
+) -> np.ndarray:
+    """C[i, j, m]: the share of image pairs (a, b) in images_x[i] x images_y[j] with |a XOR b| = m.
+
+    Each entry is a word matrix with one row per image; every code on a side
+    has the same number of images. ``upper`` (square builds) fills j >= i only.
+    """
+    rows = images_y[0].shape[0]
+    targets = np.concatenate(images_y)
+    out = np.zeros((len(images_x), len(images_y), top))
+    for i, a in enumerate(images_x):
+        first = i if upper else 0
+        n = len(images_y) - first
+        dist = _distances(a, targets[first * rows :]) + np.repeat(top * np.arange(n), rows)
+        out[i, first:] = np.bincount(dist.ravel(), minlength=n * top).reshape(n, top)
+    out /= images_x[0].shape[0] * rows
+    return out
+
+
+@lru_cache(maxsize=COUNT_CACHE_SIZE)
+def _group_counts(
+    H: PermSubgroup, xs: tuple[GraphCode, ...], ys: tuple[GraphCode, ...] | None
+) -> np.ndarray:
+    """Counts over H: the |H| orbit images of each x against y itself; ys=None means xs.
+
+    Keyed by the codes themselves, so a hit returns counts built from the
+    same codes (and spaces) as a call that passed the space check.
+    """
+    targets = xs if ys is None else ys
+    top = _distance_top(xs, targets)
+    d = xs[0].space.d
+    out = _distance_counts(
+        [_orbit_image_words(H, x) for x in xs], [_words([y.bits], d) for y in targets], top, upper=ys is None
+    )
+    out.setflags(write=False)
+    return out
+
+
+def _sample_counts(
+    sample: Sequence[NodePermutation], xs: tuple[GraphCode, ...], ys: tuple[GraphCode, ...] | None
+) -> np.ndarray:
+    """Counts over S x S: the |S| sample images of each x against those of each y; ys=None means xs."""
+    top = _distance_top(xs, xs if ys is None else ys)
+    images_x = _sample_image_words(sample, xs)
+    images_y = images_x if ys is None else _sample_image_words(sample, ys)
+    return _distance_counts(images_x, images_y, top, upper=ys is None)
 
 
 def _mirror_upper(a: np.ndarray) -> np.ndarray:
-    """Copy the upper triangle of the two leading axes into the lower one, in place."""
+    """Copy the upper triangle into the lower one, in place."""
     i, j = np.tril_indices(a.shape[0], -1)
     a[i, j] = a[j, i]
     return a
 
 
-@lru_cache(maxsize=COUNT_CACHE_SIZE)
-def _count_tensor(
-    H: PermSubgroup, xs: tuple[GraphCode, ...], ys: tuple[GraphCode, ...] | None
+def _contract(
+    spec: KernelSpec, counts: Callable, xs: Sequence[GraphCode], ys: Sequence[GraphCode] | None
 ) -> np.ndarray:
-    """(len(xs), len(ys), top) distance counts over H, divided by |H|; ys=None means xs.
-
-    Keyed by the codes themselves, so a hit returns counts built from the
-    same codes (and spaces) as a call that passed the checks below.
-    """
-    targets = xs if ys is None else ys
-    space = xs[0].space
-    for c in xs + (ys or ()):
-        if c.space != space:
-            raise ValueError("codes live in different spaces")
-    top = _distance_top(xs, targets)
-    n_words = (space.d + 63) // 64 or 1
-    words = _perm_image_words([y.bits for y in targets], n_words)
-    offsets = top * np.arange(len(targets))
-    out = np.zeros((len(xs), len(targets), top))
-    for i, x in enumerate(xs):
-        first = i if ys is None else 0  # a square tensor fills its upper triangle only
-        dist = _distances(_orbit_image_words(H, x), words[first:]) + offsets[: len(targets) - first]
-        counts = np.bincount(dist.ravel(), minlength=(len(targets) - first) * top)
-        out[i, first:] = counts.reshape(-1, top)
-    out /= H.order()
-    if ys is None:
-        _mirror_upper(out)
-    out.setflags(write=False)
-    return out
+    """Gram matrix from counts(xs, ys) and the kernel profile; a square Gram is exactly symmetric."""
+    if len(xs) == 0 or (ys is not None and len(ys) == 0):
+        return np.zeros((len(xs), len(xs) if ys is None else len(ys)))
+    c = counts(tuple(xs), None if ys is None else tuple(ys))
+    out = c @ kernel_profile(spec, xs[0].space.d)[: c.shape[2]]
+    return out if ys is not None else _mirror_upper(out)
 
 
 def invariant_gram_exact(
@@ -343,44 +392,21 @@ def invariant_gram_exact(
     xs: Sequence[GraphCode],
     ys: Sequence[GraphCode] | None = None,
 ) -> np.ndarray:
-    """Exact projected Gram matrix: the cached distance counts times the kernel profile.
-
-    A square Gram (``ys`` omitted) is exactly symmetric.
-    """
-    if len(xs) == 0 or (ys is not None and len(ys) == 0):
-        return np.zeros((len(xs), len(xs) if ys is None else len(ys)))
-    counts = _count_tensor(H, tuple(xs), None if ys is None else tuple(ys))
-    out = counts @ kernel_profile(spec, xs[0].space.d)[: counts.shape[2]]
-    return out if ys is not None else _mirror_upper(out)
+    """Exact projected Gram matrix: the cached distance counts over H times the kernel profile."""
+    return _contract(spec, partial(_group_counts, H), xs, ys)
 
 
-def invariant_diag_exact(spec: KernelSpec, H: PermSubgroup, xs: Sequence[GraphCode]) -> np.ndarray:
-    """Diagonal of the exact projected Gram, from each point's self-count row alone."""
-    if len(xs) == 0:
-        return np.zeros(0)
-    top = _distance_top(xs, xs)
-    counts = np.stack(
-        [np.bincount(_distances_to_code(_orbit_image_words(H, x), x.bits), minlength=top) for x in xs]
-    )
-    return (counts / H.order()) @ kernel_profile(spec, xs[0].space.d)[:top]
-
-
-def _sample_image_words(
-    sample: Sequence[NodePermutation], x: GraphCode
+def invariant_gram_sampled(
+    spec: KernelSpec,
+    sample: Sequence[NodePermutation],
+    xs: Sequence[GraphCode],
+    ys: Sequence[GraphCode] | None = None,
 ) -> np.ndarray:
-    space = x.space
-    n_words = (space.d + 63) // 64 or 1
-    images = [_apply_slot_perm(x.bits, edge_permutation(s, space)) for s in sample]
-    return _perm_image_words(images, n_words)
+    """Gram matrix of the sampled estimator: distance counts over S x S times the kernel profile.
 
-
-def _sampled_value(
-    profile: np.ndarray, wx: np.ndarray, wy: np.ndarray
-) -> float:
-    acc = np.zeros((wx.shape[0], wy.shape[0]), dtype=np.int64)
-    for w in range(wx.shape[1]):
-        acc += popcount_u64(np.bitwise_xor.outer(wx[:, w], wy[:, w]))
-    return float(profile[acc].mean())
+    One shared S keeps it positive semidefinite.
+    """
+    return _contract(spec, partial(_sample_counts, sample), xs, ys)
 
 
 def invariant_kernel_sampled(
@@ -395,63 +421,7 @@ def invariant_kernel_sampled(
     symmetric, let alone positive semidefinite, for a partial sample - so
     this symmetric form is the only one shipped.
     """
-    if len(sample) == 0:
-        raise ValueError("sample must contain at least one permutation")
-    profile = kernel_profile(spec, x.space.d)
-    return _sampled_value(profile, _sample_image_words(sample, x), _sample_image_words(sample, y))
-
-
-def invariant_kernel_mc(
-    spec: KernelSpec,
-    H: PermSubgroup,
-    x: GraphCode,
-    y: GraphCode,
-    sample_size: int,
-    seed: int,
-) -> float:
-    """Monte Carlo group-averaged kernel with a fresh uniform sample of H."""
-    sample = draw_sample(H, sample_size, seed)
-    return invariant_kernel_sampled(spec, sample, x, y)
-
-
-def invariant_gram_sampled(
-    spec: KernelSpec,
-    sample: Sequence[NodePermutation],
-    xs: Sequence[GraphCode],
-    ys: Sequence[GraphCode] | None = None,
-) -> np.ndarray:
-    """Gram matrix of the sampled estimator; one shared S keeps it PSD."""
-    if len(xs) == 0:
-        return np.zeros((0, 0 if ys is None else len(ys)))
-    profile = kernel_profile(spec, xs[0].space.d)
-    words_x = [_sample_image_words(sample, x) for x in xs]
-    if ys is None:
-        n = len(xs)
-        out = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                v = _sampled_value(profile, words_x[i], words_x[j])
-                out[i, j] = v
-                out[j, i] = v
-        return out
-    words_y = [_sample_image_words(sample, y) for y in ys]
-    out = np.empty((len(xs), len(ys)))
-    for i in range(len(xs)):
-        for j in range(len(ys)):
-            out[i, j] = _sampled_value(profile, words_x[i], words_y[j])
-    return out
-
-
-def invariant_gram_mc(
-    spec: KernelSpec,
-    H: PermSubgroup,
-    xs: Sequence[GraphCode],
-    ys: Sequence[GraphCode] | None = None,
-    sample_size: int = 16,
-    seed: int = 0,
-) -> np.ndarray:
-    sample = draw_sample(H, sample_size, seed)
-    return invariant_gram_sampled(spec, sample, xs, ys)
+    return float(invariant_gram_sampled(spec, sample, [x], [y])[0, 0])
 
 
 # -- quotient graphs ---------------------------------------------------------
@@ -670,7 +640,12 @@ def project_function(
 
 
 class ProjectedKernel:
-    """Group-averaged kernel bound to a space: exact, or Monte Carlo with a fixed sample."""
+    """Group-averaged kernel bound to a space: exact, or Monte Carlo with a fixed sample.
+
+    Grams and diagonals of both flavours come from the shared distance-count
+    builder: over the whole group when ``sample`` is None, else over
+    ``sample`` x ``sample``.
+    """
 
     def __init__(
         self,
@@ -703,12 +678,16 @@ class ProjectedKernel:
         return invariant_gram_sampled(self.spec, self.sample, xs, ys)
 
     def diag(self, xs: Sequence[GraphCode]) -> np.ndarray:
-        """Prior variances k_H(x, x), without the square Gram."""
+        """Prior variances k_H(x, x): each point's own counts, without the square Gram."""
+        if len(xs) == 0:
+            return np.zeros(0)
+        top = _distance_top(xs, xs)
         if self.sample is None:
-            return invariant_diag_exact(self.spec, self.subgroup, xs)
-        profile = kernel_profile(self.spec, self.space.d)
-        words = [_sample_image_words(self.sample, x) for x in xs]
-        return np.array([_sampled_value(profile, w, w) for w in words])
+            sides = [(_orbit_image_words(self.subgroup, x), _words([x.bits], x.space.d)) for x in xs]
+        else:
+            sides = [(w, w) for w in _sample_image_words(self.sample, xs)]
+        counts = np.stack([_distance_counts([a], [b], top)[0, 0] for a, b in sides])
+        return counts @ kernel_profile(self.spec, self.space.d)[:top]
 
     def with_spec(self, spec: KernelSpec) -> "ProjectedKernel":
         return ProjectedKernel(spec, self.subgroup, self.space, sample=self.sample)

@@ -23,6 +23,11 @@ import numpy as np
 #: Largest node count accepted by default (d up to 256 for directed+loops).
 DEFAULT_MAX_NODES = 16
 
+#: Slot permutations kept for reuse, one per (node permutation, space), each
+#: a d-tuple (about 0.6 KB at d = 66): room for the 1296 elements of the
+#: benchmark's group next to the Monte Carlo samples in use.
+EDGE_PERMUTATION_CACHE_SIZE = 2048
+
 
 class GraphSpaceKind(Enum):
     """The four families of unweighted graph sets on n labeled nodes."""
@@ -268,7 +273,7 @@ class NodePermutation:
         return NodePermutation(tuple(inv))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=EDGE_PERMUTATION_CACHE_SIZE)
 def edge_permutation(sigma: NodePermutation, space: GraphSpace) -> tuple[int, ...]:
     """Slot permutation induced by a node permutation.
 

@@ -13,6 +13,7 @@ import numpy as np
 from graphgp.invariance import pair_histogram
 from graphgp.kernels import KernelSpec, LaplacianVariant, kernel_profile, spectral_coefficients
 from graphgp.kravchuk import KravchukTable, build_table
+from graphgp.spaces import apply_permutation
 
 
 def hypercube_laplacian(d: int, variant: LaplacianVariant) -> np.ndarray:
@@ -107,4 +108,21 @@ def exact_gram_by_pairs(spec: KernelSpec, H, xs, ys=None) -> np.ndarray:
     for i, x in enumerate(xs):
         for j, y in enumerate(ys):
             out[i, j] = float(pair_histogram(H, x, y) @ profile) / order
+    return out
+
+
+def sampled_gram_by_pairs(spec: KernelSpec, sample, xs, ys=None) -> np.ndarray:
+    """Monte Carlo projected Gram, the mean of k over one S x S block of images per entry."""
+    profile = kernel_profile(spec, xs[0].space.d)
+    ys = xs if ys is None else ys
+
+    def images(x):
+        return [apply_permutation(s, x).bits for s in sample]
+
+    images_x, images_y = [images(x) for x in xs], [images(y) for y in ys]
+    out = np.empty((len(xs), len(ys)))
+    for i, a in enumerate(images_x):
+        for j, b in enumerate(images_y):
+            dist = np.array([[(u ^ v).bit_count() for v in b] for u in a])
+            out[i, j] = float(profile[dist].mean())
     return out

@@ -10,7 +10,7 @@ from synthetic import molecules_from_prior, molecules_mixed_elements
 
 from graphgp import datasets, gp
 from graphgp.cli import EXPERIMENT_METHODS, load_model, main, named_seed, run_experiment
-from graphgp.invariance import PermSubgroup, invariant_kernel_exact, invariant_kernel_mc
+from graphgp.invariance import PermSubgroup, draw_sample, invariant_kernel_exact, invariant_kernel_sampled
 from graphgp.kernels import Heat, IsotropicKernel, KernelSpec, LaplacianVariant, evaluate
 from graphgp.kravchuk import build_table
 from graphgp.spaces import GraphSpace, GraphSpaceKind, graph_to_json
@@ -97,7 +97,7 @@ class TestKernelCommands:
         second = float(capsys.readouterr().out.strip())
         assert first == second
         spec = KernelSpec(Heat(1.0), laplacian=LaplacianVariant.PLAIN)
-        assert first == invariant_kernel_mc(spec, PermSubgroup.full(4), x, y, 6, 3)
+        assert first == invariant_kernel_sampled(spec, draw_sample(PermSubgroup.full(4), 6, 3), x, y)
 
 
 class TestTableDump:

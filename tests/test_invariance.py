@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from oracles import exact_gram_by_pairs
+from oracles import exact_gram_by_pairs, sampled_gram_by_pairs
 
-from graphgp import gp
+from graphgp import gp, invariance, spaces
 from graphgp.invariance import (
     COUNT_CACHE_SIZE,
     GroupTooLargeError,
@@ -12,11 +12,10 @@ from graphgp.invariance import (
     build_quotient,
     draw_sample,
     enumerate_orbit,
-    _count_tensor,
+    _group_counts,
     invariant_gram_exact,
     invariant_gram_sampled,
     invariant_kernel_exact,
-    invariant_kernel_mc,
     invariant_kernel_sampled,
     orbit_equivalence_test,
     pair_histogram,
@@ -268,8 +267,8 @@ class TestMonteCarlo:
         H = PermSubgroup.full(4)
         spec = matern_u4()
         x, y = U4.random_code(rng), U4.random_code(rng)
-        a = invariant_kernel_mc(spec, H, x, y, sample_size=8, seed=7)
-        b = invariant_kernel_mc(spec, H, x, y, sample_size=8, seed=7)
+        a = invariant_kernel_sampled(spec, draw_sample(H, 8, 7), x, y)
+        b = invariant_kernel_sampled(spec, draw_sample(H, 8, 7), x, y)
         assert a == b
 
 
@@ -535,15 +534,80 @@ class TestCountTensorGram:
         xs = sparse_codes(U12, rng, 12, density=0.3)
         ys = rng.standard_normal(len(xs))
         kernel = ProjectedKernel(KernelSpec(Heat(4.0)), BLOCKS_12, U12)
-        before = _count_tensor.cache_info().misses
+        before = _group_counts.cache_info().misses
         result = gp.optimize_hyperparameters(kernel, xs, ys, budget=30, normalize_y=True)
         assert result.evaluations > 10
-        assert _count_tensor.cache_info().misses - before == 1
+        assert _group_counts.cache_info().misses - before == 1
 
     def test_cache_stays_within_its_size(self, rng):
         spec = KernelSpec(Heat(1.0))
         H = PermSubgroup.full(4)
         for k in range(COUNT_CACHE_SIZE + 5):
             invariant_gram_exact(spec, H, sparse_codes(U4, rng, 3 + k % 4))
-            assert _count_tensor.cache_info().currsize <= COUNT_CACHE_SIZE
-        assert _count_tensor.cache_info().maxsize == COUNT_CACHE_SIZE
+            assert _group_counts.cache_info().currsize <= COUNT_CACHE_SIZE
+        assert _group_counts.cache_info().maxsize == COUNT_CACHE_SIZE
+
+
+class TestSampledCountGram:
+    """Monte Carlo Grams from the shared count builder vs one S x S block per entry."""
+
+    @pytest.mark.parametrize("space,H", [(U4, PermSubgroup.full(4)), (U12, BLOCKS_12)])
+    def test_square_and_cross_match_pair_loop(self, rng, space, H):
+        spec = KernelSpec(Heat(float(np.sqrt(space.d))), variance=1.7)
+        sample = draw_sample(H, 5, 11)
+        xs = sparse_codes(space, rng, 7)
+        ys = sparse_codes(space, rng, 5)
+        np.testing.assert_allclose(
+            invariant_gram_sampled(spec, sample, xs), sampled_gram_by_pairs(spec, sample, xs), rtol=1e-12
+        )
+        np.testing.assert_allclose(
+            invariant_gram_sampled(spec, sample, xs, ys), sampled_gram_by_pairs(spec, sample, xs, ys), rtol=1e-12
+        )
+        np.testing.assert_allclose(
+            invariant_gram_sampled(spec, sample, xs, xs), invariant_gram_sampled(spec, sample, xs), rtol=1e-12
+        )
+
+    def test_square_is_exactly_symmetric(self, rng):
+        xs = sparse_codes(U12, rng, 9, density=0.3)
+        sample = draw_sample(BLOCKS_12, 7, 2)
+        for spec in (KernelSpec(Heat(3.0)), matern_spec(U12.d, kappa=2.0, variance=0.6)):
+            K = invariant_gram_sampled(spec, sample, xs)
+            assert np.array_equal(K, K.T)
+
+    def test_empty_code_lists(self, rng):
+        spec = KernelSpec(Heat(1.0))
+        xs = sparse_codes(U4, rng, 3)
+        sample = draw_sample(PermSubgroup.full(4), 3, 0)
+        assert invariant_gram_sampled(spec, sample, []).shape == (0, 0)
+        assert invariant_gram_sampled(spec, sample, [], xs).shape == (0, 3)
+        assert invariant_gram_sampled(spec, sample, xs, []).shape == (3, 0)
+
+    def test_single_value_is_the_one_by_one_gram(self, rng):
+        spec = matern_spec(U12.d, kappa=2.0, variance=0.6)
+        sample = draw_sample(BLOCKS_12, 6, 4)
+        x, y = sparse_codes(U12, rng, 2, density=0.3)
+        assert invariant_kernel_sampled(spec, sample, x, y) == invariant_gram_sampled(spec, sample, [x], [y])[0, 0]
+
+    def test_empty_sample_rejected(self, rng):
+        spec = KernelSpec(Heat(1.0))
+        xs = sparse_codes(U4, rng, 3)
+        with pytest.raises(ValueError, match="at least one"):
+            invariant_gram_sampled(spec, (), xs)
+        with pytest.raises(ValueError, match="at least one"):
+            invariant_gram_sampled(spec, (), xs, xs[:2])
+        with pytest.raises(ValueError, match="at least one"):
+            ProjectedKernel(spec, PermSubgroup.full(4), U4, sample=()).diag(xs)
+        with pytest.raises(ValueError, match="at least one"):
+            invariant_kernel_sampled(spec, (), xs[0], xs[1])
+
+
+@pytest.mark.parametrize(
+    "cached,size",
+    [
+        (spaces.edge_permutation, spaces.EDGE_PERMUTATION_CACHE_SIZE),
+        (invariance._slot_perms, invariance.SLOT_PERMS_CACHE_SIZE),
+        (invariance._orbit_image_words, invariance.ORBIT_IMAGE_CACHE_SIZE),
+    ],
+)
+def test_image_caches_are_bounded(cached, size):
+    assert cached.cache_info().maxsize == size > 0
