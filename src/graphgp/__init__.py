@@ -4,8 +4,8 @@ The pieces, bottom up:
 
 - :mod:`graphgp.spaces` - graphs as d-bit codes with XOR group structure,
   Hamming distance, and node-permutation actions.
-- :mod:`graphgp.kravchuk` - Walsh parity functions and the dynamic-programming
-  tables that collapse level sums to functions of Hamming distance.
+- :mod:`graphgp.kravchuk` - the dynamic-programming tables that collapse
+  Walsh level sums to functions of Hamming distance.
 - :mod:`graphgp.kernels` - Matérn / heat / custom spectral kernels with stable
   normalization and Gram assembly.
 - :mod:`graphgp.invariance` - permutation subgroups, orbits, group-averaged
@@ -28,14 +28,7 @@ from .spaces import (
     graph_to_json,
     hamming,
 )
-from .kravchuk import (
-    KravchukTable,
-    SubsetIndex,
-    brute_force_level_sum,
-    build_table,
-    kravchuk_closed_form,
-    walsh,
-)
+from .kravchuk import KravchukTable, build_table
 from .kernels import (
     CustomPhi,
     Heat,

@@ -38,7 +38,6 @@ import numpy as np
 
 from . import __version__, datasets, gp
 from .invariance import (
-    ENUMERATION_CAP,
     PermSubgroup,
     ProjectedKernel,
     build_quotient,
@@ -265,10 +264,6 @@ def _build_model_kernel(spec, space, projected_blocks, mc_samples, mc_seed):
     H = _parse_subgroup(projected_blocks, space.n)
     if mc_samples is not None:
         return ProjectedKernel.monte_carlo(spec, H, space, mc_samples, mc_seed)
-    if H.order() > ENUMERATION_CAP:
-        raise ValueError(
-            f"group order {H.order()} is above the exact-enumeration cap; pass --mc-samples"
-        )
     return ProjectedKernel(spec, H, space)
 
 
@@ -419,10 +414,6 @@ def _method_kernel(method: str, config: dict, seq_space, aligned_space, aligned_
         if mc_samples is not None:
             return ProjectedKernel.monte_carlo(
                 spec, H, space, int(mc_samples), named_seed(root_seed, "mc-kernel")
-            )
-        if H.order() > ENUMERATION_CAP:
-            raise ValueError(
-                f"group order {H.order()} is above the exact cap; set mc_samples in the config"
             )
         return ProjectedKernel(spec, H, space)
     return IsotropicKernel(spec, space)

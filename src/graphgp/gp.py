@@ -35,7 +35,7 @@ from .kernels import (
     spectral_coefficients,
 )
 from .kravchuk import build_table
-from .spaces import GraphCode, NodePermutation, apply_permutation, pairwise_hamming
+from .spaces import GraphCode, NodePermutation, apply_permutation, bit_matrix, pairwise_hamming
 
 NOISE_FLOOR = 1e-8
 _JITTER_FACTOR = 1e-8
@@ -357,7 +357,8 @@ class TruncatedWalshSampler:
             J = d if spec.truncation is None else min(spec.truncation, d)
         if not (0 <= J <= d):
             raise ValueError(f"level cap {J} out of range for d={d}")
-        count = sum(math.comb(d, j) for j in range(J + 1))
+        sizes = [math.comb(d, j) for j in range(J + 1)]
+        count = sum(sizes)
         if count > feature_budget:
             raise ValueError(
                 f"feature count {count} (levels 0..{J} in dimension {d}) exceeds the budget {feature_budget}"
@@ -365,32 +366,22 @@ class TruncatedWalshSampler:
         self.spec = replace(spec, truncation=J)
         self.space = space
         self.level_cap = J
-        amps = _level_amplitudes(self.spec, d)
-        masks = []
-        sqrt_amp = []
-        for j in range(J + 1):
-            a = math.sqrt(amps[j]) if amps[j] > 0 else 0.0
-            for combo in itertools.combinations(range(d), j):
-                mask = 0
-                for t in combo:
-                    mask |= 1 << t
-                masks.append(mask)
-                sqrt_amp.append(a)
-        self._masks = masks
-        self._sqrt_amp = np.array(sqrt_amp)
+        # one 0/1 row per index subset T, levels 0..J in order
+        self._subsets = np.zeros((count, d), dtype=np.uint8)
+        subsets = (combo for j in range(J + 1) for combo in itertools.combinations(range(d), j))
+        for f, combo in enumerate(subsets):
+            self._subsets[f, list(combo)] = 1
+        self._sqrt_amp = np.repeat(np.sqrt(_level_amplitudes(self.spec, d)[: J + 1]), sizes)
 
     @property
     def n_features(self) -> int:
-        return len(self._masks)
+        return self._subsets.shape[0]
 
     def feature_matrix(self, xs: Sequence[GraphCode]) -> np.ndarray:
-        """(n_features, len(xs)) matrix of weighted Walsh values."""
-        W = np.empty((len(self._masks), len(xs)))
-        for i, x in enumerate(xs):
-            b = x.bits
-            for f, mask in enumerate(self._masks):
-                W[f, i] = -1.0 if (b & mask).bit_count() & 1 else 1.0
-        return self._sqrt_amp[:, None] * W
+        """(n_features, len(xs)) matrix of weighted Walsh values (-1)^|x within T|."""
+        bits = bit_matrix(xs).reshape(len(xs), self.space.d).astype(np.uint8)  # (0, 0) if empty
+        parity = (self._subsets @ bits.T) & 1  # uint8 sums wrap modulo 256, keeping their parity
+        return self._sqrt_amp[:, None] * (1.0 - 2.0 * parity)
 
     def draw(self, xs: Sequence[GraphCode], n_samples: int, seed: int) -> np.ndarray:
         W = self.feature_matrix(xs)

@@ -14,7 +14,9 @@ construction. Both are the kernel profile k(0..d) contracted with distance
 counts C[i, j, m]: the share of image pairs (a, b) with |a XOR b| = m, a
 running over the |H| orbit images of x_i and b = y_j (exact), or a and b over
 the |S| sample images of x_i and y_j (Monte Carlo). One builder makes them
-all, by one vectorized XOR/popcount of each x's images against all the ys.
+all, by one vectorized XOR/popcount of each x's images against all the ys;
+a code's images come from one gather of its bits through the (|H|, d) or
+(|S|, d) slot-permutation array, one code at a time.
 The counts do not depend on the kernel; the exact ones are cached per
 (H, xs, ys), so every objective evaluation of a tuning run costs one
 tensor-vector product. Exact evaluation requires enumerating H; deciding
@@ -34,7 +36,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -50,8 +52,12 @@ from .spaces import (
     GraphCode,
     GraphSpace,
     NodePermutation,
+    code_words,
     edge_permutation,
-    popcount_u64,
+    permute_slots,
+    permuted_words,
+    slot_permutations,
+    word_distances,
 )
 
 #: Refuse to enumerate permutation groups larger than this.
@@ -65,8 +71,8 @@ QUOTIENT_MAX_DIM = 16
 #: kernel on the same split.
 COUNT_CACHE_SIZE = 8
 
-#: Slot-permutation tables of enumerated groups kept for reuse, one per
-#: (group, space); the benchmark's |H| = 1296 table at d = 66 holds about 0.8 MB.
+#: Slot-permutation arrays of enumerated groups kept for reuse, one per
+#: (group, space); the benchmark's (|H|, d) = (1296, 66) array holds 0.7 MB.
 SLOT_PERMS_CACHE_SIZE = 4
 
 #: Orbit-image matrices kept for reuse, one per (group, code), of
@@ -74,20 +80,19 @@ SLOT_PERMS_CACHE_SIZE = 4
 #: d = 66, and covers the 256 codes a 64-train, 192-point prediction touches.
 ORBIT_IMAGE_CACHE_SIZE = 512
 
-_WORD_MASK = (1 << 64) - 1
-
 
 class GroupTooLargeError(ValueError):
     """Raised when an exact computation would need to enumerate too large a group."""
 
 
-def _too_large(order: int, cap: int) -> GroupTooLargeError:
-    return GroupTooLargeError(
-        f"group order {order} exceeds the enumeration cap {cap}; exact computation "
-        f"over equivalence classes scales with the group order (deciding orbit "
-        f"equivalence this way is as hard as the underlying matching problem) - "
-        f"use the Monte Carlo estimator instead"
-    )
+def _require_enumerable(H: PermSubgroup, cap: int = ENUMERATION_CAP) -> None:
+    if H.order() > cap:
+        raise GroupTooLargeError(
+            f"group order {H.order()} exceeds the enumeration cap {cap}; exact computation "
+            f"over equivalence classes scales with the group order (deciding orbit "
+            f"equivalence this way is as hard as the underlying matching problem) - "
+            f"use the Monte Carlo estimator instead"
+        )
 
 
 @dataclass(frozen=True)
@@ -176,57 +181,35 @@ def draw_sample(
 # -- permuted-code machinery ------------------------------------------------
 
 
-def _bits_to_words(bits: int, n_words: int) -> tuple[int, ...]:
-    return tuple((bits >> (64 * w)) & _WORD_MASK for w in range(n_words))
-
-
-def _apply_slot_perm(bits: int, perm: Sequence[int]) -> int:
-    out = 0
-    b = bits
-    while b:
-        s = (b & -b).bit_length() - 1
-        out |= 1 << perm[s]
-        b &= b - 1
-    return out
+def _image_sources(perms: Iterable[NodePermutation], space: GraphSpace) -> np.ndarray:
+    """(k, d) gather index of the images sigma(x), one row per sigma: the slot
+    permutations of the inverse node maps (see ``permuted_words``)."""
+    return slot_permutations(np.argsort([sigma.mapping for sigma in perms], axis=1), space)
 
 
 @lru_cache(maxsize=SLOT_PERMS_CACHE_SIZE)
-def _slot_perms(H: PermSubgroup, space: GraphSpace) -> tuple[tuple[int, ...], ...]:
-    if H.order() > ENUMERATION_CAP:
-        raise _too_large(H.order(), ENUMERATION_CAP)
-    return tuple(edge_permutation(sigma, space) for sigma in H.elements())
-
-
-def _words(bits: Sequence[int], d: int) -> np.ndarray:
-    """(len(bits), ceil(d/64)) uint64 matrix of bit patterns in a space of dimension d."""
-    n_words = (d + 63) // 64 or 1
-    return np.array([_bits_to_words(b, n_words) for b in bits], dtype=np.uint64).reshape(len(bits), n_words)
+def _slot_perms(H: PermSubgroup, space: GraphSpace) -> np.ndarray:
+    """(|H|, d) gather index of the orbit images, built from H's node maps."""
+    _require_enumerable(H)
+    perms = _image_sources(H.elements(), space)
+    perms.setflags(write=False)
+    return perms
 
 
 @lru_cache(maxsize=ORBIT_IMAGE_CACHE_SIZE)
 def _orbit_image_words(H: PermSubgroup, x: GraphCode) -> np.ndarray:
     """(|H|, ceil(d/64)) uint64 matrix of sigma(x) over all sigma in H."""
-    words = _words([_apply_slot_perm(x.bits, perm) for perm in _slot_perms(H, x.space)], x.space.d)
+    words = permuted_words(x, _slot_perms(H, x.space))
     words.setflags(write=False)
     return words
 
 
-def _sample_image_words(sample: Sequence[NodePermutation], xs: Sequence[GraphCode]) -> list[np.ndarray]:
-    """Per code, the (|S|, ceil(d/64)) uint64 matrix of s(x) over the sample S."""
+def _sample_image_words(sample: Sequence[NodePermutation], xs: Sequence[GraphCode]) -> np.ndarray:
+    """(len(xs), |S|, ceil(d/64)) uint64 array of s(x) over the sample S, one code at a time."""
     if len(sample) == 0:
         raise ValueError("sample must contain at least one permutation")
-    return [
-        _words([_apply_slot_perm(x.bits, edge_permutation(s, x.space)) for s in sample], x.space.d)
-        for x in xs
-    ]
-
-
-def _distances(words: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """(len(words), len(targets)) Hamming distances between two word matrices."""
-    acc = np.zeros((words.shape[0], targets.shape[0]), dtype=np.int64)
-    for w in range(words.shape[1]):
-        acc += popcount_u64(words[:, w, None] ^ targets[None, :, w])
-    return acc
+    sources = _image_sources(sample, xs[0].space)
+    return np.stack([permuted_words(x, sources) for x in xs])
 
 
 @lru_cache(maxsize=200_000)
@@ -241,7 +224,7 @@ def pair_histogram(H: PermSubgroup, x: GraphCode, y: GraphCode) -> np.ndarray:
         raise ValueError("codes live in different spaces")
     if y.bits < x.bits:
         x, y = y, x
-    dists = _distances(_orbit_image_words(H, x), _words([y.bits], x.space.d))[:, 0]
+    dists = word_distances(_orbit_image_words(H, x), code_words([y]))[:, 0]
     hist = np.bincount(dists, minlength=x.space.d + 1).astype(float)
     hist.setflags(write=False)
     return hist
@@ -267,7 +250,7 @@ def _orbit_bits(H: PermSubgroup, space: GraphSpace, start_bits: int) -> set[int]
         nxt = []
         for b in frontier:
             for perm in gen_perms:
-                nb = _apply_slot_perm(b, perm)
+                nb = permute_slots(b, perm)
                 if nb not in seen:
                     seen.add(nb)
                     nxt.append(nb)
@@ -282,8 +265,7 @@ def enumerate_orbit(
     keep_members: bool = True,
 ) -> OrbitClass:
     """The orbit of a graph under H, with its lexicographically minimal member."""
-    if H.order() > cap:
-        raise _too_large(H.order(), cap)
+    _require_enumerable(H, cap)
     space = x.space
     orbit = _orbit_bits(H, space, x.bits)
     members = None
@@ -320,20 +302,21 @@ def _distance_top(xs: Sequence[GraphCode], ys: Sequence[GraphCode]) -> int:
 
 
 def _distance_counts(
-    images_x: Sequence[np.ndarray], images_y: Sequence[np.ndarray], top: int, upper: bool = False
+    images_x: Sequence[np.ndarray], images_y: np.ndarray, top: int, upper: bool = False
 ) -> np.ndarray:
     """C[i, j, m]: the share of image pairs (a, b) in images_x[i] x images_y[j] with |a XOR b| = m.
 
     Each entry is a word matrix with one row per image; every code on a side
-    has the same number of images. ``upper`` (square builds) fills j >= i only.
+    has the same number of images, so ``images_y`` is one (len, images, words)
+    array. ``upper`` (square builds) fills j >= i only.
     """
-    rows = images_y[0].shape[0]
-    targets = np.concatenate(images_y)
+    rows = images_y.shape[1]
+    targets = images_y.reshape(-1, images_y.shape[2])
     out = np.zeros((len(images_x), len(images_y), top))
     for i, a in enumerate(images_x):
         first = i if upper else 0
         n = len(images_y) - first
-        dist = _distances(a, targets[first * rows :]) + np.repeat(top * np.arange(n), rows)
+        dist = word_distances(a, targets[first * rows :]) + np.repeat(top * np.arange(n), rows)
         out[i, first:] = np.bincount(dist.ravel(), minlength=n * top).reshape(n, top)
     out /= images_x[0].shape[0] * rows
     return out
@@ -350,9 +333,8 @@ def _group_counts(
     """
     targets = xs if ys is None else ys
     top = _distance_top(xs, targets)
-    d = xs[0].space.d
     out = _distance_counts(
-        [_orbit_image_words(H, x) for x in xs], [_words([y.bits], d) for y in targets], top, upper=ys is None
+        [_orbit_image_words(H, x) for x in xs], code_words(targets)[:, None], top, upper=ys is None
     )
     out.setflags(write=False)
     return out
@@ -368,13 +350,6 @@ def _sample_counts(
     return _distance_counts(images_x, images_y, top, upper=ys is None)
 
 
-def _mirror_upper(a: np.ndarray) -> np.ndarray:
-    """Copy the upper triangle into the lower one, in place."""
-    i, j = np.tril_indices(a.shape[0], -1)
-    a[i, j] = a[j, i]
-    return a
-
-
 def _contract(
     spec: KernelSpec, counts: Callable, xs: Sequence[GraphCode], ys: Sequence[GraphCode] | None
 ) -> np.ndarray:
@@ -383,7 +358,9 @@ def _contract(
         return np.zeros((len(xs), len(xs) if ys is None else len(ys)))
     c = counts(tuple(xs), None if ys is None else tuple(ys))
     out = c @ kernel_profile(spec, xs[0].space.d)[: c.shape[2]]
-    return out if ys is not None else _mirror_upper(out)
+    if ys is None:
+        out += np.triu(out, 1).T  # square counts leave the lower triangle at 0.0
+    return out
 
 
 def invariant_gram_exact(
@@ -588,21 +565,12 @@ def orbit_equivalence_test(
 # -- averaging arbitrary functions -------------------------------------------
 
 
-def _all_code_images(H_or_sample, space: GraphSpace) -> list[np.ndarray]:
-    """Index arrays mapping every code to its image under each permutation."""
-    d = space.d
-    size = 1 << d
-    codes = np.arange(size, dtype=np.int64)
+def _all_code_images(sources: np.ndarray, d: int) -> list[np.ndarray]:
+    """Index arrays mapping every code to its image, one per row of a gather index."""
+    codes = np.arange(1 << d, dtype=np.int64)
     bits = (codes[:, None] >> np.arange(d)[None, :]) & 1
-    perms = (
-        [edge_permutation(s, space) for s in H_or_sample]
-        if not isinstance(H_or_sample, PermSubgroup)
-        else [edge_permutation(s, space) for s in H_or_sample.elements()]
-    )
-    out = []
-    for perm in perms:
-        out.append(bits @ (np.int64(1) << np.asarray(perm, dtype=np.int64)))
-    return out
+    weights = np.int64(1) << np.arange(d, dtype=np.int64)
+    return [bits[:, src] @ weights for src in sources]
 
 
 def project_function(
@@ -626,13 +594,12 @@ def project_function(
     if values.shape[0] != (1 << d):
         raise ValueError(f"expected one value per code (2^{d}), got {values.shape[0]}")
     if sample_size is None:
-        if H.order() > cap:
-            raise _too_large(H.order(), cap)
-        images = _all_code_images(H, space)
+        _require_enumerable(H, cap)
+        images = _all_code_images(_image_sources(H.elements(), space), d)
     else:
         if seed is None:
             raise ValueError("sample-based averaging requires a seed")
-        images = _all_code_images(draw_sample(H, sample_size, seed), space)
+        images = _all_code_images(_image_sources(draw_sample(H, sample_size, seed), space), d)
     acc = np.zeros_like(values)
     for img in images:
         acc += values[img]
@@ -644,7 +611,8 @@ class ProjectedKernel:
 
     Grams and diagonals of both flavours come from the shared distance-count
     builder: over the whole group when ``sample`` is None, else over
-    ``sample`` x ``sample``.
+    ``sample`` x ``sample``. An exact kernel over a group larger than
+    ``ENUMERATION_CAP`` is refused at construction (``GroupTooLargeError``).
     """
 
     def __init__(
@@ -656,6 +624,8 @@ class ProjectedKernel:
     ):
         if subgroup.n != space.n:
             raise ValueError(f"subgroup on {subgroup.n} nodes does not act on n={space.n}")
+        if sample is None:
+            _require_enumerable(subgroup)
         self.spec = spec
         self.subgroup = subgroup
         self.space = space
@@ -683,10 +653,11 @@ class ProjectedKernel:
             return np.zeros(0)
         top = _distance_top(xs, xs)
         if self.sample is None:
-            sides = [(_orbit_image_words(self.subgroup, x), _words([x.bits], x.space.d)) for x in xs]
+            sides = zip((_orbit_image_words(self.subgroup, x) for x in xs), code_words(xs)[:, None, None])
         else:
-            sides = [(w, w) for w in _sample_image_words(self.sample, xs)]
-        counts = np.stack([_distance_counts([a], [b], top)[0, 0] for a, b in sides])
+            images = _sample_image_words(self.sample, xs)
+            sides = zip(images, images[:, None])
+        counts = np.stack([_distance_counts([a], b, top)[0, 0] for a, b in sides])
         return counts @ kernel_profile(self.spec, self.space.d)[:top]
 
     def with_spec(self, spec: KernelSpec) -> "ProjectedKernel":

@@ -291,6 +291,8 @@ class LinearKernel:
         self.variance = variance
 
     def gram(self, xs: Sequence[GraphCode], ys: Sequence[GraphCode] | None = None) -> np.ndarray:
+        if len(xs) == 0 or (ys is not None and len(ys) == 0):
+            return np.zeros((len(xs), len(xs) if ys is None else len(ys)))
         bx = bit_matrix(xs)
         by = bx if ys is None else bit_matrix(ys)
         return self.variance * (bx @ by.T + 1.0)

@@ -1,74 +1,29 @@
-"""Walsh parity functions and their distance-collapsed level sums.
+"""Kravchuk tables: distance-collapsed level sums of Walsh parity functions.
 
 For codes in Z_2^d, the Walsh function of an index subset T is the parity
 character w_T(x) = (-1)^(sum of x_t over t in T). Summing w_T(x) * w_T(y)
 over all subsets of a fixed size j collapses, by symmetry, to a function
 G(d, j, m) of the Hamming distance m = |x XOR y| alone; these are the
 Kravchuk polynomials. This module builds normalized tables
-G'(d, j, m) = G(d, j, m) / C(d, j) by dynamic programming and provides two
-independent oracles (an exact integer closed form and direct enumeration of
-subsets) used to validate them.
+G'(d, j, m) = G(d, j, m) / C(d, j) by dynamic programming. The tests check
+them against two independent oracles in ``tests/oracles.py``: an exact
+integer closed form and direct enumeration of subsets.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import threading
-from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
-
-from .spaces import GraphCode
-
-#: Enumeration guard for the subset-sum oracle: C(d, j) subsets get visited.
-BRUTE_FORCE_MAX_DIM = 20
-
-
-@dataclass(frozen=True)
-class SubsetIndex:
-    """A subset T of edge-slot indices {0..d-1}, kept sorted and duplicate-free."""
-
-    members: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if list(self.members) != sorted(set(self.members)):
-            raise ValueError(f"subset members must be sorted and unique: {self.members}")
-        if self.members and self.members[0] < 0:
-            raise ValueError("subset members must be nonnegative")
-
-    @classmethod
-    def of(cls, members: Iterable[int]) -> "SubsetIndex":
-        return cls(tuple(sorted(set(int(m) for m in members))))
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    @property
-    def mask(self) -> int:
-        value = 0
-        for m in self.members:
-            value |= 1 << m
-        return value
-
-
-def walsh(T: SubsetIndex | Iterable[int], x: GraphCode) -> int:
-    """Parity character (-1)^(number of set bits of x inside T); +1 or -1."""
-    if not isinstance(T, SubsetIndex):
-        T = SubsetIndex.of(T)
-    if T.members and T.members[-1] >= x.space.d:
-        raise ValueError(f"subset index {T.members[-1]} out of range for d={x.space.d}")
-    return -1 if (x.bits & T.mask).bit_count() & 1 else 1
 
 
 class KravchukTable:
     """Normalized level-sum values G'(d, j, m) for all 0 <= j, m <= d.
 
     ``values[j, m]`` holds G(d, j, m) / C(d, j), which stays in [-1, 1] and is
-    numerically safe for large d. Raw values are reconstructed on demand in
-    sign + log-magnitude form.
+    numerically safe for large d; ``log_binom[j]`` = log C(d, j) restores
+    the raw scale.
     """
 
     def __init__(self, d: int, values: np.ndarray):
@@ -86,20 +41,6 @@ class KravchukTable:
         """Normalized value G'(d, j, m)."""
         self._check(j, m)
         return float(self.values[j, m])
-
-    def raw_sign_log(self, j: int, m: int) -> tuple[int, float]:
-        """Unnormalized G(d, j, m) as (sign, log|G|); sign 0 means the value is 0."""
-        self._check(j, m)
-        g = self.values[j, m]
-        if g == 0.0:
-            return 0, -math.inf
-        sign = 1 if g > 0 else -1
-        return sign, math.log(abs(g)) + float(self.log_binom[j])
-
-    def raw(self, j: int, m: int) -> float:
-        """Unnormalized G(d, j, m) as a float; may overflow for very large d."""
-        sign, log_abs = self.raw_sign_log(j, m)
-        return sign * math.exp(log_abs) if sign else 0.0
 
     def _check(self, j: int, m: int) -> None:
         if not (0 <= j <= self.d and 0 <= m <= self.d):
@@ -140,62 +81,3 @@ def build_table(d: int) -> KravchukTable:
             table = KravchukTable(d, _normalized_values(d))
             _TABLE_CACHE[d] = table
     return table
-
-
-def kravchuk_closed_form(d: int, j: int, m: int) -> int:
-    """Exact integer G(d, j, m) via the alternating binomial sum.
-
-    G(d, j, m) = sum over l of (-1)^l C(m, l) C(d-m, j-l), l ranging from
-    max(0, m+j-d) to min(j, m). Serves as an independent oracle for the DP
-    tables; evaluated in exact integer arithmetic.
-    """
-    if not (0 <= j <= d and 0 <= m <= d):
-        raise ValueError(f"indices (j={j}, m={m}) out of range for d={d}")
-    total = 0
-    for ell in range(max(0, m + j - d), min(j, m) + 1):
-        term = math.comb(m, ell) * math.comb(d - m, j - ell)
-        total += -term if ell & 1 else term
-    return total
-
-
-def _walsh_subset_sum(d: int, j: int, z: int) -> int:
-    if d > BRUTE_FORCE_MAX_DIM:
-        raise ValueError(
-            f"d={d} exceeds the enumeration limit {BRUTE_FORCE_MAX_DIM} "
-            f"(C(d, j) subsets would be visited)"
-        )
-    if not (0 <= j <= d):
-        raise ValueError(f"level j={j} out of range for d={d}")
-    total = 0
-    for combo in itertools.combinations(range(d), j):
-        mask = 0
-        for t in combo:
-            mask |= 1 << t
-        total += -1 if (z & mask).bit_count() & 1 else 1
-    return total
-
-
-def brute_force_level_sum(x: GraphCode, y: GraphCode, j: int) -> int:
-    """Sum of w_T(x) w_T(y) over every size-j subset T, by direct enumeration.
-
-    Must equal G(d, j, hamming(x, y)). Exponential in d; refused above
-    ``BRUTE_FORCE_MAX_DIM``.
-    """
-    if x.space != y.space:
-        raise ValueError("codes live in different spaces")
-    return _walsh_subset_sum(x.space.d, j, x.bits ^ y.bits)
-
-
-def brute_force_level_sum_at(d: int, j: int, m: int, z: int | None = None) -> int:
-    """Enumeration oracle at Hamming distance m in a bare d-bit space.
-
-    Uses the difference pattern with the m lowest bits set unless an
-    explicit ``z`` of weight m is supplied.
-    """
-    if not (0 <= m <= d):
-        raise ValueError(f"distance m={m} out of range for d={d}")
-    if z is None:
-        z = (1 << m) - 1
-    elif z.bit_count() != m or z >> d:
-        raise ValueError(f"difference pattern {z:#x} does not have weight {m} within {d} bits")
-    return _walsh_subset_sum(d, j, z)

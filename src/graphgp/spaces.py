@@ -7,12 +7,17 @@ the group Z_2^d under bitwise XOR, and the number of differing bits between
 two codes is the Hamming distance that every kernel in this package is a
 function of.
 
+Bulk paths see code lists as (count, ceil(d/64)) uint64 word matrices, slot
+s at bit s % 64 of word s // 64, and k node relabelings as one (k, d)
+slot-permutation array; a code's k images are one gather of its bits.
+
 All types here are immutable after construction and safe to share across
 threads.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -64,10 +69,10 @@ def dimension(kind: GraphSpaceKind, n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _slot_table(
-    kind: GraphSpaceKind, n: int
-) -> tuple[tuple[tuple[int, int], ...], dict[tuple[int, int], int]]:
-    """Slot index -> node pair and its inverse; one shared table per (kind, n)."""
+def _slot_table(kind: GraphSpaceKind, n: int) -> tuple[tuple[tuple[int, int], ...], np.ndarray, np.ndarray]:
+    """Slot index -> node pair, as a tuple and a (d, 2) array, and the (n, n)
+    node pair -> slot array (-1 where no slot; both orders of an undirected
+    pair name its slot); one shared table per (kind, n)."""
     if kind is GraphSpaceKind.UNDIRECTED:
         slots = tuple((i, j) for i in range(n) for j in range(i + 1, n))
     elif kind is GraphSpaceKind.UNDIRECTED_LOOPS:
@@ -76,7 +81,14 @@ def _slot_table(
         slots = tuple((i, j) for i in range(n) for j in range(n) if i != j)
     else:
         slots = tuple((i, j) for i in range(n) for j in range(n))
-    return slots, {pair: s for s, pair in enumerate(slots)}
+    pairs = np.array(slots, dtype=np.intp).reshape(-1, 2)
+    index = np.full((n, n), -1, dtype=np.intp)
+    index[pairs[:, 0], pairs[:, 1]] = np.arange(len(slots))
+    if not kind.directed:
+        index[pairs[:, 1], pairs[:, 0]] = np.arange(len(slots))
+    pairs.setflags(write=False)
+    index.setflags(write=False)
+    return slots, pairs, index
 
 
 @dataclass(frozen=True)
@@ -112,8 +124,8 @@ class GraphSpace:
         return _slot_table(self.kind, self.n)[0]
 
     @cached_property
-    def _slot_index(self) -> dict[tuple[int, int], int]:
-        return _slot_table(self.kind, self.n)[1]
+    def _slot_index(self) -> np.ndarray:
+        return _slot_table(self.kind, self.n)[2]
 
     def canonical_pair(self, i: int, j: int) -> tuple[int, int]:
         """Validate a node pair and put it in slot-table form."""
@@ -127,7 +139,7 @@ class GraphSpace:
 
     def slot_of(self, i: int, j: int) -> int:
         """Slot index of the (canonicalized) node pair."""
-        return self._slot_index[self.canonical_pair(i, j)]
+        return int(self._slot_index[self.canonical_pair(i, j)])
 
     def pair_of(self, slot: int) -> tuple[int, int]:
         if not (0 <= slot < self.d):
@@ -210,9 +222,6 @@ class GraphCode:
             raise ValueError(f"slot {slot} out of range for d={self.space.d}")
         return self.bits >> slot & 1
 
-    def to_bits(self) -> tuple[int, ...]:
-        return tuple(self.bits >> s & 1 for s in range(self.space.d))
-
     def edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(self.space.slots[s] for s in range(self.space.d) if self.bits >> s & 1)
 
@@ -273,6 +282,19 @@ class NodePermutation:
         return NodePermutation(tuple(inv))
 
 
+def slot_permutations(node_maps: np.ndarray, space: GraphSpace) -> np.ndarray:
+    """(k, d) slot permutations induced by k node maps, one per row.
+
+    Each row of ``node_maps`` is a permutation of the n nodes; relabeling
+    nodes by row r moves the bit in slot ``s`` to slot ``out[r, s]``.
+    """
+    maps = np.asarray(node_maps, dtype=np.intp)
+    if maps.ndim != 2 or maps.shape[1] != space.n:
+        raise ValueError(f"node maps of shape {maps.shape} do not act on n={space.n}")
+    _, pairs, index = _slot_table(space.kind, space.n)
+    return index[maps[:, pairs[:, 0]], maps[:, pairs[:, 1]]]
+
+
 @lru_cache(maxsize=EDGE_PERMUTATION_CACHE_SIZE)
 def edge_permutation(sigma: NodePermutation, space: GraphSpace) -> tuple[int, ...]:
     """Slot permutation induced by a node permutation.
@@ -282,28 +304,31 @@ def edge_permutation(sigma: NodePermutation, space: GraphSpace) -> tuple[int, ..
     """
     if sigma.n != space.n:
         raise ValueError(f"permutation of {sigma.n} nodes does not act on n={space.n}")
-    perm = tuple(
-        space._slot_index[space.canonical_pair(sigma.mapping[i], sigma.mapping[j])]
-        for (i, j) in space.slots
-    )
+    perm = tuple(slot_permutations([sigma.mapping], space)[0].tolist())
     if sorted(perm) != list(range(space.d)):
         raise AssertionError("induced slot map is not a bijection")
     return perm
 
 
+def permute_slots(bits: int, slot_perm: Sequence[int]) -> int:
+    """Move each set bit ``s`` of a code's bits to slot ``slot_perm[s]``."""
+    out = 0
+    while bits:
+        s = (bits & -bits).bit_length() - 1
+        out |= 1 << slot_perm[s]
+        bits &= bits - 1
+    return out
+
+
 def permute_bits(x: GraphCode, slot_perm: Sequence[int]) -> GraphCode:
     """Apply an arbitrary permutation of edge slots (bit s moves to slot_perm[s])."""
-    out = 0
-    bits = x.bits
-    for s in range(x.space.d):
-        if bits >> s & 1:
-            out |= 1 << slot_perm[s]
-    return GraphCode(x.space, out)
+    # int(): a fixed-width numpy shift drops bits at slots past 62
+    return GraphCode(x.space, permute_slots(x.bits, [int(s) for s in slot_perm]))
 
 
 def apply_permutation(sigma: NodePermutation, x: GraphCode) -> GraphCode:
     """Relabel the nodes of a graph: edge {i,j} becomes {sigma(i), sigma(j)}."""
-    return permute_bits(x, edge_permutation(sigma, x.space))
+    return GraphCode(x.space, permute_slots(x.bits, edge_permutation(sigma, x.space)))
 
 
 # -- bulk bit utilities ---------------------------------------------------
@@ -326,47 +351,62 @@ def popcount_u64(a: np.ndarray) -> np.ndarray:
     return ((a * _H01) >> np.uint64(56)).astype(np.int64)
 
 
-def codes_to_uint64(codes: Sequence[GraphCode]) -> np.ndarray:
-    """Pack codes into a uint64 array; only valid for d <= 64."""
-    if codes and codes[0].space.d > 64:
-        raise ValueError("codes wider than 64 bits cannot be packed into uint64")
-    return np.array([c.bits for c in codes], dtype=np.uint64)
+def _word_count(d: int) -> int:
+    return (d + 63) // 64 or 1
+
+
+def code_words(xs: Sequence[GraphCode]) -> np.ndarray:
+    """(len(xs), ceil(d/64)) uint64 word matrix of a list of codes from one space."""
+    n_words = _word_count(xs[0].space.d) if len(xs) else 1
+    # int(): codes built from numpy integers carry numpy bits
+    raw = b"".join(int(x.bits).to_bytes(8 * n_words, "little") for x in xs)
+    return np.frombuffer(raw, dtype="<u8").reshape(len(xs), n_words).astype(np.uint64)
+
+
+def _pack_words(bits: np.ndarray) -> np.ndarray:
+    """(k, ceil(d/64)) uint64 word matrix of a (k, d) 0/1 integer matrix."""
+    # rows padded to whole words first: packbits is several times faster on them
+    padded = np.zeros((bits.shape[0], 64 * _word_count(bits.shape[1])), dtype=np.uint8)
+    padded[:, : bits.shape[1]] = bits
+    return np.packbits(padded, axis=1, bitorder="little").view("<u8").astype(np.uint64, copy=False)
+
+
+def _unpack_words(words: np.ndarray, d: int) -> np.ndarray:
+    """(k, d) uint8 0/1 matrix of a (k, ceil(d/64)) word matrix."""
+    raw = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    return np.unpackbits(raw, axis=1, count=d, bitorder="little")
+
+
+def permuted_words(x: GraphCode, sources: np.ndarray) -> np.ndarray:
+    """Word matrix of k images of x: image r holds in slot t the bit x holds in
+    slot ``sources[r, t]`` (the slot permutations of inverse node maps give sigma(x))."""
+    return _pack_words(_unpack_words(code_words([x]), x.space.d)[0][sources])
+
+
+def word_distances(words: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """(len(words), len(targets)) Hamming distances between two word matrices."""
+    acc = np.zeros((words.shape[0], targets.shape[0]), dtype=np.int64)
+    for w in range(words.shape[1]):
+        acc += popcount_u64(words[:, w, None] ^ targets[None, :, w])
+    return acc
 
 
 def pairwise_hamming(xs: Sequence[GraphCode], ys: Sequence[GraphCode] | None = None) -> np.ndarray:
-    """Matrix of Hamming distances between two code lists (fast for d <= 64)."""
+    """Matrix of Hamming distances between two code lists."""
     if ys is None:
         ys = xs
     if len(xs) == 0 or len(ys) == 0:
         return np.zeros((len(xs), len(ys)), dtype=np.int64)
-    space = xs[0].space
-    for c in xs[1:]:
+    for c in itertools.chain(xs, ys):
         _check_same_space(xs[0], c)
-    for c in ys:
-        _check_same_space(xs[0], c)
-    if space.d <= 64:
-        ax = codes_to_uint64(xs)
-        ay = codes_to_uint64(ys)
-        return popcount_u64(np.bitwise_xor.outer(ax, ay))
-    out = np.empty((len(xs), len(ys)), dtype=np.int64)
-    for i, x in enumerate(xs):
-        xb = x.bits
-        for j, y in enumerate(ys):
-            out[i, j] = (xb ^ y.bits).bit_count()
-    return out
+    return word_distances(code_words(xs), code_words(ys))
 
 
 def bit_matrix(xs: Sequence[GraphCode]) -> np.ndarray:
     """(len(xs), d) 0/1 float matrix of code bits."""
     if not xs:
         return np.zeros((0, 0))
-    d = xs[0].space.d
-    out = np.zeros((len(xs), d))
-    for i, x in enumerate(xs):
-        for s in range(d):
-            if x.bits >> s & 1:
-                out[i, s] = 1.0
-    return out
+    return _unpack_words(code_words(xs), xs[0].space.d).astype(float)
 
 
 # -- JSON graph format ----------------------------------------------------

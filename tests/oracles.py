@@ -5,15 +5,18 @@ matrices, dense solves, direct enumeration) and deliberately avoids the
 code paths under test.
 """
 
+import itertools
 import math
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable
 
 import numpy as np
 
 from graphgp.invariance import pair_histogram
 from graphgp.kernels import KernelSpec, LaplacianVariant, kernel_profile, spectral_coefficients
 from graphgp.kravchuk import KravchukTable, build_table
-from graphgp.spaces import apply_permutation
+from graphgp.spaces import GraphCode, apply_permutation
 
 
 def hypercube_laplacian(d: int, variant: LaplacianVariant) -> np.ndarray:
@@ -126,3 +129,114 @@ def sampled_gram_by_pairs(spec: KernelSpec, sample, xs, ys=None) -> np.ndarray:
             dist = np.array([[(u ^ v).bit_count() for v in b] for u in a])
             out[i, j] = float(profile[dist].mean())
     return out
+
+
+# -- Kravchuk oracles ----------------------------------------------------------
+
+#: Enumeration guard for the subset-sum oracle: C(d, j) subsets get visited.
+BRUTE_FORCE_MAX_DIM = 20
+
+
+@dataclass(frozen=True)
+class SubsetIndex:
+    """A subset T of edge-slot indices {0..d-1}, kept sorted and duplicate-free."""
+
+    members: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if list(self.members) != sorted(set(self.members)):
+            raise ValueError(f"subset members must be sorted and unique: {self.members}")
+        if self.members and self.members[0] < 0:
+            raise ValueError("subset members must be nonnegative")
+
+    @classmethod
+    def of(cls, members: Iterable[int]) -> "SubsetIndex":
+        return cls(tuple(sorted(set(int(m) for m in members))))
+
+    @property
+    def size(self) -> int:
+        return len(self.members)
+
+    @property
+    def mask(self) -> int:
+        value = 0
+        for m in self.members:
+            value |= 1 << m
+        return value
+
+
+def walsh(T: SubsetIndex | Iterable[int], x: GraphCode) -> int:
+    """Parity character (-1)^(number of set bits of x inside T); +1 or -1."""
+    if not isinstance(T, SubsetIndex):
+        T = SubsetIndex.of(T)
+    if T.members and T.members[-1] >= x.space.d:
+        raise ValueError(f"subset index {T.members[-1]} out of range for d={x.space.d}")
+    return -1 if (x.bits & T.mask).bit_count() & 1 else 1
+
+
+def raw_sign_log(table: KravchukTable, j: int, m: int) -> tuple[int, float]:
+    """Unnormalized G(d, j, m) from a table as (sign, log|G|); sign 0 means the value is 0."""
+    g = table.value(j, m)
+    if g == 0.0:
+        return 0, -math.inf
+    sign = 1 if g > 0 else -1
+    return sign, math.log(abs(g)) + float(table.log_binom[j])
+
+
+def kravchuk_closed_form(d: int, j: int, m: int) -> int:
+    """Exact integer G(d, j, m) via the alternating binomial sum.
+
+    G(d, j, m) = sum over l of (-1)^l C(m, l) C(d-m, j-l), l ranging from
+    max(0, m+j-d) to min(j, m). Serves as an independent oracle for the DP
+    tables; evaluated in exact integer arithmetic.
+    """
+    if not (0 <= j <= d and 0 <= m <= d):
+        raise ValueError(f"indices (j={j}, m={m}) out of range for d={d}")
+    total = 0
+    for ell in range(max(0, m + j - d), min(j, m) + 1):
+        term = math.comb(m, ell) * math.comb(d - m, j - ell)
+        total += -term if ell & 1 else term
+    return total
+
+
+def _walsh_subset_sum(d: int, j: int, z: int) -> int:
+    if d > BRUTE_FORCE_MAX_DIM:
+        raise ValueError(
+            f"d={d} exceeds the enumeration limit {BRUTE_FORCE_MAX_DIM} "
+            f"(C(d, j) subsets would be visited)"
+        )
+    if not (0 <= j <= d):
+        raise ValueError(f"level j={j} out of range for d={d}")
+    total = 0
+    for combo in itertools.combinations(range(d), j):
+        mask = 0
+        for t in combo:
+            mask |= 1 << t
+        total += -1 if (z & mask).bit_count() & 1 else 1
+    return total
+
+
+def brute_force_level_sum(x: GraphCode, y: GraphCode, j: int) -> int:
+    """Sum of w_T(x) w_T(y) over every size-j subset T, by direct enumeration.
+
+    Must equal G(d, j, hamming(x, y)). Exponential in d; refused above
+    ``BRUTE_FORCE_MAX_DIM``.
+    """
+    if x.space != y.space:
+        raise ValueError("codes live in different spaces")
+    return _walsh_subset_sum(x.space.d, j, x.bits ^ y.bits)
+
+
+def brute_force_level_sum_at(d: int, j: int, m: int, z: int | None = None) -> int:
+    """Enumeration oracle at Hamming distance m in a bare d-bit space.
+
+    Uses the difference pattern with the m lowest bits set unless an
+    explicit ``z`` of weight m is supplied.
+    """
+    if not (0 <= m <= d):
+        raise ValueError(f"distance m={m} out of range for d={d}")
+    if z is None:
+        z = (1 << m) - 1
+    elif z.bit_count() != m or z >> d:
+        raise ValueError(f"difference pattern {z:#x} does not have weight {m} within {d} bits")
+    return _walsh_subset_sum(d, j, z)

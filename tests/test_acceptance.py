@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from oracles import dense_gp_posterior, dense_spectral_profile
+from oracles import brute_force_level_sum_at, dense_gp_posterior, dense_spectral_profile, kravchuk_closed_form
 from synthetic import molecules_from_prior, molecules_mixed_elements
 
 from graphgp import datasets, gp
@@ -36,11 +36,7 @@ from graphgp.kernels import (
     kernel_profile,
     matern_spec,
 )
-from graphgp.kravchuk import (
-    brute_force_level_sum_at,
-    build_table,
-    kravchuk_closed_form,
-)
+from graphgp.kravchuk import build_table
 from graphgp.spaces import GraphSpace, GraphSpaceKind, hamming, permute_bits
 
 U4 = GraphSpace(GraphSpaceKind.UNDIRECTED, 4)

@@ -10,7 +10,13 @@ from synthetic import molecules_from_prior, molecules_mixed_elements
 
 from graphgp import datasets, gp
 from graphgp.cli import EXPERIMENT_METHODS, load_model, main, named_seed, run_experiment
-from graphgp.invariance import PermSubgroup, draw_sample, invariant_kernel_exact, invariant_kernel_sampled
+from graphgp.invariance import (
+    ENUMERATION_CAP,
+    PermSubgroup,
+    draw_sample,
+    invariant_kernel_exact,
+    invariant_kernel_sampled,
+)
 from graphgp.kernels import Heat, IsotropicKernel, KernelSpec, LaplacianVariant, evaluate
 from graphgp.kravchuk import build_table
 from graphgp.spaces import GraphSpace, GraphSpaceKind, graph_to_json
@@ -208,6 +214,26 @@ class TestFitPredict:
         from graphgp.invariance import ProjectedKernel
 
         assert isinstance(model.kernel, ProjectedKernel)
+
+    def test_fit_refuses_group_above_enumeration_cap(self, tmp_path, capsys, monkeypatch):
+        U11 = GraphSpace(GraphSpaceKind.UNDIRECTED, 11)
+        H = PermSubgroup.full(11)
+        assert H.order() == 39_916_800 > ENUMERATION_CAP
+        data_path = tmp_path / "codes.jsonl"
+        codes = [U11.code_from_edges([[0, 1]]), U11.code_from_edges([[2, 3], [3, 4]])]
+        datasets.write_codes(data_path, codes, [0.5, 1.5])
+
+        def enumerate_nothing(self):
+            raise AssertionError("the group was enumerated")
+
+        monkeypatch.setattr(PermSubgroup, "elements", enumerate_nothing)
+        code = main([
+            "fit", "--dataset", str(data_path), "--kernel", HEAT_PLAIN,
+            "--projected", ",".join(str(i) for i in range(11)), "--out", str(tmp_path / "model.json"),
+        ])
+        assert code == 2
+        assert "Monte Carlo" in capsys.readouterr().err
+        assert not (tmp_path / "model.json").exists()
 
 
 class TestSampleCommand:

@@ -126,6 +126,10 @@ class TestOrbits:
         H = PermSubgroup.full(8)  # order 40320
         with pytest.raises(GroupTooLargeError, match="Monte Carlo"):
             enumerate_orbit(H, GraphSpace(GraphSpaceKind.UNDIRECTED, 8).empty_code(), cap=1000)
+        U11 = GraphSpace(GraphSpaceKind.UNDIRECTED, 11)
+        with pytest.raises(GroupTooLargeError, match="Monte Carlo"):
+            ProjectedKernel(KernelSpec(Heat(1.0)), PermSubgroup.full(11), U11)
+        assert ProjectedKernel.monte_carlo(KernelSpec(Heat(1.0)), PermSubgroup.full(11), U11, 4, 0).sample
 
 
 class TestPairHistogram:
@@ -472,6 +476,8 @@ class TestProjectedKernelObject:
 
 U12 = GraphSpace(GraphSpaceKind.UNDIRECTED, 12)
 BLOCKS_12 = PermSubgroup(12, ((0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11)))  # d = 66 > 64, |H| = 1296
+DL8 = GraphSpace(GraphSpaceKind.DIRECTED_LOOPS, 8)
+BLOCKS_8 = PermSubgroup(8, ((0, 1, 2), (3, 4, 5), (6, 7)))  # d = 64, exactly one full word; |H| = 72
 
 
 def sparse_codes(space, rng, count, density=0.2):
@@ -486,7 +492,7 @@ def sparse_codes(space, rng, count, density=0.2):
 class TestCountTensorGram:
     """Exact projected Grams from the cached count tensor vs one pair histogram per entry."""
 
-    @pytest.mark.parametrize("space,H", [(U4, PermSubgroup.full(4)), (U12, BLOCKS_12)])
+    @pytest.mark.parametrize("space,H", [(U4, PermSubgroup.full(4)), (U12, BLOCKS_12), (DL8, BLOCKS_8)])
     def test_square_and_cross_match_pair_loop(self, rng, space, H):
         spec = KernelSpec(Heat(float(np.sqrt(space.d))), variance=1.7)
         xs = sparse_codes(space, rng, 7)
@@ -551,7 +557,7 @@ class TestCountTensorGram:
 class TestSampledCountGram:
     """Monte Carlo Grams from the shared count builder vs one S x S block per entry."""
 
-    @pytest.mark.parametrize("space,H", [(U4, PermSubgroup.full(4)), (U12, BLOCKS_12)])
+    @pytest.mark.parametrize("space,H", [(U4, PermSubgroup.full(4)), (U12, BLOCKS_12), (DL8, BLOCKS_8)])
     def test_square_and_cross_match_pair_loop(self, rng, space, H):
         spec = KernelSpec(Heat(float(np.sqrt(space.d))), variance=1.7)
         sample = draw_sample(H, 5, 11)

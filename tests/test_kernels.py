@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import dense_spectral_profile, log_sign_profile
+from oracles import brute_force_level_sum, dense_spectral_profile, log_sign_profile
 
 from graphgp.kernels import (
     HAMMING_CACHE_SIZE,
@@ -24,7 +24,7 @@ from graphgp.kernels import (
     spec_to_json,
     spectral_coefficients,
 )
-from graphgp.kravchuk import brute_force_level_sum, build_table
+from graphgp.kravchuk import build_table
 from graphgp.spaces import GraphSpace, GraphSpaceKind, hamming, permute_bits
 
 PLAIN = LaplacianVariant.PLAIN
@@ -346,6 +346,8 @@ class TestDiag:
         for kernel in (IsotropicKernel(random_spec(rng, d=space.d), space), LinearKernel(2.5)):
             assert np.array_equal(kernel.diag(xs), np.diag(kernel.gram(xs)))
             assert kernel.diag([]).shape == (0,)
+            assert kernel.gram([], xs).shape == (0, 12)
+            assert kernel.gram(xs, []).shape == (12, 0)
 
 
 class TestHammingCache:

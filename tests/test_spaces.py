@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphgp import spaces
 from graphgp.spaces import (
     GraphCode,
     GraphSpace,
@@ -10,7 +11,6 @@ from graphgp.spaces import (
     NodePermutation,
     apply_permutation,
     bit_matrix,
-    codes_to_uint64,
     dimension,
     edge_permutation,
     graph_from_json,
@@ -229,12 +229,25 @@ class TestNodePermutation:
             perm = tuple(rng.permutation(d))
             x, y = space.random_code(rng), space.random_code(rng)
             assert hamming(permute_bits(x, perm), permute_bits(y, perm)) == hamming(x, y)
+        wide = GraphSpace(GraphSpaceKind.DIRECTED_LOOPS, 9)  # d = 81
+        x = wide.code_from_int((1 << 70) | 1)
+        assert permute_bits(x, np.arange(wide.d)) == x
 
 
 class TestBulkBitOps:
     def test_popcount_u64_matches_int_bit_count(self, rng):
         vals = rng.integers(0, 2**63, size=500, dtype=np.uint64)
         counts = popcount_u64(vals)
+        assert all(int(c) == int(v).bit_count() for c, v in zip(counts, vals))
+
+    def test_popcount_u64_swar_fallback(self, rng, monkeypatch):
+        # the only path on numpy < 2.0, which lacks np.bitwise_count
+        monkeypatch.setattr(spaces, "_bitwise_count", None)
+        vals = np.concatenate(
+            [rng.integers(0, 2**64, size=500, dtype=np.uint64), np.array([0, 2**64 - 1], dtype=np.uint64)]
+        )
+        counts = popcount_u64(vals)
+        assert counts.dtype == np.int64
         assert all(int(c) == int(v).bit_count() for c, v in zip(counts, vals))
 
     def test_pairwise_hamming_matches_scalar(self, rng):
@@ -247,7 +260,7 @@ class TestBulkBitOps:
                 assert D[i, j] == hamming(x, y)
 
     def test_pairwise_hamming_wide_codes(self, rng):
-        # d = 256 exercises the multi-word fallback
+        # d = 256: four words per code
         space = GraphSpace(GraphSpaceKind.DIRECTED_LOOPS, 16)
         assert space.d == 256
         xs = [space.random_code(rng) for _ in range(6)]
@@ -255,13 +268,14 @@ class TestBulkBitOps:
         for i, x in enumerate(xs):
             for j, y in enumerate(ys := xs):
                 assert D[i, j] == hamming(x, y)
-        with pytest.raises(ValueError):
-            codes_to_uint64(xs)
 
-    def test_bit_matrix(self):
+    def test_bit_matrix(self, rng):
         space = GraphSpace(GraphSpaceKind.UNDIRECTED, 3)
         x = space.code_from_bits([1, 0, 1])
         assert bit_matrix([x]).tolist() == [[1.0, 0.0, 1.0]]
+        wide = GraphSpace(GraphSpaceKind.DIRECTED_LOOPS, 9)  # d = 81: two words, the second partial
+        xs = [wide.random_code(rng) for _ in range(5)]
+        assert bit_matrix(xs).tolist() == [[float(x.bit(s)) for s in range(wide.d)] for x in xs]
 
 
 class TestJsonFormat:
