@@ -59,6 +59,7 @@ from .invariance import (
     invariant_kernel_exact,
     invariant_kernel_sampled,
     orbit_equivalence_test,
+    orbit_representative,
     project_function,
     quotient_kernel,
     quotient_kernel_matrix,

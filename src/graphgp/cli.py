@@ -44,6 +44,7 @@ from .invariance import (
     draw_sample,
     invariant_kernel_exact,
     invariant_kernel_sampled,
+    orbit_representative,
 )
 from .kernels import (
     IsotropicKernel,
@@ -179,7 +180,8 @@ def _cmd_kernel_invariant(args) -> int:
     else:
         if args.samples < 1:
             raise ValueError("--samples must be >= 1 in mc mode")
-        print(invariant_kernel_sampled(spec, draw_sample(H, args.samples, args.seed), x, y))
+        sample = draw_sample(H, args.samples, args.seed)
+        print(invariant_kernel_sampled(spec, sample, orbit_representative(H, x), orbit_representative(H, y)))
     return 0
 
 

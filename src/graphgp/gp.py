@@ -8,12 +8,15 @@ observed under i.i.d. Gaussian noise, the posterior mean and covariance are
 
 computed through a Cholesky factor with an escalating-jitter fallback.
 Hyperparameters are tuned by maximizing the log marginal likelihood over
-log-scale parameters with central-difference gradients. Prior samples come
-either from a dense factor, from explicit Walsh features (exact law up to
-the chosen level), or from random-anchor features that scale to high
-levels; posterior samples are prior samples transformed by the usual
-pathwise update. Averaging sampled functions over a permutation group gives
-draws from the group-averaged (projected) process.
+log-scale parameters with its analytic gradient
+0.5 tr((alpha alpha^T - (K + noise I)^-1) dK/dtheta), where each dK/dtheta
+comes from the same distance counts as K, contracted with the derivative
+of the kernel profile. Prior samples come either from a dense factor, from
+explicit Walsh features (exact law up to the chosen level), or from
+random-anchor features that scale to high levels; posterior samples are
+prior samples transformed by the usual pathwise update. Averaging sampled
+functions over a permutation group gives draws from the group-averaged
+(projected) process.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ from .kernels import (
     KernelSpec,
     LinearKernel,
     Matern,
+    kernel_profile,
+    profile_derivatives,
     spectral_coefficients,
 )
 from .kravchuk import build_table
@@ -97,6 +102,12 @@ def fit(kernel, xs: Sequence[GraphCode], ys: Sequence[float], noise: float, norm
     ``normalize_y`` the targets are centered and scaled before fitting and
     every prediction is mapped back to the original scale.
     """
+    xs, ys = _training_data(xs, ys)
+    return _condition(kernel, xs, ys, kernel.gram(xs), noise, normalize_y)
+
+
+def _training_data(xs: Sequence[GraphCode], ys: Sequence[float]) -> tuple[tuple[GraphCode, ...], np.ndarray]:
+    """Checked training data: as many codes as targets, at least one, all in one space."""
     xs = tuple(xs)
     ys = np.asarray(ys, dtype=float)
     if len(xs) == 0 or len(xs) != len(ys):
@@ -105,6 +116,13 @@ def fit(kernel, xs: Sequence[GraphCode], ys: Sequence[float], noise: float, norm
     for x in xs[1:]:
         if x.space != space:
             raise ValueError("training codes live in different spaces")
+    return xs, ys
+
+
+def _condition(
+    kernel, xs: tuple[GraphCode, ...], ys: np.ndarray, K: np.ndarray, noise: float, normalize_y: bool
+) -> GPModel:
+    """The model given the training Gram K: factor K + noise I (with jitter) and solve against y."""
     noise_eff = max(float(noise), NOISE_FLOOR)
     if normalize_y:
         y_mean = float(ys.mean())
@@ -114,7 +132,6 @@ def fit(kernel, xs: Sequence[GraphCode], ys: Sequence[float], noise: float, norm
     else:
         y_mean, y_std = 0.0, 1.0
     z = (ys - y_mean) / y_std
-    K = kernel.gram(xs)
     scale = max(float(np.abs(np.diag(K)).max()), 1e-12)
     L, jitter = _cholesky_with_jitter(K, noise_eff, scale)
     alpha = cho_solve((L, True), z)
@@ -165,7 +182,8 @@ class OptimizationResult:
     """Outcome of :func:`optimize_hyperparameters`.
 
     ``failed`` counts the evaluations scored as a wall because the
-    covariance could not be factored or the likelihood was not finite.
+    covariance could not be factored or the likelihood or its gradient was
+    not finite.
     """
 
     kernel: object
@@ -180,7 +198,7 @@ _LOG_BOUND = 10.0
 
 
 def _theta_layout(kernel, noise: float, d: int):
-    """(names, theta0, rebuild) for log-space tuning of a kernel + noise."""
+    """(names, theta0, rebuild) for log-space tuning of a kernel + noise; noise comes last."""
     log = math.log
     if isinstance(kernel, LinearKernel):
         names = ("variance", "noise")
@@ -224,6 +242,43 @@ def _theta_layout(kernel, noise: float, d: int):
     raise ValueError(f"cannot tune hyperparameters of family {type(fam).__name__}")
 
 
+def _gram_derivatives(kernel, xs: tuple[GraphCode, ...], names: tuple[str, ...]) -> tuple[np.ndarray, list]:
+    """The training Gram K and dK/dtheta for every kernel parameter in ``names`` (noise excluded).
+
+    dK/dlog(variance) is K itself; the spectral parameters' derivatives come
+    with K from one stack of profiles, so from one build of the counts.
+    """
+    if isinstance(kernel, LinearKernel):
+        K = kernel.gram(xs)
+        return K, [K]
+    d = xs[0].space.d
+    derivs = profile_derivatives(kernel.spec, d)
+    grams = kernel.square_grams(xs, np.stack([kernel_profile(kernel.spec, d), *derivs.values()]))
+    by_name = dict(zip(derivs, grams[1:]), variance=grams[0])
+    return grams[0], [by_name[name] for name in names[:-1]]
+
+
+def _lml_and_gradient(
+    kernel, xs: tuple[GraphCode, ...], ys: np.ndarray, noise: float, normalize_y: bool
+) -> tuple[float, np.ndarray]:
+    """Log marginal likelihood and its analytic gradient in the tuner's log parameters.
+
+    The gradient is 0.5 tr(W dK/dtheta) with W = alpha alpha^T - (K + noise I)^-1
+    (Rasmussen & Williams 2006, eq. 5.9), in the order of
+    :class:`OptimizationResult` ``names``; for log noise dK/dtheta = noise I.
+    """
+    names, _, _ = _theta_layout(kernel, noise, xs[0].space.d)
+    K, dKs = _gram_derivatives(kernel, xs, names)
+    model = _condition(kernel, xs, ys, K, noise, normalize_y)
+    W = np.outer(model.alpha, model.alpha) - cho_solve((model.chol, True), np.eye(model.n), check_finite=False)
+    grad = [np.vdot(W, dK) for dK in dKs] + [model.noise * np.trace(W)]
+    return log_marginal_likelihood(model), 0.5 * np.array(grad)
+
+
+class _BudgetSpent(Exception):
+    """Raised by the tuner's objective when a further evaluation would exceed the budget."""
+
+
 def optimize_hyperparameters(
     kernel,
     xs: Sequence[GraphCode],
@@ -234,55 +289,59 @@ def optimize_hyperparameters(
 ) -> OptimizationResult:
     """Maximize the log marginal likelihood over log-scale parameters.
 
-    Runs a quasi-Newton line search (L-BFGS-B) fed by central finite
-    differences, capped at ``budget`` objective evaluations. Deterministic
+    Runs a quasi-Newton line search (L-BFGS-B) fed by the analytic gradient
+    of the log marginal likelihood. ``budget`` is a hard cap on objective
+    evaluations, the initial one included (at least one is always made):
+    the search stops at the cap, even inside a line search. Deterministic
     given the initial kernel and budget; the best parameters seen are
     returned, so the final objective never falls below the initial one. A
     zero budget returns the initial parameters unchanged. An evaluation
-    whose covariance cannot be factored or whose likelihood is not finite
-    scores as a wall and is counted in ``failed``; any other error
-    propagates.
+    whose covariance cannot be factored, or whose likelihood or gradient is
+    not finite, scores as a wall and is counted in ``failed``; any other
+    error propagates.
     """
-    xs = tuple(xs)
-    d = xs[0].space.d
-    names, theta0, rebuild = _theta_layout(kernel, noise, d)
+    xs, ys = _training_data(xs, ys)
+    names, theta0, rebuild = _theta_layout(kernel, noise, xs[0].space.d)
     for name, value in zip(names, theta0):
         if not np.isfinite(value):
             raise ValueError(f"initial value of parameter {name!r} is not finite in log space")
 
-    state = {"best_theta": theta0.copy(), "best_f": np.inf, "evals": 0, "failed": 0}
+    cap = max(budget, 1)
+    state = {"best_theta": theta0.copy(), "best_f": np.inf, "evals": 0, "failed": 0, "last": None}
 
     def objective(theta):
+        last = state["last"]
+        if last is not None and np.array_equal(theta, last[0]):
+            return last[1], last[2].copy()  # L-BFGS-B starts by evaluating theta0 again
+        if state["evals"] >= cap:
+            raise _BudgetSpent
         state["evals"] += 1
+        theta = np.array(theta, dtype=float)
         k2, n2 = rebuild(theta)
         try:
-            f = -log_marginal_likelihood(fit(k2, xs, ys, n2, normalize_y=normalize_y))
+            lml, grad = _lml_and_gradient(k2, xs, ys, n2, normalize_y)
         except np.linalg.LinAlgError:
-            f = np.nan
-        if not np.isfinite(f):
+            lml, grad = np.nan, None
+        if np.isfinite(lml) and np.isfinite(grad).all():
+            f, g = -lml, -grad
+            if f < state["best_f"]:
+                state["best_f"], state["best_theta"] = f, theta
+        else:
             state["failed"] += 1
-            return 1e12
-        if f < state["best_f"]:
-            state["best_f"] = f
-            state["best_theta"] = np.asarray(theta, dtype=float).copy()
-        return f
+            f, g = 1e12, np.zeros_like(theta)
+        state["last"] = (theta, f, g)
+        return f, g
 
-    f0 = objective(theta0)
+    f0, _ = objective(theta0)
     if f0 >= 1e12:
         raise ValueError(
             "objective is not finite at the initial parameters "
             f"({', '.join(f'{n}={math.exp(v):.4g}' for n, v in zip(names, theta0))})"
         )
-    if budget > 0:
-        bounds = [(-_LOG_BOUND, _LOG_BOUND)] * len(theta0)
-        minimize(
-            objective,
-            theta0,
-            method="L-BFGS-B",
-            jac="3-point",
-            bounds=bounds,
-            options={"maxfun": budget},
-        )
+    try:
+        minimize(objective, theta0, method="L-BFGS-B", jac=True, bounds=[(-_LOG_BOUND, _LOG_BOUND)] * len(theta0))
+    except _BudgetSpent:
+        pass
     best_kernel, best_noise = rebuild(state["best_theta"])
     return OptimizationResult(
         kernel=best_kernel,
@@ -292,28 +351,6 @@ def optimize_hyperparameters(
         names=names,
         failed=state["failed"],
     )
-
-
-def lml_gradient(
-    kernel, xs: Sequence[GraphCode], ys: Sequence[float], noise: float, rel_step: float = 1e-6
-) -> tuple[tuple[str, ...], np.ndarray]:
-    """Central-difference gradient of the log marginal likelihood in log-parameter space."""
-    xs = tuple(xs)
-    names, theta0, rebuild = _theta_layout(kernel, noise, xs[0].space.d)
-
-    def value(theta):
-        k2, n2 = rebuild(theta)
-        return log_marginal_likelihood(fit(k2, xs, ys, n2))
-
-    grad = np.empty(len(theta0))
-    for i in range(len(theta0)):
-        h = rel_step * max(1.0, abs(theta0[i]))
-        up = theta0.copy()
-        dn = theta0.copy()
-        up[i] += h
-        dn[i] -= h
-        grad[i] = (value(up) - value(dn)) / (2.0 * h)
-    return names, grad
 
 
 # -- sampling ----------------------------------------------------------------

@@ -10,19 +10,21 @@ orbit-constant ("projected") process:
 which, because k is isotropic, collapses to a single average over H. A Monte
 Carlo estimator keeps the double average over one shared sample S of H
 instead; it handles larger groups and is positive semidefinite by
-construction. Both are the kernel profile k(0..d) contracted with distance
-counts C[i, j, m]: the share of image pairs (a, b) with |a XOR b| = m, a
-running over the |H| orbit images of x_i and b = y_j (exact), or a and b over
-the |S| sample images of x_i and y_j (Monte Carlo). One builder makes them
-all, by one vectorized XOR/popcount of each x's images against all the ys;
-a code's images come from one gather of its bits through the (|H|, d) or
-(|S|, d) slot-permutation array, one code at a time.
+construction; ``ProjectedKernel`` evaluates it at one representative code
+per orbit, so it is constant on orbits too, whatever the sample. Both are
+the kernel profile k(0..d) contracted with distance counts C[i, j, m]: the
+share of image pairs (a, b) with |a XOR b| = m, a running over the |H| orbit
+images of x_i and b = y_j (exact), or a and b over the |S| sample images of
+x_i and y_j (Monte Carlo). One builder makes them all, by one vectorized
+XOR/popcount of each x's images against all the ys; a code's images come
+from one gather of its bits through the (|H|, d) or (|S|, d)
+slot-permutation array, one code at a time.
 The counts do not depend on the kernel; the exact ones are cached per
 (H, xs, ys), so every objective evaluation of a tuning run costs one
-tensor-vector product. Exact evaluation requires enumerating H; deciding
-whether two graphs share an orbit reduces to three such kernel values, so
-no shortcut exists in general (for H the full symmetric group this is
-exactly graph-isomorphism testing).
+product of the tensor with the profile and its derivatives. Exact
+evaluation requires enumerating H; deciding whether two graphs share an
+orbit reduces to three such kernel values, so no shortcut exists in general
+(for H the full symmetric group this is exactly graph-isomorphism testing).
 
 The same orbits, viewed as vertices of a weighted quotient graph, carry the
 spectral kernel directly: the group-averaged kernel equals the quotient
@@ -79,6 +81,13 @@ SLOT_PERMS_CACHE_SIZE = 4
 #: |H| * ceil(d/64) * 8 bytes each: 512 is about 10.6 MB at |H| = 1296,
 #: d = 66, and covers the 256 codes a 64-train, 192-point prediction touches.
 ORBIT_IMAGE_CACHE_SIZE = 512
+
+#: Largest residual group :func:`orbit_representative` enumerates; its
+#: (order, d) gather index holds about 21 MB at 8! and d = 66 while it is used.
+REPRESENTATIVE_CAP = 40_320
+
+#: Orbit representatives kept for reuse, one code per (group, code).
+REPRESENTATIVE_CACHE_SIZE = 65_536
 
 
 class GroupTooLargeError(ValueError):
@@ -274,6 +283,71 @@ def enumerate_orbit(
     return OrbitClass(canonical=GraphCode(space, min(orbit)), size=len(orbit), members=members)
 
 
+def _refined_colors(H: PermSubgroup, x: GraphCode) -> list[int]:
+    """Node colours of x by colour refinement, starting from H's blocks.
+
+    A colour is named by its rank among the sorted signatures (colour, loop
+    bit, out- and in-neighbour colours), so relabelling x by an element of H
+    carries every node's colour along with the node.
+    """
+    n = x.space.n
+    loops, outs, ins = [0] * n, [[] for _ in range(n)], [[] for _ in range(n)]
+    for i, j in x.edges():
+        if i == j:
+            loops[i] = 1
+            continue
+        outs[i].append(j)
+        ins[j].append(i)
+        if not x.space.kind.directed:
+            outs[j].append(i)
+            ins[i].append(j)
+    colors = [0] * n
+    for k, block in enumerate(H.blocks):
+        for v in block:
+            colors[v] = k
+    classes = len(set(colors))
+    while True:  # each pass splits a class or ends: at most n passes
+        signatures = [
+            (colors[v], loops[v], tuple(sorted(colors[u] for u in outs[v])), tuple(sorted(colors[u] for u in ins[v])))
+            for v in range(n)
+        ]
+        names = {s: rank for rank, s in enumerate(sorted(set(signatures)))}
+        colors = [names[s] for s in signatures]
+        if len(names) == classes:
+            return colors
+        classes = len(names)
+
+
+@lru_cache(maxsize=REPRESENTATIVE_CACHE_SIZE)
+def orbit_representative(H: PermSubgroup, x: GraphCode) -> GraphCode:
+    """A member of x's orbit under H that the whole orbit shares.
+
+    Colour refinement orders each block's nodes by colour (ties in node
+    order); two members of one orbit, so ordered, differ by a permutation
+    within colour classes, and the least code over those permutations is
+    the representative. Above ``REPRESENTATIVE_CAP`` such permutations the
+    ordered code itself is returned: still in the orbit, but no longer
+    shared by all of it.
+    """
+    if H.n != x.space.n:
+        raise ValueError(f"subgroup on {H.n} nodes does not act on n={x.space.n}")
+    colors = _refined_colors(H, x)
+    order = np.zeros(H.n, dtype=np.intp)  # node v moves to order[v]
+    classes = []
+    for block in H.blocks:
+        ranked = sorted(block, key=lambda v: (colors[v], v))
+        order[ranked] = block
+        for _color, run in itertools.groupby(enumerate(ranked), key=lambda kv: colors[kv[1]]):
+            classes.append(tuple(block[k] for k, _v in run))
+    residual = PermSubgroup(H.n, tuple(classes))
+    if residual.order() > REPRESENTATIVE_CAP:
+        residual = PermSubgroup.trivial(H.n)
+    maps = np.array([r.mapping for r in residual.elements()], dtype=np.intp)[:, order]
+    words = permuted_words(x, slot_permutations(np.argsort(maps, axis=1), x.space))
+    least = words[np.lexsort(words.T)[0]]  # the last word is the most significant key
+    return GraphCode(x.space, sum(int(w) << 64 * k for k, w in enumerate(least)))
+
+
 # -- exact and Monte Carlo group-averaged kernels ---------------------------
 
 
@@ -351,16 +425,24 @@ def _sample_counts(
 
 
 def _contract(
+    profiles: np.ndarray, counts: Callable, xs: Sequence[GraphCode], ys: Sequence[GraphCode] | None
+) -> np.ndarray:
+    """(k, len(xs), len(ys)) Grams from one build of counts(xs, ys), one per row of a
+    (k, d + 1) profile stack; square Grams are exactly symmetric. Needs nonempty code lists."""
+    c = counts(tuple(xs), None if ys is None else tuple(ys))
+    out = np.stack([c @ profile[: c.shape[2]] for profile in profiles])  # each row as a lone Gram would be
+    if ys is None:
+        out += np.swapaxes(np.triu(out, 1), 1, 2)  # square counts leave the lower triangle at 0.0
+    return out
+
+
+def _gram(
     spec: KernelSpec, counts: Callable, xs: Sequence[GraphCode], ys: Sequence[GraphCode] | None
 ) -> np.ndarray:
-    """Gram matrix from counts(xs, ys) and the kernel profile; a square Gram is exactly symmetric."""
+    """One Gram: the kernel profile's row of :func:`_contract`."""
     if len(xs) == 0 or (ys is not None and len(ys) == 0):
         return np.zeros((len(xs), len(xs) if ys is None else len(ys)))
-    c = counts(tuple(xs), None if ys is None else tuple(ys))
-    out = c @ kernel_profile(spec, xs[0].space.d)[: c.shape[2]]
-    if ys is None:
-        out += np.triu(out, 1).T  # square counts leave the lower triangle at 0.0
-    return out
+    return _contract(kernel_profile(spec, xs[0].space.d)[None], counts, xs, ys)[0]
 
 
 def invariant_gram_exact(
@@ -370,7 +452,7 @@ def invariant_gram_exact(
     ys: Sequence[GraphCode] | None = None,
 ) -> np.ndarray:
     """Exact projected Gram matrix: the cached distance counts over H times the kernel profile."""
-    return _contract(spec, partial(_group_counts, H), xs, ys)
+    return _gram(spec, partial(_group_counts, H), xs, ys)
 
 
 def invariant_gram_sampled(
@@ -383,7 +465,7 @@ def invariant_gram_sampled(
 
     One shared S keeps it positive semidefinite.
     """
-    return _contract(spec, partial(_sample_counts, sample), xs, ys)
+    return _gram(spec, partial(_sample_counts, sample), xs, ys)
 
 
 def invariant_kernel_sampled(
@@ -611,8 +693,11 @@ class ProjectedKernel:
 
     Grams and diagonals of both flavours come from the shared distance-count
     builder: over the whole group when ``sample`` is None, else over
-    ``sample`` x ``sample``. An exact kernel over a group larger than
-    ``ENUMERATION_CAP`` is refused at construction (``GroupTooLargeError``).
+    ``sample`` x ``sample``. The Monte Carlo flavour evaluates the sampled
+    estimator at :func:`orbit_representative` of each code, so its values,
+    like the exact ones, do not change when a graph is relabelled by H. An
+    exact kernel over a group larger than ``ENUMERATION_CAP`` is refused at
+    construction (``GroupTooLargeError``).
     """
 
     def __init__(
@@ -645,7 +730,21 @@ class ProjectedKernel:
     def gram(self, xs: Sequence[GraphCode], ys: Sequence[GraphCode] | None = None) -> np.ndarray:
         if self.sample is None:
             return invariant_gram_exact(self.spec, self.subgroup, xs, ys)
-        return invariant_gram_sampled(self.spec, self.sample, xs, ys)
+        return invariant_gram_sampled(
+            self.spec, self.sample, self._representatives(xs), None if ys is None else self._representatives(ys)
+        )
+
+    def square_grams(self, xs: Sequence[GraphCode], profiles: np.ndarray) -> np.ndarray:
+        """(k, n, n) square Grams of nonempty xs, one per row of a (k, d + 1) profile stack.
+
+        All k come from one count build, so a Monte Carlo kernel builds its
+        uncached counts once for a Gram and its derivatives.
+        """
+        if self.sample is None:
+            counts = partial(_group_counts, self.subgroup)
+        else:
+            counts, xs = partial(_sample_counts, self.sample), self._representatives(xs)
+        return _contract(profiles, counts, xs, None)
 
     def diag(self, xs: Sequence[GraphCode]) -> np.ndarray:
         """Prior variances k_H(x, x): each point's own counts, without the square Gram."""
@@ -655,10 +754,13 @@ class ProjectedKernel:
         if self.sample is None:
             sides = zip((_orbit_image_words(self.subgroup, x) for x in xs), code_words(xs)[:, None, None])
         else:
-            images = _sample_image_words(self.sample, xs)
+            images = _sample_image_words(self.sample, self._representatives(xs))
             sides = zip(images, images[:, None])
         counts = np.stack([_distance_counts([a], b, top)[0, 0] for a, b in sides])
         return counts @ kernel_profile(self.spec, self.space.d)[:top]
+
+    def _representatives(self, xs: Sequence[GraphCode]) -> list[GraphCode]:
+        return [orbit_representative(self.subgroup, x) for x in xs]
 
     def with_spec(self, spec: KernelSpec) -> "ProjectedKernel":
         return ProjectedKernel(spec, self.subgroup, self.space, sample=self.sample)

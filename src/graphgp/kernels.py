@@ -19,7 +19,10 @@ the package is distance counts contracted with that profile: here each
 pair contributes the single count at its Hamming distance, so the Gram is
 the profile indexed by a Hamming matrix, which is cached for the code lists
 it was built from; :mod:`graphgp.invariance` averages the counts over a
-permutation group.
+permutation group. A Gram's derivative in a spectral parameter is the same
+counts contracted with the profile's derivative
+(:func:`profile_derivatives`), so kernels build a Gram and its derivatives
+together from one stack of profiles (``square_grams``).
 """
 
 from __future__ import annotations
@@ -215,6 +218,37 @@ def kernel_profile(spec: KernelSpec, d: int) -> np.ndarray:
     return profile
 
 
+def profile_derivatives(spec: KernelSpec, d: int) -> dict[str, np.ndarray]:
+    """Derivatives of :func:`kernel_profile` in log kappa and, for Matérn, in log nu_base.
+
+    nu_base is nu - d/2, the tuner's Matérn parameter. A level weight moves
+    as dc_j = c_j (r_j - sum_k c_k r_k) with r_j = d log Phi(lambda_j), so
+    truncated levels (c_j = 0) contribute nothing. Entry 0 is 0 because k(0)
+    is pinned to sigma^2.
+    """
+    fam = spec.family
+    coeffs = spectral_coefficients(spec, d)
+    lam = coeffs.levels
+    if isinstance(fam, Heat):
+        rates = {"kappa": -(fam.kappa**2) * lam}
+    elif isinstance(fam, Matern):
+        shift = 2.0 * fam.nu / fam.kappa**2
+        rates = {
+            "kappa": 2.0 * fam.nu * shift / (shift + lam),
+            "nu_base": (fam.nu - d / 2) * (-np.log(shift + lam) - shift / (shift + lam)),
+        }
+    else:
+        raise ValueError(f"no parameter derivatives for family {type(fam).__name__}")
+    w = coeffs.weights()
+    values = build_table(d).values
+    out = {}
+    for name, r in rates.items():
+        deriv = spec.variance * ((w * (r - w @ r)) @ values)
+        deriv[0] = 0.0
+        out[name] = deriv
+    return out
+
+
 def evaluate(spec: KernelSpec, table: KravchukTable, m: int) -> float:
     """Kernel value at Hamming distance m: one entry of :func:`kernel_profile`."""
     if not (0 <= m <= table.d):
@@ -248,14 +282,20 @@ def _hamming_matrix(xs: tuple[GraphCode, ...], ys: tuple[GraphCode, ...] | None)
     return out
 
 
+def _indexed_grams(
+    profiles: np.ndarray, xs: Sequence[GraphCode], ys: Sequence[GraphCode] | None
+) -> np.ndarray:
+    """(k, len(xs), len(ys)) Grams: each row of a (k, d + 1) profile stack at the pairwise distances."""
+    return profiles[:, _hamming_matrix(tuple(xs), None if ys is None else tuple(ys))]
+
+
 def gram(
     spec: KernelSpec, xs: Sequence[GraphCode], ys: Sequence[GraphCode] | None = None
 ) -> np.ndarray:
     """Gram matrix of kernel values at pairwise Hamming distances."""
     if len(xs) == 0:
         return np.zeros((0, 0 if ys is None else len(ys)))
-    profile = kernel_profile(spec, xs[0].space.d)
-    return profile[_hamming_matrix(tuple(xs), None if ys is None else tuple(ys))]
+    return _indexed_grams(kernel_profile(spec, xs[0].space.d)[None], xs, ys)[0]
 
 
 class IsotropicKernel:
@@ -267,6 +307,10 @@ class IsotropicKernel:
 
     def gram(self, xs: Sequence[GraphCode], ys: Sequence[GraphCode] | None = None) -> np.ndarray:
         return gram(self.spec, xs, ys)
+
+    def square_grams(self, xs: Sequence[GraphCode], profiles: np.ndarray) -> np.ndarray:
+        """(k, n, n) square Grams of xs, one per row of a (k, d + 1) profile stack."""
+        return _indexed_grams(profiles, xs, None)
 
     def diag(self, xs: Sequence[GraphCode]) -> np.ndarray:
         """Prior variances k(x, x), without the square Gram."""

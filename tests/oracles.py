@@ -9,10 +9,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
+from graphgp import gp
 from graphgp.invariance import pair_histogram
 from graphgp.kernels import KernelSpec, LaplacianVariant, kernel_profile, spectral_coefficients
 from graphgp.kravchuk import KravchukTable, build_table
@@ -72,6 +73,33 @@ def dense_log_marginal_likelihood(K, y, noise):
     sign, logdet = np.linalg.slogdet(A)
     assert sign > 0
     return float(-0.5 * y @ np.linalg.solve(A, y) - 0.5 * logdet - 0.5 * len(y) * np.log(2 * np.pi))
+
+
+def lml_gradient(
+    kernel,
+    xs: Sequence[GraphCode],
+    ys: Sequence[float],
+    noise: float,
+    rel_step: float = 1e-6,
+    normalize_y: bool = False,
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """Central-difference gradient of the log marginal likelihood in the tuner's log parameters."""
+    xs = tuple(xs)
+    names, theta0, rebuild = gp._theta_layout(kernel, noise, xs[0].space.d)
+
+    def value(theta):
+        k2, n2 = rebuild(theta)
+        return gp.log_marginal_likelihood(gp.fit(k2, xs, ys, n2, normalize_y=normalize_y))
+
+    grad = np.empty(len(theta0))
+    for i in range(len(theta0)):
+        h = rel_step * max(1.0, abs(theta0[i]))
+        up = theta0.copy()
+        dn = theta0.copy()
+        up[i] += h
+        dn[i] -= h
+        grad[i] = (value(up) - value(dn)) / (2.0 * h)
+    return names, grad
 
 
 def log_sign_evaluate(spec: KernelSpec, table: KravchukTable, m: int) -> float:

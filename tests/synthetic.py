@@ -1,9 +1,9 @@
 """Synthetic molecule datasets for pipeline tests.
 
-Two generators: graphs with targets drawn from a known prior (so a GP with
-the right kernel family must beat the constant baseline), and a small
+Three generators: graphs with targets drawn from a known prior (so a GP
+with the right kernel family must beat the constant baseline), a small
 mixed-element set shaped like the hydration-energy files the experiment
-pipeline ingests.
+pipeline ingests, and the draw of ``demos/05_molecule_experiment.py``.
 """
 
 import numpy as np
@@ -69,4 +69,31 @@ def molecules_mixed_elements(n_mols=30, seed=0):
                 bonds.add(tuple(sorted((int(a), int(b)))))
         target = -1.5 * len(bonds) + 0.8 * counts["O"] + float(rng.normal(0, 0.3))
         mols.append(Molecule(atoms, tuple(sorted(bonds)), target, mol_id=f"mix{i}"))
+    return mols
+
+
+def molecules_like_demo05(n_mols=40, seed=42):
+    """The molecules of ``demos/05_molecule_experiment.py``: its first ``n_mols`` draws.
+
+    Atoms are listed grouped by element; the bonds run over a random node
+    order. Same generator, same draw order, so the default arguments give
+    the demo's 40 molecules before its size filter.
+    """
+    rng = np.random.default_rng(seed)
+    elements = ("C", "N", "O", "Cl")
+    mols = []
+    for i in range(n_mols):
+        counts = {e: int(rng.integers(0, 4)) for e in elements}
+        if sum(counts.values()) < 2:
+            counts["C"] = 2
+        atoms = tuple(e for e in elements for _ in range(counts[e]))
+        n = len(atoms)
+        order = rng.permutation(n)
+        bonds = {tuple(sorted((int(order[k]), int(order[k + 1])))) for k in range(n - 1)}
+        for _ in range(int(rng.integers(0, n))):
+            a, b = rng.integers(0, n, size=2)
+            if a != b:
+                bonds.add(tuple(sorted((int(a), int(b)))))
+        target = -1.5 * len(bonds) + 0.8 * counts["O"] + float(rng.normal(0, 0.3))
+        mols.append(Molecule(atoms, tuple(sorted(bonds)), target, mol_id=f"mol{i}"))
     return mols

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from synthetic import molecules_from_prior, molecules_mixed_elements
+from synthetic import molecules_from_prior, molecules_like_demo05, molecules_mixed_elements
 
 from graphgp import datasets, gp
 from graphgp.cli import EXPERIMENT_METHODS, load_model, main, named_seed, run_experiment
@@ -16,6 +16,7 @@ from graphgp.invariance import (
     draw_sample,
     invariant_kernel_exact,
     invariant_kernel_sampled,
+    orbit_representative,
 )
 from graphgp.kernels import Heat, IsotropicKernel, KernelSpec, LaplacianVariant, evaluate
 from graphgp.kravchuk import build_table
@@ -23,6 +24,18 @@ from graphgp.spaces import GraphSpace, GraphSpaceKind, graph_to_json
 
 HEAT_PLAIN = '{"family": "heat", "kappa": 1.0, "laplacian": "plain"}'
 U4_SPACE = '{"kind": "U", "n": 4}'
+
+
+#: (rmse, log_lik) of the one-split, budget-20 demo-05 experiment on 24 molecules.
+STORED_SMALL_EXPERIMENT = {
+    "heat_projected": (6.942089532252536, -25.662326932500562),
+    "linear": (6.570748804003655, -19.05981393014238),
+}
+
+#: Relative tolerance for those stored numbers: loose enough for BLAS
+#: rounding differences between machines, far tighter than any change of
+#: optimum or of the optimizer's path would give.
+STORED_EXPERIMENT_RTOL = 1e-6
 
 
 def read_csv(path):
@@ -103,7 +116,10 @@ class TestKernelCommands:
         second = float(capsys.readouterr().out.strip())
         assert first == second
         spec = KernelSpec(Heat(1.0), laplacian=LaplacianVariant.PLAIN)
-        assert first == invariant_kernel_sampled(spec, draw_sample(PermSubgroup.full(4), 6, 3), x, y)
+        # one orbit: the sampled estimator is evaluated at the shared representative
+        rep = orbit_representative(PermSubgroup.full(4), x)
+        assert rep == orbit_representative(PermSubgroup.full(4), y)
+        assert first == invariant_kernel_sampled(spec, draw_sample(PermSubgroup.full(4), 6, 3), rep, rep)
 
 
 class TestTableDump:
@@ -358,6 +374,32 @@ class TestExperiment:
             assert "log_lik_mean" in entry and "log_lik_std" in entry
             if method != "naive":
                 assert np.isfinite(entry["log_lik_mean"])
+
+    def test_small_demo05_experiment_reproduces_stored_numbers(self, tmp_path, monkeypatch):
+        mols_path = tmp_path / "mols.jsonl"
+        datasets.save_molecules(mols_path, molecules_like_demo05(24))
+        config = {
+            "dataset": str(mols_path),
+            "aligned_layout": {"type_slots": {"C": 3, "N": 3, "O": 3, "Cl": 3}},
+            "methods": ["heat_projected", "linear"],
+            "n_splits": 1,
+            "budget": 20,
+            "seed": 0,
+        }
+        results = []
+        original = gp.optimize_hyperparameters
+
+        def recorded(*args, **kwargs):
+            results.append(original(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(gp, "optimize_hyperparameters", recorded)
+        summary = run_experiment(config)["summary"]
+        assert len(results) == 3 + 1  # three kappa restarts, one linear start
+        assert all(1 <= r.evaluations <= config["budget"] for r in results)
+        for method, (rmse, log_lik) in STORED_SMALL_EXPERIMENT.items():
+            assert summary[method]["rmse_mean"] == pytest.approx(rmse, rel=STORED_EXPERIMENT_RTOL)
+            assert summary[method]["log_lik_mean"] == pytest.approx(log_lik, rel=STORED_EXPERIMENT_RTOL)
 
     def test_aligned_method_requires_layout(self, tmp_path, capsys):
         mols_path = tmp_path / "m.jsonl"

@@ -3,11 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from oracles import dense_gp_posterior, dense_log_marginal_likelihood
+from oracles import dense_gp_posterior, dense_log_marginal_likelihood, lml_gradient
 
 from graphgp import gp
 from graphgp.invariance import PermSubgroup, ProjectedKernel
-from graphgp.kernels import Heat, IsotropicKernel, KernelSpec, LinearKernel, matern_spec
+from graphgp.kernels import (
+    Heat,
+    IsotropicKernel,
+    KernelSpec,
+    LaplacianVariant,
+    LinearKernel,
+    matern_spec,
+)
 from graphgp.spaces import GraphSpace, GraphSpaceKind, permute_bits
 
 U4 = GraphSpace(GraphSpaceKind.UNDIRECTED, 4)
@@ -253,7 +260,7 @@ class TestOptimize:
             xs = distinct_codes(U4, 10, rng)
             ys = rng.standard_normal(10)
             noise = 0.1
-            names, grad = gp.lml_gradient(kernel, xs, ys, noise)
+            names, grad = lml_gradient(kernel, xs, ys, noise)
             _, theta0, rebuild = gp._theta_layout(kernel, noise, U4.d)
 
             def value(theta):
@@ -267,6 +274,63 @@ class TestOptimize:
                 dn[i] -= h
                 fd = (value(up) - value(dn)) / (2 * h)
                 assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-7)
+
+
+#: Largest difference between the analytic LML gradient and central
+#: differences, relative to the largest gradient entry.
+GRADIENT_RTOL = 1e-6
+
+FULL_U4 = PermSubgroup.full(4)
+
+GRADIENT_KERNELS = {
+    "heat": lambda: heat_kernel(U4, kappa=1.3, variance=0.8),
+    "matern": lambda: IsotropicKernel(matern_spec(U4.d, nu_base=1.5, kappa=1.7, variance=1.2), U4),
+    "heat_truncated": lambda: IsotropicKernel(KernelSpec(Heat(1.1), truncation=2), U4),
+    "matern_truncated": lambda: IsotropicKernel(matern_spec(U4.d, nu_base=0.8, kappa=2.0, truncation=3), U4),
+    "heat_plain_laplacian": lambda: IsotropicKernel(KernelSpec(Heat(0.6), laplacian=LaplacianVariant.PLAIN), U4),
+    "projected_exact": lambda: ProjectedKernel(KernelSpec(Heat(2.0), 1.5), FULL_U4, U4),
+    "projected_exact_matern": lambda: ProjectedKernel(matern_spec(U4.d, nu_base=2.0, kappa=2.5), FULL_U4, U4),
+    "projected_monte_carlo": lambda: ProjectedKernel.monte_carlo(KernelSpec(Heat(2.0)), FULL_U4, U4, 5, seed=4),
+    "linear": lambda: LinearKernel(0.7),
+}
+
+
+class TestAnalyticGradient:
+    @pytest.mark.parametrize("normalize_y", [False, True])
+    @pytest.mark.parametrize("flavour", sorted(GRADIENT_KERNELS))
+    def test_matches_finite_difference_oracle(self, flavour, normalize_y, rng):
+        kernel = GRADIENT_KERNELS[flavour]()
+        xs = distinct_codes(U4, 12, rng)
+        ys = 2.0 * rng.standard_normal(12) + 1.0
+        names, fd = lml_gradient(kernel, xs, ys, 0.15, normalize_y=normalize_y)
+        lml, grad = gp._lml_and_gradient(kernel, tuple(xs), ys, 0.15, normalize_y)
+        assert grad.shape == (len(names),)
+        assert lml == gp.log_marginal_likelihood(gp.fit(kernel, xs, ys, 0.15, normalize_y=normalize_y))
+        assert np.abs(grad - fd).max() <= GRADIENT_RTOL * np.abs(fd).max()
+
+
+class TestBudget:
+    @pytest.mark.parametrize("budget", [0, 1, 3, 20])
+    @pytest.mark.parametrize("projected", [False, True])
+    def test_evaluations_never_exceed_the_budget(self, budget, projected, rng):
+        spec = KernelSpec(Heat(3.0))
+        kernel = ProjectedKernel(spec, FULL_U4, U4) if projected else IsotropicKernel(spec, U4)
+        xs = distinct_codes(U4, 12, rng)
+        ys = rng.standard_normal(12)
+        result = gp.optimize_hyperparameters(kernel, xs, ys, noise=0.5, budget=budget)
+        assert 1 <= result.evaluations <= max(budget, 1)
+        start = gp.log_marginal_likelihood(gp.fit(kernel, xs, ys, 0.5))
+        assert result.objective >= start
+
+    def test_search_stops_exactly_at_the_cap(self, rng):
+        # L-BFGS-B checks its own maxfun only between iterations
+        xs = distinct_codes(U4, 12, rng)
+        ys = rng.standard_normal(12)
+        unbounded = gp.optimize_hyperparameters(heat_kernel(U4, kappa=3.0), xs, ys, noise=0.5, budget=200)
+        assert unbounded.evaluations > 10
+        for budget in range(2, unbounded.evaluations):
+            result = gp.optimize_hyperparameters(heat_kernel(U4, kappa=3.0), xs, ys, noise=0.5, budget=budget)
+            assert result.evaluations == budget
 
 
 class TestJitter:
@@ -290,17 +354,21 @@ class TestJitter:
 
 
 class FailingKernel(IsotropicKernel):
-    """Kernel whose Gram raises ``error`` away from its starting spec, logging each raise."""
+    """Kernel whose tuning Grams raise ``error`` away from its starting spec, logging each raise.
+
+    The tuner's objective builds the Gram and its derivatives through
+    ``square_grams``, so that is where the failure is injected.
+    """
 
     def __init__(self, spec, space, start, error, raised):
         super().__init__(spec, space)
         self.start, self.error, self.raised = start, error, raised
 
-    def gram(self, xs, ys=None):
+    def square_grams(self, xs, profiles):
         if self.spec != self.start:
             self.raised.append(self.spec)
             raise self.error("injected failure")
-        return super().gram(xs, ys)
+        return super().square_grams(xs, profiles)
 
     def with_spec(self, spec):
         return FailingKernel(spec, self.space, self.start, self.error, self.raised)
@@ -337,6 +405,21 @@ class TestTunerFailures:
         monkeypatch.setattr(gp, "log_marginal_likelihood", first_finite)
         result = gp.optimize_hyperparameters(heat_kernel(U4), xs, ys, budget=20)
         assert result.failed == result.evaluations - 1 > 0
+
+    def test_non_finite_gradients_are_counted(self, rng, monkeypatch):
+        xs, ys = self.data(rng)
+        calls = []
+        original = gp.profile_derivatives
+
+        def first_finite(spec, d):
+            calls.append(spec)
+            derivs = original(spec, d)
+            return derivs if len(calls) == 1 else {k: np.full_like(v, np.nan) for k, v in derivs.items()}
+
+        monkeypatch.setattr(gp, "profile_derivatives", first_finite)
+        result = gp.optimize_hyperparameters(heat_kernel(U4), xs, ys, budget=20)
+        assert result.failed == result.evaluations - 1 > 0
+        assert result.kernel.spec == KernelSpec(Heat(1.0))
 
     def test_other_errors_propagate(self, rng):
         xs, ys = self.data(rng)

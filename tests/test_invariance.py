@@ -18,6 +18,7 @@ from graphgp.invariance import (
     invariant_kernel_exact,
     invariant_kernel_sampled,
     orbit_equivalence_test,
+    orbit_representative,
     pair_histogram,
     project_function,
     quotient_kernel,
@@ -474,6 +475,7 @@ class TestProjectedKernelObject:
         assert np.allclose(kernel2.gram(xs), 2.0 * K1)
 
 
+U11 = GraphSpace(GraphSpaceKind.UNDIRECTED, 11)  # S_11 is above the enumeration cap
 U12 = GraphSpace(GraphSpaceKind.UNDIRECTED, 12)
 BLOCKS_12 = PermSubgroup(12, ((0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11)))  # d = 66 > 64, |H| = 1296
 DL8 = GraphSpace(GraphSpaceKind.DIRECTED_LOOPS, 8)
@@ -537,13 +539,30 @@ class TestCountTensorGram:
             assert kernel.diag([]).shape == (0,)
 
     def test_one_tuning_run_builds_the_counts_once(self, rng):
+        # the octave-spaced restarts of run_experiment, all on one split
         xs = sparse_codes(U12, rng, 12, density=0.3)
         ys = rng.standard_normal(len(xs))
-        kernel = ProjectedKernel(KernelSpec(Heat(4.0)), BLOCKS_12, U12)
         before = _group_counts.cache_info().misses
-        result = gp.optimize_hyperparameters(kernel, xs, ys, budget=30, normalize_y=True)
-        assert result.evaluations > 10
+        evaluations = 0
+        for kappa in (2.0, 4.0, 8.0):
+            kernel = ProjectedKernel(KernelSpec(Heat(kappa)), BLOCKS_12, U12)
+            evaluations += gp.optimize_hyperparameters(kernel, xs, ys, budget=30, normalize_y=True).evaluations
+        assert evaluations > 10
         assert _group_counts.cache_info().misses - before == 1
+
+    def test_monte_carlo_tuning_builds_counts_once_per_evaluation(self, rng, monkeypatch):
+        builds = []
+        original = invariance._sample_counts
+
+        def counted(sample, xs, ys):
+            builds.append(len(xs))
+            return original(sample, xs, ys)
+
+        monkeypatch.setattr(invariance, "_sample_counts", counted)
+        xs = sparse_codes(U12, rng, 12, density=0.3)
+        kernel = ProjectedKernel.monte_carlo(KernelSpec(Heat(4.0)), BLOCKS_12, U12, sample_size=4, seed=1)
+        result = gp.optimize_hyperparameters(kernel, xs, rng.standard_normal(len(xs)), budget=15)
+        assert len(builds) == result.evaluations > 1
 
     def test_cache_stays_within_its_size(self, rng):
         spec = KernelSpec(Heat(1.0))
@@ -607,12 +626,80 @@ class TestSampledCountGram:
             invariant_kernel_sampled(spec, (), xs[0], xs[1])
 
 
+def relabelled(H, xs, rng):
+    """Each code relabelled by its own uniform element of H."""
+    return [apply_permutation(H.random_element(rng), x) for x in xs]
+
+
+def in_orbit(H, x, y):
+    """Whether y is one of the |H| orbit images of x."""
+    return bool(np.all(invariance._orbit_image_words(H, x) == spaces.code_words([y]), axis=1).any())
+
+
+class TestOrbitRepresentative:
+    """One code per orbit, and Monte Carlo kernels that read only it."""
+
+    @pytest.mark.parametrize("space,H", [(U4, PermSubgroup.full(4)), (U12, BLOCKS_12), (DL8, BLOCKS_8)])
+    def test_shared_by_the_orbit_and_in_it(self, rng, space, H):
+        for x in sparse_codes(space, rng, 20, density=0.3):
+            rep = orbit_representative(H, x)
+            assert in_orbit(H, x, rep)
+            for y in relabelled(H, [x] * 5, rng):
+                assert orbit_representative(H, y) == rep
+
+    @pytest.mark.parametrize(
+        "space,H",
+        [
+            (U4, PermSubgroup.full(4)),
+            (GraphSpace(GraphSpaceKind.UNDIRECTED, 5), PermSubgroup(5, ((0, 1, 2), (3, 4)))),
+            (GraphSpace(GraphSpaceKind.DIRECTED_LOOPS, 3), PermSubgroup.full(3)),
+        ],
+    )
+    def test_one_code_per_orbit_over_a_whole_space(self, space, H):
+        reps = {x: orbit_representative(H, x) for x in space.all_codes()}
+        assert len(set(reps.values())) == build_quotient(H, space).num_classes
+        assert all(in_orbit(H, x, rep) for x, rep in reps.items())
+
+    def test_above_the_residual_cap_stays_in_the_orbit(self, rng, monkeypatch):
+        monkeypatch.setattr(invariance, "REPRESENTATIVE_CAP", 1)
+        orbit_representative.cache_clear()
+        try:
+            for x in sparse_codes(U12, rng, 10, density=0.3):
+                assert in_orbit(BLOCKS_12, x, orbit_representative(BLOCKS_12, x))
+        finally:
+            orbit_representative.cache_clear()
+
+    def test_rejects_a_group_on_other_nodes(self):
+        with pytest.raises(ValueError, match="does not act"):
+            orbit_representative(PermSubgroup.full(5), U4.code_from_int(3))
+
+    @pytest.mark.parametrize("space,H", [(U12, BLOCKS_12), (U11, PermSubgroup.full(11))])
+    def test_monte_carlo_kernel_ignores_relabelling(self, rng, space, H):
+        kernel = ProjectedKernel.monte_carlo(KernelSpec(Heat(4.0), variance=1.3), H, space, sample_size=5, seed=2)
+        xs, ys = sparse_codes(space, rng, 8, density=0.3), sparse_codes(space, rng, 4, density=0.3)
+        gxs, gys = relabelled(H, xs, rng), relabelled(H, ys, rng)
+        assert np.array_equal(kernel.gram(gxs), kernel.gram(xs))
+        assert np.array_equal(kernel.gram(gxs, gys), kernel.gram(xs, ys))
+        assert np.array_equal(kernel.diag(gxs), kernel.diag(xs))
+        profiles = np.stack([kernel_profile(kernel.spec, space.d)] * 2)
+        assert np.array_equal(kernel.square_grams(gxs, profiles), kernel.square_grams(xs, profiles))
+
+    def test_monte_carlo_tuning_ignores_relabelling(self, rng):
+        kernel = ProjectedKernel.monte_carlo(KernelSpec(Heat(4.0)), BLOCKS_12, U12, sample_size=4, seed=1)
+        xs = sparse_codes(U12, rng, 12, density=0.3)
+        ys = rng.standard_normal(len(xs))
+        a = gp.optimize_hyperparameters(kernel, xs, ys, budget=15)
+        b = gp.optimize_hyperparameters(kernel, relabelled(BLOCKS_12, xs, rng), ys, budget=15)
+        assert (a.objective, a.kernel.spec, a.noise) == (b.objective, b.kernel.spec, b.noise)
+
+
 @pytest.mark.parametrize(
     "cached,size",
     [
         (spaces.edge_permutation, spaces.EDGE_PERMUTATION_CACHE_SIZE),
         (invariance._slot_perms, invariance.SLOT_PERMS_CACHE_SIZE),
         (invariance._orbit_image_words, invariance.ORBIT_IMAGE_CACHE_SIZE),
+        (invariance.orbit_representative, invariance.REPRESENTATIVE_CACHE_SIZE),
     ],
 )
 def test_image_caches_are_bounded(cached, size):
