@@ -28,7 +28,6 @@ from typing import Sequence
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
-from scipy.optimize import minimize
 
 from .kernels import (
     Heat,
@@ -183,7 +182,9 @@ class OptimizationResult:
 
     ``failed`` counts the evaluations scored as a wall because the
     covariance could not be factored or the likelihood or its gradient was
-    not finite.
+    not finite. ``at_bound`` names the tuned parameters whose returned log
+    value lies within 1e-6 of the search box's edge (+-10 in log space),
+    where the search could not follow the likelihood any further.
     """
 
     kernel: object
@@ -192,9 +193,11 @@ class OptimizationResult:
     evaluations: int
     names: tuple[str, ...]
     failed: int
+    at_bound: tuple[str, ...]
 
 
 _LOG_BOUND = 10.0
+_AT_BOUND_TOL = 1e-6
 
 
 def _theta_layout(kernel, noise: float, d: int):
@@ -338,11 +341,14 @@ def optimize_hyperparameters(
             "objective is not finite at the initial parameters "
             f"({', '.join(f'{n}={math.exp(v):.4g}' for n, v in zip(names, theta0))})"
         )
+    from scipy.optimize import minimize  # ~0.3 s to import; only tuning needs it
+
     try:
         minimize(objective, theta0, method="L-BFGS-B", jac=True, bounds=[(-_LOG_BOUND, _LOG_BOUND)] * len(theta0))
     except _BudgetSpent:
         pass
-    best_kernel, best_noise = rebuild(state["best_theta"])
+    best_theta = state["best_theta"]
+    best_kernel, best_noise = rebuild(best_theta)
     return OptimizationResult(
         kernel=best_kernel,
         noise=best_noise,
@@ -350,6 +356,7 @@ def optimize_hyperparameters(
         evaluations=state["evals"],
         names=names,
         failed=state["failed"],
+        at_bound=tuple(n for n, v in zip(names, best_theta) if abs(abs(v) - _LOG_BOUND) <= _AT_BOUND_TOL),
     )
 
 

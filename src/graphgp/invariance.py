@@ -13,12 +13,14 @@ instead; it handles larger groups and is positive semidefinite by
 construction; ``ProjectedKernel`` evaluates it at one representative code
 per orbit, so it is constant on orbits too, whatever the sample. Both are
 the kernel profile k(0..d) contracted with distance counts C[i, j, m]: the
-share of image pairs (a, b) with |a XOR b| = m, a running over the |H| orbit
-images of x_i and b = y_j (exact), or a and b over the |S| sample images of
-x_i and y_j (Monte Carlo). One builder makes them all, by one vectorized
-XOR/popcount of each x's images against all the ys; a code's images come
-from one gather of its bits through the (|H|, d) or (|S|, d)
-slot-permutation array, one code at a time.
+share of image pairs (a, b) with |a XOR b| = m, a running over the distinct
+orbit images of x_i and b = y_j (exact), or a and b over the |S| sample
+images of x_i and y_j (Monte Carlo). Every distinct image of x appears
+|Stab(x)| times among its |H| images (orbit-stabilizer), so shares over the
+distinct images equal those over H, bit for bit. One builder makes them
+all, by one vectorized XOR/popcount of each x's images against all the ys;
+a code's images come from one gather of its bits through the (|H|, d) or
+(|S|, d) slot-permutation array, one code at a time.
 The counts do not depend on the kernel; the exact ones are cached per
 (H, xs, ys), so every objective evaluation of a tuning run costs one
 product of the tensor with the profile and its derivatives. Exact
@@ -77,9 +79,11 @@ COUNT_CACHE_SIZE = 8
 #: (group, space); the benchmark's (|H|, d) = (1296, 66) array holds 0.7 MB.
 SLOT_PERMS_CACHE_SIZE = 4
 
-#: Orbit-image matrices kept for reuse, one per (group, code), of
-#: |H| * ceil(d/64) * 8 bytes each: 512 is about 10.6 MB at |H| = 1296,
-#: d = 66, and covers the 256 codes a 64-train, 192-point prediction touches.
+#: Orbit-image matrices kept for reuse, one per (group, code), of one
+#: ceil(d/64) * 8-byte row per distinct image: at most |H| rows (10.6 MB for
+#: 512 codes at |H| = 1296, d = 66), 241 on average over the benchmark
+#: molecules (about 2 MB for 512 codes). 512 covers the 256 codes a
+#: 64-train, 192-point prediction touches.
 ORBIT_IMAGE_CACHE_SIZE = 512
 
 #: Largest residual group :func:`orbit_representative` enumerates; its
@@ -207,8 +211,10 @@ def _slot_perms(H: PermSubgroup, space: GraphSpace) -> np.ndarray:
 
 @lru_cache(maxsize=ORBIT_IMAGE_CACHE_SIZE)
 def _orbit_image_words(H: PermSubgroup, x: GraphCode) -> np.ndarray:
-    """(|H|, ceil(d/64)) uint64 matrix of sigma(x) over all sigma in H."""
+    """(|orbit|, ceil(d/64)) uint64 matrix of the distinct sigma(x) over sigma in H, sorted."""
     words = permuted_words(x, _slot_perms(H, x.space))
+    words = words[np.lexsort(words.T)]
+    words = words[np.r_[True, (words[1:] != words[:-1]).any(axis=1)]]
     words.setflags(write=False)
     return words
 
@@ -233,8 +239,9 @@ def pair_histogram(H: PermSubgroup, x: GraphCode, y: GraphCode) -> np.ndarray:
         raise ValueError("codes live in different spaces")
     if y.bits < x.bits:
         x, y = y, x
-    dists = word_distances(_orbit_image_words(H, x), code_words([y]))[:, 0]
-    hist = np.bincount(dists, minlength=x.space.d + 1).astype(float)
+    images = _orbit_image_words(H, x)
+    dists = word_distances(images, code_words([y]))[:, 0]
+    hist = (np.bincount(dists, minlength=x.space.d + 1) * (H.order() // len(images))).astype(float)
     hist.setflags(write=False)
     return hist
 
@@ -380,9 +387,10 @@ def _distance_counts(
 ) -> np.ndarray:
     """C[i, j, m]: the share of image pairs (a, b) in images_x[i] x images_y[j] with |a XOR b| = m.
 
-    Each entry is a word matrix with one row per image; every code on a side
-    has the same number of images, so ``images_y`` is one (len, images, words)
-    array. ``upper`` (square builds) fills j >= i only.
+    Each entry is a word matrix with one row per image; codes on the x side
+    may have different numbers of images, those on the y side have the same
+    number, so ``images_y`` is one (len, images, words) array. ``upper``
+    (square builds) fills j >= i only.
     """
     rows = images_y.shape[1]
     targets = images_y.reshape(-1, images_y.shape[2])
@@ -391,8 +399,7 @@ def _distance_counts(
         first = i if upper else 0
         n = len(images_y) - first
         dist = word_distances(a, targets[first * rows :]) + np.repeat(top * np.arange(n), rows)
-        out[i, first:] = np.bincount(dist.ravel(), minlength=n * top).reshape(n, top)
-    out /= images_x[0].shape[0] * rows
+        out[i, first:] = np.bincount(dist.ravel(), minlength=n * top).reshape(n, top) / (len(a) * rows)
     return out
 
 
@@ -400,7 +407,7 @@ def _distance_counts(
 def _group_counts(
     H: PermSubgroup, xs: tuple[GraphCode, ...], ys: tuple[GraphCode, ...] | None
 ) -> np.ndarray:
-    """Counts over H: the |H| orbit images of each x against y itself; ys=None means xs.
+    """Counts over H: the distinct orbit images of each x against y itself; ys=None means xs.
 
     Keyed by the codes themselves, so a hit returns counts built from the
     same codes (and spaces) as a call that passed the space check.

@@ -14,7 +14,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from graphgp import gp
-from graphgp.invariance import pair_histogram
 from graphgp.kernels import KernelSpec, LaplacianVariant, kernel_profile, spectral_coefficients
 from graphgp.kravchuk import KravchukTable, build_table
 from graphgp.spaces import GraphCode, apply_permutation
@@ -130,16 +129,21 @@ def log_sign_profile(spec: KernelSpec, d: int) -> np.ndarray:
     return np.array([log_sign_evaluate(spec, table, m) for m in range(d + 1)])
 
 
-def exact_gram_by_pairs(spec: KernelSpec, H, xs, ys=None) -> np.ndarray:
-    """Exact projected Gram, one cached pair histogram per entry."""
-    profile = kernel_profile(spec, xs[0].space.d)
-    order = H.order()
-    ys = xs if ys is None else ys
-    out = np.empty((len(xs), len(ys)))
+def group_counts_by_enumeration(H, xs, ys, top: int) -> np.ndarray:
+    """C[i, j, m]: the share of all |H| images sigma(x_i), enumerated one by one, at distance m from y_j."""
+    elements = list(H.elements())
+    out = np.zeros((len(xs), len(ys), top))
     for i, x in enumerate(xs):
+        images = [apply_permutation(s, x).bits for s in elements]
         for j, y in enumerate(ys):
-            out[i, j] = float(pair_histogram(H, x, y) @ profile) / order
+            out[i, j] = np.bincount([(a ^ int(y.bits)).bit_count() for a in images], minlength=top) / len(elements)
     return out
+
+
+def exact_gram_by_pairs(spec: KernelSpec, H, xs, ys=None) -> np.ndarray:
+    """Exact projected Gram from the counts over all |H| images of each x."""
+    d = xs[0].space.d
+    return group_counts_by_enumeration(H, xs, xs if ys is None else ys, d + 1) @ kernel_profile(spec, d)
 
 
 def sampled_gram_by_pairs(spec: KernelSpec, sample, xs, ys=None) -> np.ndarray:

@@ -1,7 +1,11 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,7 @@ from graphgp.spaces import GraphSpace, GraphSpaceKind, graph_to_json
 
 HEAT_PLAIN = '{"family": "heat", "kappa": 1.0, "laplacian": "plain"}'
 U4_SPACE = '{"kind": "U", "n": 4}'
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 #: (rmse, log_lik) of the one-split, budget-20 demo-05 experiment on 24 molecules.
@@ -413,3 +418,27 @@ class TestNamedSeed:
         assert named_seed(0, "split-0") == named_seed(0, "split-0")
         assert named_seed(0, "split-0") != named_seed(0, "split-1")
         assert named_seed(0, "split-0") != named_seed(1, "split-0")
+
+
+#: Run in a fresh interpreter: importing the CLI must not pull in scipy.optimize
+#: (about 0.3 s), which only tuning needs; tuning must still work afterwards.
+IMPORT_GUARD = """
+import sys
+import graphgp.cli
+assert "scipy.optimize" not in sys.modules, "importing graphgp.cli imported scipy.optimize"
+from graphgp import gp
+from graphgp.kernels import Heat, IsotropicKernel, KernelSpec
+from graphgp.spaces import GraphSpace, GraphSpaceKind
+space = GraphSpace(GraphSpaceKind.UNDIRECTED, 4)
+xs = [space.code_from_int(b) for b in range(0, 64, 5)]
+ys = [float(b % 3) for b in range(len(xs))]
+result = gp.optimize_hyperparameters(IsotropicKernel(KernelSpec(Heat(1.0)), space), xs, ys, budget=10)
+assert result.evaluations > 1
+assert "scipy.optimize" in sys.modules
+"""
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

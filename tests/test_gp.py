@@ -231,6 +231,16 @@ class TestOptimize:
         result = gp.optimize_hyperparameters(kernel0, xs, ys, noise=0.1, budget=40)
         assert result.kernel.spec.family.nu > U4.d / 2
 
+    def test_parameters_stopped_at_the_box_bound_are_named(self):
+        # heat-kernel data: the Matern fit runs nu_base up to the search box, towards the heat limit
+        xs, ys = self._recovery_problem()
+        kernel0 = IsotropicKernel(matern_spec(U4.d, nu_base=1.5), U4)
+        result = gp.optimize_hyperparameters(kernel0, xs, ys, noise=0.1, budget=40)
+        assert "nu_base" in result.at_bound
+        assert "kappa" not in result.at_bound
+        assert math.log(result.kernel.spec.family.nu - U4.d / 2) == pytest.approx(gp._LOG_BOUND, abs=1e-6)
+        assert gp.optimize_hyperparameters(kernel0, xs, ys, noise=0.1, budget=0).at_bound == ()
+
     def test_matern_below_half_dimension_rejected(self):
         xs, ys = self._recovery_problem()
         from graphgp.kernels import Matern

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import exact_gram_by_pairs, sampled_gram_by_pairs
+from oracles import exact_gram_by_pairs, group_counts_by_enumeration, sampled_gram_by_pairs
 
 from graphgp import gp, invariance, spaces
 from graphgp.invariance import (
@@ -571,6 +571,51 @@ class TestCountTensorGram:
             invariant_gram_exact(spec, H, sparse_codes(U4, rng, 3 + k % 4))
             assert _group_counts.cache_info().currsize <= COUNT_CACHE_SIZE
         assert _group_counts.cache_info().maxsize == COUNT_CACHE_SIZE
+
+
+def stabilized_codes(space, H):
+    """The empty and complete graphs and a graph fixed by all of H's first block (big stabilizers)."""
+    block = H.blocks[0]
+    fixed = {space.slot_of(i, j) for i in block for j in (*block, 3) if i != j}
+    complete = space.code_from_int((1 << space.d) - 1)
+    return [space.empty_code(), complete, space.code_from_int(sum(1 << s for s in fixed))]
+
+
+class TestDistinctImages:
+    """Counts over each code's distinct orbit images equal the counts over all of H, bit for bit."""
+
+    @pytest.mark.parametrize("space,H", [(U12, BLOCKS_12), (DL8, BLOCKS_8)])
+    def test_grams_and_diagonal_equal_counts_over_the_whole_group(self, rng, space, H):
+        xs = stabilized_codes(space, H) + sparse_codes(space, rng, 3)
+        ys = sparse_codes(space, rng, 2) + stabilized_codes(space, H)[::-1]
+        spec = KernelSpec(Heat(2.0), variance=1.3)
+        profile = kernel_profile(spec, space.d)
+        top = space.d + 1  # the complete graph lies at distance d from the empty one
+        square = group_counts_by_enumeration(H, xs, xs, top)
+        upper = np.where(np.triu(np.ones((len(xs), len(xs)), dtype=bool))[:, :, None], square, 0.0)
+        cross = group_counts_by_enumeration(H, xs, ys, top)
+        assert np.array_equal(_group_counts(H, tuple(xs), None), upper)
+        assert np.array_equal(_group_counts(H, tuple(xs), tuple(ys)), cross)
+
+        def reference(xs_, ys_):
+            return upper if ys_ is None else cross
+
+        for ys_ in (None, ys):
+            expect = invariance._contract(profile[None], reference, xs, ys_)[0]
+            assert np.array_equal(invariant_gram_exact(spec, H, xs, ys_), expect)
+        own = np.stack([square[i, i] for i in range(len(xs))])
+        assert np.array_equal(ProjectedKernel(spec, H, space).diag(xs), own @ profile)
+
+    @pytest.mark.parametrize("space,H", [(U12, BLOCKS_12), (DL8, BLOCKS_8)])
+    def test_pair_histogram_counts_over_the_whole_group(self, space, H):
+        codes = stabilized_codes(space, H)
+        for x in codes:
+            images = invariance._orbit_image_words(H, x)
+            assert len(images) == enumerate_orbit(H, x, keep_members=False).size
+            for y in codes:
+                hist = pair_histogram(H, x, y)
+                assert hist.sum() == H.order()
+                assert np.array_equal(hist / H.order(), group_counts_by_enumeration(H, [x], [y], space.d + 1)[0, 0])
 
 
 class TestSampledCountGram:

@@ -31,3 +31,10 @@ def test_cached_functions_resolve_with_cache_info(tracing):
 def test_gram_classes_resolve(tracing):
     for mod, cls in tracing.GRAM_CLASSES:
         assert callable(getattr(importlib.import_module(mod), cls).gram), cls
+
+
+def test_no_scipy_binding_is_wrapped(tracing):
+    # graphgp imports scipy.optimize inside the tuner only, so it has no module-level binding to wrap
+    for mod, attr in [*tracing.FUNCTIONS.values(), *tracing.CACHES.values()]:
+        assert attr != "minimize" and not mod.startswith("scipy"), (mod, attr)
+    assert not hasattr(importlib.import_module("graphgp.gp"), "minimize")
