@@ -6,7 +6,9 @@ observed under i.i.d. Gaussian noise, the posterior mean and covariance are
     m(.)  = K(., x) (K(x, x) + noise I)^-1 y
     k(., .') = k(., .') - K(., x) (K(x, x) + noise I)^-1 K(x, .')
 
-computed through a Cholesky factor with an escalating-jitter fallback.
+computed through the Cholesky factor L of K + noise I (escalating jitter if
+needed) and its inverse, formed once per fit: every solve is a product with
+L^-1, in numpy alone; scipy serves only the tuner's optimizer.
 Hyperparameters are tuned by maximizing the log marginal likelihood over
 log-scale parameters with its analytic gradient
 0.5 tr((alpha alpha^T - (K + noise I)^-1) dK/dtheta), where each dK/dtheta
@@ -27,7 +29,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
 from .kernels import (
     Heat,
@@ -47,9 +48,10 @@ _JITTER_GROWTH = 10.0
 _JITTER_RETRIES = 3
 
 
-def _cholesky_with_jitter(K: np.ndarray, noise_var: float, scale: float) -> tuple[np.ndarray, float]:
-    """Lower Cholesky of K + noise_var I, adding escalating jitter if needed."""
+def _cholesky_with_jitter(K: np.ndarray, noise_var: float) -> tuple[np.ndarray, float]:
+    """Lower Cholesky of K + noise_var I, adding jitter relative to K's largest diagonal if needed."""
     eye = np.eye(K.shape[0])
+    scale = max(float(np.abs(np.diag(K)).max()), 1e-12)
     jitters = [0.0] + [_JITTER_FACTOR * scale * _JITTER_GROWTH**k for k in range(_JITTER_RETRIES)]
     for jit in jitters:
         try:
@@ -61,30 +63,27 @@ def _cholesky_with_jitter(K: np.ndarray, noise_var: float, scale: float) -> tupl
     )
 
 
+@dataclass(frozen=True, eq=False)
 class GPModel:
-    """A fitted conjugate GP regressor; immutable after construction."""
+    """A fitted conjugate GP regressor; immutable, its arrays read-only.
 
-    def __init__(
-        self,
-        kernel,
-        train_x: tuple[GraphCode, ...],
-        train_y: np.ndarray,
-        noise: float,
-        y_mean: float,
-        y_std: float,
-        chol: np.ndarray,
-        alpha: np.ndarray,
-        jitter: float,
-    ):
-        self.kernel = kernel
-        self.train_x = train_x
-        self.train_y = train_y
-        self.noise = noise
-        self.y_mean = y_mean
-        self.y_std = y_std
-        self.chol = chol
-        self.alpha = alpha
-        self.jitter = jitter
+    ``chol`` is the lower Cholesky factor L of K + (noise + jitter) I and ``chol_inv`` its inverse.
+    """
+
+    kernel: object
+    train_x: tuple[GraphCode, ...]
+    train_y: np.ndarray
+    noise: float
+    y_mean: float
+    y_std: float
+    chol: np.ndarray
+    chol_inv: np.ndarray
+    alpha: np.ndarray
+    jitter: float
+
+    def __post_init__(self):
+        for array in (self.train_y, self.chol, self.chol_inv, self.alpha):
+            array.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -106,9 +105,9 @@ def fit(kernel, xs: Sequence[GraphCode], ys: Sequence[float], noise: float, norm
 
 
 def _training_data(xs: Sequence[GraphCode], ys: Sequence[float]) -> tuple[tuple[GraphCode, ...], np.ndarray]:
-    """Checked training data: as many codes as targets, at least one, all in one space."""
+    """Checked training data, targets copied: as many codes as targets, at least one, all in one space."""
     xs = tuple(xs)
-    ys = np.asarray(ys, dtype=float)
+    ys = np.array(ys, dtype=float)
     if len(xs) == 0 or len(xs) != len(ys):
         raise ValueError(f"need equally many codes and targets, got {len(xs)} and {len(ys)}")
     space = xs[0].space
@@ -121,7 +120,10 @@ def _training_data(xs: Sequence[GraphCode], ys: Sequence[float]) -> tuple[tuple[
 def _condition(
     kernel, xs: tuple[GraphCode, ...], ys: np.ndarray, K: np.ndarray, noise: float, normalize_y: bool
 ) -> GPModel:
-    """The model given the training Gram K: factor K + noise I (with jitter) and solve against y."""
+    """The model given the training Gram K: factor K + noise I (with jitter), invert L, solve against y.
+
+    Shared by ``fit`` and the tuner's objective, so their likelihoods are bit-equal.
+    """
     noise_eff = max(float(noise), NOISE_FLOOR)
     if normalize_y:
         y_mean = float(ys.mean())
@@ -131,10 +133,10 @@ def _condition(
     else:
         y_mean, y_std = 0.0, 1.0
     z = (ys - y_mean) / y_std
-    scale = max(float(np.abs(np.diag(K)).max()), 1e-12)
-    L, jitter = _cholesky_with_jitter(K, noise_eff, scale)
-    alpha = cho_solve((L, True), z)
-    return GPModel(kernel, xs, ys, noise_eff, y_mean, y_std, L, alpha, jitter)
+    L, jitter = _cholesky_with_jitter(K, noise_eff)
+    L_inv = np.linalg.inv(L)
+    alpha = L_inv.T @ (L_inv @ z)
+    return GPModel(kernel, xs, ys, noise_eff, y_mean, y_std, L, L_inv, alpha, jitter)
 
 
 def prior_moments(kernel, xs: Sequence[GraphCode]) -> tuple[np.ndarray, np.ndarray]:
@@ -154,7 +156,7 @@ def predict(model: GPModel, xs: Sequence[GraphCode], full_cov: bool = False) -> 
         raise ValueError("prediction codes live in a different space than the training codes")
     Ks = model.kernel.gram(xs, model.train_x)
     mean = Ks @ model.alpha * model.y_std + model.y_mean
-    V = solve_triangular(model.chol, Ks.T, lower=True)
+    V = model.chol_inv @ Ks.T
     if full_cov:
         Kss = model.kernel.gram(xs)
         cov = (Kss - V.T @ V) * model.y_std**2
@@ -273,7 +275,7 @@ def _lml_and_gradient(
     names, _, _ = _theta_layout(kernel, noise, xs[0].space.d)
     K, dKs = _gram_derivatives(kernel, xs, names)
     model = _condition(kernel, xs, ys, K, noise, normalize_y)
-    W = np.outer(model.alpha, model.alpha) - cho_solve((model.chol, True), np.eye(model.n), check_finite=False)
+    W = np.outer(model.alpha, model.alpha) - model.chol_inv.T @ model.chol_inv
     grad = [np.vdot(W, dK) for dK in dKs] + [model.noise * np.trace(W)]
     return log_marginal_likelihood(model), 0.5 * np.array(grad)
 
@@ -341,7 +343,7 @@ def optimize_hyperparameters(
             "objective is not finite at the initial parameters "
             f"({', '.join(f'{n}={math.exp(v):.4g}' for n, v in zip(names, theta0))})"
         )
-    from scipy.optimize import minimize  # ~0.3 s to import; only tuning needs it
+    from scipy.optimize import minimize  # graphgp's only scipy import, about 0.6 s
 
     try:
         minimize(objective, theta0, method="L-BFGS-B", jac=True, bounds=[(-_LOG_BOUND, _LOG_BOUND)] * len(theta0))
@@ -368,9 +370,7 @@ def sample_prior_exact(kernel, xs: Sequence[GraphCode], n_samples: int, seed: in
     xs = tuple(xs)
     if n_samples == 0:
         return np.zeros((0, len(xs)))
-    K = kernel.gram(xs)
-    scale = max(float(np.abs(np.diag(K)).max()), 1e-12)
-    L, _ = _cholesky_with_jitter(K, 0.0, scale)
+    L, _ = _cholesky_with_jitter(kernel.gram(xs), 0.0)
     rng = np.random.default_rng(seed)
     return rng.standard_normal((n_samples, len(xs))) @ L.T
 
@@ -494,9 +494,7 @@ def posterior_sample(model: GPModel, xs: Sequence[GraphCode], n_samples: int, se
     if n_samples == 0:
         return np.zeros((0, len(xs)))
     joint = tuple(model.train_x) + xs
-    K = model.kernel.gram(joint)
-    scale = max(float(np.abs(np.diag(K)).max()), 1e-12)
-    L, _ = _cholesky_with_jitter(K, 0.0, scale)
+    L, _ = _cholesky_with_jitter(model.kernel.gram(joint), 0.0)
     rng = np.random.default_rng(seed)
     draws = rng.standard_normal((n_samples, len(joint))) @ L.T
     n = model.n
@@ -504,7 +502,7 @@ def posterior_sample(model: GPModel, xs: Sequence[GraphCode], n_samples: int, se
     eps = rng.standard_normal((n_samples, n)) * math.sqrt(model.noise)
     resid = model.normalized_targets()[None, :] - f_train - eps
     Ks = model.kernel.gram(xs, model.train_x)  # (n*, n)
-    update = resid @ cho_solve((model.chol, True), Ks.T)
+    update = (resid @ model.chol_inv.T) @ (model.chol_inv @ Ks.T)
     return (f_test + update) * model.y_std + model.y_mean
 
 

@@ -481,11 +481,14 @@ def invariant_kernel_sampled(
     """Double average over one fixed sample S applied to both arguments.
 
     With S = the whole group (each element once) this equals the exact
-    group-averaged kernel; with an i.i.d. sample it is the positive
-    semidefinite Monte Carlo estimator. The cheaper one-sided average
-    (1/|S|) sum over sigma of k(sigma(x), y) is unbiased too but need not be
-    symmetric, let alone positive semidefinite, for a partial sample - so
-    this symmetric form is the only one shipped.
+    group-averaged kernel; with an i.i.d. sample it is a positive
+    semidefinite Monte Carlo estimator, biased toward the unprojected kernel
+    with weight 1/|S|: the |S| pairs a = b give k(x, y), so it is k(x, y)/|S|
+    plus (1 - 1/|S|) times the unbiased mean of k(s_a x, s_b y) over ordered
+    pairs a != b. The cheaper one-sided average (1/|S|) sum over sigma of
+    k(sigma(x), y) is unbiased but need not be symmetric, let alone positive
+    semidefinite, for a partial sample - so this symmetric form is the only
+    one shipped.
     """
     return float(invariant_gram_sampled(spec, sample, [x], [y])[0, 0])
 
@@ -702,9 +705,10 @@ class ProjectedKernel:
     builder: over the whole group when ``sample`` is None, else over
     ``sample`` x ``sample``. The Monte Carlo flavour evaluates the sampled
     estimator at :func:`orbit_representative` of each code, so its values,
-    like the exact ones, do not change when a graph is relabelled by H. An
-    exact kernel over a group larger than ``ENUMERATION_CAP`` is refused at
-    construction (``GroupTooLargeError``).
+    like the exact ones, do not change when a graph is relabelled by H; it
+    is biased toward the unprojected kernel with weight 1/|S| (see
+    :func:`invariant_kernel_sampled`). An exact kernel over a group larger
+    than ``ENUMERATION_CAP`` is refused at construction (``GroupTooLargeError``).
     """
 
     def __init__(

@@ -74,6 +74,37 @@ def dense_log_marginal_likelihood(K, y, noise):
     return float(-0.5 * y @ np.linalg.solve(A, y) - 0.5 * logdet - 0.5 * len(y) * np.log(2 * np.pi))
 
 
+def dense_lml_and_gradient(K, dKs, y, noise):
+    """Log marginal likelihood and its gradient by dense solves with K + noise I.
+
+    One entry per Gram derivative in ``dKs``, then the log-noise entry (its
+    derivative is noise I): 0.5 (a^T dK a - tr((K + noise I)^-1 dK)) with
+    a = (K + noise I)^-1 y.
+    """
+    n = K.shape[0]
+    A = K + noise * np.eye(n)
+    a = np.linalg.solve(A, y)
+    grad = [0.5 * (a @ dK @ a - np.trace(np.linalg.solve(A, dK))) for dK in [*dKs, noise * np.eye(n)]]
+    return dense_log_marginal_likelihood(K, y, noise), np.array(grad)
+
+
+def dense_posterior_sample(K_joint, Ks, z, noise, n_samples, seed):
+    """``gp.posterior_sample``'s draws on the normalized scale, its update by a dense solve.
+
+    Repeats the sampler's random stream: prior draws from the Cholesky
+    factor of the joint Gram (training codes first; no jitter), then the
+    noise draws. Returns ``(prior draws at the test codes, update)``, where
+    the update is (z - f(x) - eps) (K + noise I)^-1 K(x, test).
+    """
+    n = len(z)
+    rng = np.random.default_rng(seed)
+    draws = rng.standard_normal((n_samples, K_joint.shape[0])) @ np.linalg.cholesky(K_joint).T
+    eps = rng.standard_normal((n_samples, n)) * math.sqrt(noise)
+    resid = z[None, :] - draws[:, :n] - eps
+    A = K_joint[:n, :n] + noise * np.eye(n)
+    return draws[:, n:], resid @ np.linalg.solve(A, Ks.T)
+
+
 def lml_gradient(
     kernel,
     xs: Sequence[GraphCode],

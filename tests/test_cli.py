@@ -420,25 +420,45 @@ class TestNamedSeed:
         assert named_seed(0, "split-0") != named_seed(1, "split-0")
 
 
-#: Run in a fresh interpreter: importing the CLI must not pull in scipy.optimize
-#: (about 0.3 s), which only tuning needs; tuning must still work afterwards.
+#: Run in a fresh interpreter with a scratch directory as its argument:
+#: importing the CLI, fitting, predicting, posterior sampling and the
+#: ``fit`` and ``predict`` commands must not load any scipy module, which
+#: only tuning needs; tuning must still load scipy.optimize and work.
 IMPORT_GUARD = """
-import sys
+import json, sys
+from pathlib import Path
 import graphgp.cli
-assert "scipy.optimize" not in sys.modules, "importing graphgp.cli imported scipy.optimize"
-from graphgp import gp
+from graphgp import datasets, gp
 from graphgp.kernels import Heat, IsotropicKernel, KernelSpec
-from graphgp.spaces import GraphSpace, GraphSpaceKind
+from graphgp.spaces import GraphSpace, GraphSpaceKind, graph_to_json
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
 space = GraphSpace(GraphSpaceKind.UNDIRECTED, 4)
 xs = [space.code_from_int(b) for b in range(0, 64, 5)]
 ys = [float(b % 3) for b in range(len(xs))]
-result = gp.optimize_hyperparameters(IsotropicKernel(KernelSpec(Heat(1.0)), space), xs, ys, budget=10)
+kernel = IsotropicKernel(KernelSpec(Heat(1.0)), space)
+model = gp.fit(kernel, xs, ys, 0.1, normalize_y=True)
+gp.predict(model, xs[:4])
+gp.posterior_sample(model, xs[:4], 2, seed=0)
+tmp = Path(sys.argv[1])
+datasets.write_codes(tmp / "codes.jsonl", xs, ys)
+(tmp / "points.jsonl").write_text("".join(json.dumps(graph_to_json(x)) + "\\n" for x in xs[:4]))
+args = ["fit", "--dataset", str(tmp / "codes.jsonl"), "--kernel", '{"family": "heat"}', "--out", str(tmp / "model.json")]
+assert graphgp.cli.main(args) == 0
+args = ["predict", "--model", str(tmp / "model.json"), "--points", str(tmp / "points.jsonl"), "--out", str(tmp / "p.csv")]
+assert graphgp.cli.main(args) == 0
+assert not scipy_modules(), f"graphgp loaded {scipy_modules()} without tuning"
+result = gp.optimize_hyperparameters(kernel, xs, ys, budget=10)
 assert result.evaluations > 1
 assert "scipy.optimize" in sys.modules
 """
 
 
-def test_cli_import_leaves_out_scipy_optimize():
+def test_cli_import_leaves_out_scipy_optimize(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD], env=env, capture_output=True, text=True, timeout=120)
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_GUARD, str(tmp_path)], env=env, capture_output=True, text=True, timeout=120
+    )
     assert proc.returncode == 0, proc.stderr
