@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -174,7 +175,13 @@ def infer_sequential_layout(mols: Sequence[Molecule]) -> SequentialLayout:
 
 
 def encoding_space(layout: Layout, kind: GraphSpaceKind = GraphSpaceKind.UNDIRECTED) -> GraphSpace:
-    return GraphSpace(kind, layout.n)
+    """The space a layout encodes into: one shared instance per (kind, node count), so codes share its cached tables."""
+    return _shared_space(kind, layout.n)
+
+
+@lru_cache(maxsize=64)
+def _shared_space(kind: GraphSpaceKind, n: int) -> GraphSpace:
+    return GraphSpace(kind, n)
 
 
 def encode(mol: Molecule, layout: Layout, kind: GraphSpaceKind = GraphSpaceKind.UNDIRECTED) -> GraphCode:

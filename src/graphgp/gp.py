@@ -8,12 +8,14 @@ observed under i.i.d. Gaussian noise, the posterior mean and covariance are
 
 computed through the Cholesky factor L of K + noise I (escalating jitter if
 needed) and its inverse, formed once per fit: every solve is a product with
-L^-1, in numpy alone; scipy serves only the tuner's optimizer.
-Hyperparameters are tuned by maximizing the log marginal likelihood over
-log-scale parameters with its analytic gradient
+L^-1, in numpy alone. Hyperparameters are tuned by maximizing the log
+marginal likelihood over log-scale parameters with its analytic gradient
 0.5 tr((alpha alpha^T - (K + noise I)^-1) dK/dtheta), where each dK/dtheta
 comes from the same distance counts as K, contracted with the derivative
-of the kernel profile. Prior samples come either from a dense factor, from
+of the kernel profile, by an in-package port of L-BFGS-B (Byrd, Lu,
+Nocedal & Zhu 1995; v3.0, Morales & Nocedal 2011) with a More-Thuente line
+search (More & Thuente 1994) in a box of +-10 around the origin of log
+space. Prior samples come either from a dense factor, from
 explicit Walsh features (exact law up to the chosen level), or from
 random-anchor features that scale to high levels; posterior samples are
 prior samples transformed by the usual pathwise update. Averaging sampled
@@ -187,6 +189,11 @@ class OptimizationResult:
     not finite. ``at_bound`` names the tuned parameters whose returned log
     value lies within 1e-6 of the search box's edge (+-10 in log space),
     where the search could not follow the likelihood any further.
+    ``stopped`` says how the search ended: ``"gradient"`` (projected
+    gradient within tolerance), ``"reduction"`` (relative decrease of the
+    objective within tolerance), ``"budget"`` (a further evaluation would
+    exceed the budget) or ``"line_search"`` (no acceptable step, even after
+    dropping the curvature memory).
     """
 
     kernel: object
@@ -196,10 +203,21 @@ class OptimizationResult:
     names: tuple[str, ...]
     failed: int
     at_bound: tuple[str, ...]
+    stopped: str
 
 
 _LOG_BOUND = 10.0
 _AT_BOUND_TOL = 1e-6
+_WALL = 1e12  # objective value of an evaluation that failed
+
+# L-BFGS-B with scipy's defaults: corrections kept, projected-gradient
+# tolerance, relative-reduction tolerance (factr = 1e7)
+_MEMORY = 10
+_PGTOL = 1e-5
+_EPS = float(np.finfo(float).eps)
+_REL_REDUCTION = 1e7 * _EPS
+# More-Thuente line search: sufficient decrease, curvature, bracket width, trial steps per search
+_LS_FTOL, _LS_GTOL, _LS_XTOL, _LS_STEPS = 1e-3, 0.9, 0.1, 20
 
 
 def _theta_layout(kernel, noise: float, d: int):
@@ -280,10 +298,6 @@ def _lml_and_gradient(
     return log_marginal_likelihood(model), 0.5 * np.array(grad)
 
 
-class _BudgetSpent(Exception):
-    """Raised by the tuner's objective when a further evaluation would exceed the budget."""
-
-
 def optimize_hyperparameters(
     kernel,
     xs: Sequence[GraphCode],
@@ -294,16 +308,17 @@ def optimize_hyperparameters(
 ) -> OptimizationResult:
     """Maximize the log marginal likelihood over log-scale parameters.
 
-    Runs a quasi-Newton line search (L-BFGS-B) fed by the analytic gradient
-    of the log marginal likelihood. ``budget`` is a hard cap on objective
-    evaluations, the initial one included (at least one is always made):
-    the search stops at the cap, even inside a line search. Deterministic
-    given the initial kernel and budget; the best parameters seen are
-    returned, so the final objective never falls below the initial one. A
-    zero budget returns the initial parameters unchanged. An evaluation
-    whose covariance cannot be factored, or whose likelihood or gradient is
-    not finite, scores as a wall and is counted in ``failed``; any other
-    error propagates.
+    Runs L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995, with the subspace step of
+    v3.0, Morales & Nocedal 2011) in the box +-10 around the origin of log
+    space, fed by the analytic gradient of the log marginal likelihood.
+    ``budget`` is a hard cap on objective evaluations, the initial one
+    included (at least one is always made): the search stops at the cap,
+    even inside a line search. Deterministic given the initial kernel and
+    budget; the best parameters seen are returned, so the final objective
+    never falls below the initial one. A zero budget returns the initial
+    parameters unchanged. An evaluation whose covariance cannot be factored,
+    or whose likelihood or gradient is not finite, scores as a wall and is
+    counted in ``failed``; any other error propagates.
     """
     xs, ys = _training_data(xs, ys)
     names, theta0, rebuild = _theta_layout(kernel, noise, xs[0].space.d)
@@ -311,44 +326,30 @@ def optimize_hyperparameters(
         if not np.isfinite(value):
             raise ValueError(f"initial value of parameter {name!r} is not finite in log space")
 
-    cap = max(budget, 1)
-    state = {"best_theta": theta0.copy(), "best_f": np.inf, "evals": 0, "failed": 0, "last": None}
+    state = {"best_theta": theta0, "best_f": math.inf, "evals": 0, "failed": 0}
 
-    def objective(theta):
-        last = state["last"]
-        if last is not None and np.array_equal(theta, last[0]):
-            return last[1], last[2].copy()  # L-BFGS-B starts by evaluating theta0 again
-        if state["evals"] >= cap:
-            raise _BudgetSpent
+    def objective(theta: list) -> tuple[float, list]:
         state["evals"] += 1
-        theta = np.array(theta, dtype=float)
         k2, n2 = rebuild(theta)
         try:
             lml, grad = _lml_and_gradient(k2, xs, ys, n2, normalize_y)
         except np.linalg.LinAlgError:
-            lml, grad = np.nan, None
-        if np.isfinite(lml) and np.isfinite(grad).all():
-            f, g = -lml, -grad
-            if f < state["best_f"]:
-                state["best_f"], state["best_theta"] = f, theta
-        else:
-            state["failed"] += 1
-            f, g = 1e12, np.zeros_like(theta)
-        state["last"] = (theta, f, g)
-        return f, g
+            lml, grad = math.nan, np.zeros(0)
+        grad = grad.tolist()
+        if math.isfinite(lml) and all(map(math.isfinite, grad)):
+            if -lml < state["best_f"]:
+                state["best_f"], state["best_theta"] = -lml, theta
+            return -lml, [-v for v in grad]
+        state["failed"] += 1
+        return _WALL, [0.0] * len(theta)
 
-    f0, _ = objective(theta0)
-    if f0 >= 1e12:
+    f, g = objective(theta0)
+    if f >= _WALL:
         raise ValueError(
             "objective is not finite at the initial parameters "
             f"({', '.join(f'{n}={math.exp(v):.4g}' for n, v in zip(names, theta0))})"
         )
-    from scipy.optimize import minimize  # graphgp's only scipy import, about 0.6 s
-
-    try:
-        minimize(objective, theta0, method="L-BFGS-B", jac=True, bounds=[(-_LOG_BOUND, _LOG_BOUND)] * len(theta0))
-    except _BudgetSpent:
-        pass
+    stopped = _lbfgsb(objective, theta0.tolist(), f, g, max(budget, 1) - 1)
     best_theta = state["best_theta"]
     best_kernel, best_noise = rebuild(best_theta)
     return OptimizationResult(
@@ -359,7 +360,390 @@ def optimize_hyperparameters(
         names=names,
         failed=state["failed"],
         at_bound=tuple(n for n, v in zip(names, best_theta) if abs(abs(v) - _LOG_BOUND) <= _AT_BOUND_TOL),
+        stopped=stopped,
     )
+
+
+def _lbfgsb(objective, x: list, f: float, g: list, budget: int) -> str:
+    """Minimize ``objective`` (a list x to its value and gradient list) over the box +-_LOG_BOUND by L-BFGS-B.
+
+    A dense port of L-BFGS-B v3.0 with scipy's defaults, for the handful of
+    variables the tuner has: B = theta I - R holds theta = y^T y / s^T y and
+    the last ``_MEMORY`` curvature pairs (s, y) in compact form (Byrd,
+    Nocedal & Schnabel 1994); pairs with s^T y <= eps (-g^T s) are skipped.
+    Each iteration finds the generalized Cauchy point by scanning the
+    breakpoints of the projected steepest-descent path, minimizes the model
+    over the variables it leaves free (projecting the step, or backtracking
+    to the box if the projection points uphill), and searches along the
+    result with More-Thuente. A failed line search drops the memory once.
+    Vectors are Python lists: at this size numpy's per-call cost exceeds
+    the arithmetic. Starts from x with f, g = objective(x) known, calls
+    ``objective`` at most ``budget`` more times and returns why it stopped
+    (see :class:`OptimizationResult` ``stopped``).
+    """
+    inside = [min(max(v, -_LOG_BOUND), _LOG_BOUND) for v in x]
+    if inside != x:  # the search starts from the start's projection onto the box
+        if budget == 0:
+            return "budget"
+        x, (f, g), budget = inside, objective(inside), budget - 1
+    n = len(x)
+    P = np.empty((0, n))  # the curvature pairs' y rows then their s rows, oldest first
+    theta = 1.0
+    first = True
+    if _projected_gradient_norm(x, g) <= _PGTOL:
+        return "gradient"
+    while True:
+        try:
+            R = _memory_correction(P, theta) if len(P) else [[0.0] * n for _ in range(n)]
+            z, free = _cauchy_point(x, g, theta, R)
+            if len(P) and any(free):
+                z = _subspace_point(x, g, z, free, theta, R)
+        except np.linalg.LinAlgError:
+            P, theta = P[:0], 1.0
+            continue
+        d = [zi - xi for zi, xi in zip(z, x)]
+        gd0 = _dot(g, d)
+        outcome, used = "failed", 0
+        if gd0 < 0:
+            stpmax = 1.0 if first else _max_step(x, d)
+            outcome, used, stp, x1, f1, g1 = _line_search(objective, x, f, d, z, gd0, stpmax, budget)
+        budget -= used
+        if outcome == "budget":
+            return "budget"
+        if outcome == "failed":
+            if not len(P):
+                return "line_search"
+            P, theta = P[:0], 1.0
+            continue
+        first = False
+        if _projected_gradient_norm(x1, g1) <= _PGTOL:
+            return "gradient"
+        if f - f1 <= _REL_REDUCTION * max(abs(f), abs(f1), 1.0):
+            return "reduction"
+        sy = (_dot(g1, d) - gd0) * stp
+        if sy > _EPS * -gd0 * stp:
+            y = [b - a for a, b in zip(g, g1)]
+            c = len(P) // 2
+            old = c - _MEMORY + 1 if c >= _MEMORY else 0  # pairs that drop out
+            P = np.concatenate((P[old:c], [y], P[c + old :], [[stp * di for di in d]]))
+            theta = _dot(y, y) / sy
+        x, f, g = x1, f1, g1
+
+
+def _dot(u: list, v: list) -> float:
+    total = 0.0
+    for a, b in zip(u, v):
+        total += a * b
+    return total
+
+
+def _projected_gradient_norm(x: list, g: list) -> float:
+    """Infinity norm of the gradient projected onto the box."""
+    norm = 0.0
+    for xi, gi in zip(x, g):
+        pg = abs(max(xi - _LOG_BOUND, gi) if gi < 0 else min(xi + _LOG_BOUND, gi))
+        if pg > norm:
+            norm = pg
+    return norm
+
+
+def _middle_mask(c: int) -> np.ndarray:
+    upper = np.triu(np.ones((c, c)), 1)
+    return np.block([[np.zeros((c, c)), upper], [upper.T, np.ones((c, c))]])
+
+
+_MIDDLE_MASKS = [_middle_mask(c) for c in range(_MEMORY + 1)]
+
+
+def _memory_correction(P: np.ndarray, theta: float) -> list:
+    """R in the L-BFGS matrix B = theta I - R, as nested lists, from P = [Y; S] (one pair per row, oldest first).
+
+    R = W M^-1 W^T with W = [Y^T, theta S^T] and M = [[-D, L^T], [L, theta S S^T]],
+    D and L the diagonal and strictly lower part of S Y^T (Byrd, Nocedal &
+    Schnabel 1994). Scaling W's second block by 1 / theta gives
+    R = P^T K^-1 P with K = [[-D, L^T / theta], [L / theta, S S^T / theta]],
+    whose entries all come from the one product P P^T.
+    """
+    c = len(P) // 2
+    G = P @ P.T
+    K = G * _MIDDLE_MASKS[c]
+    K /= theta
+    K.flat[: c * (2 * c + 1) : 2 * c + 1] = -G.diagonal(c)  # the diagonal of the leading c x c block
+    return (P.T @ np.linalg.solve(K, P)).tolist()
+
+
+def _cauchy_point(x: list, g: list, theta: float, R: list) -> tuple[list, list]:
+    """The generalized Cauchy point and which variables it leaves free.
+
+    The first local minimizer of the model g^T z + z^T B z / 2 along the
+    projected path x - t g, found segment by segment between the
+    breakpoints where variables reach the box; the model's slope f1 and
+    curvature f2 are carried from segment to segment as in L-BFGS-B's
+    ``cauchy``, whose cancellations they would otherwise round differently.
+    """
+    n = len(x)
+    free, d, breaks = [True] * n, [0.0] * n, []
+    f1 = 0.0
+    for i, (xi, gi) in enumerate(zip(x, g)):
+        if xi <= -_LOG_BOUND and gi >= 0 or xi >= _LOG_BOUND and gi <= 0:
+            free[i] = False
+        elif gi != 0:
+            d[i] = -gi
+            f1 -= gi * gi
+            breaks.append(((xi + _LOG_BOUND) / gi if gi > 0 else (xi - _LOG_BOUND) / gi, i))
+    xcp = list(x)
+    if not breaks:
+        return xcp, free
+    breaks.sort()
+    f2 = f2_org = -theta * f1 - _dot(d, [_dot(row, d) for row in R])
+    dtm = -f1 / f2
+    tsum = t_prev = 0.0
+    z = [0.0] * n  # displacement along the path so far
+    for k, (t, i) in enumerate(breaks, 1):
+        dt = t - t_prev
+        if dtm < dt:
+            break
+        tsum += dt
+        di = d[i]
+        xcp[i] = _LOG_BOUND if di > 0 else -_LOG_BOUND
+        free[i] = False
+        if k == n:  # every variable reached the box
+            return xcp, free
+        z = [zj + dt * dj for zj, dj in zip(z, d)]
+        wmp = _dot(R[i], d)
+        d[i] = 0.0
+        f1 = f1 + dt * f2 + di * di - theta * di * (xcp[i] - x[i]) + di * _dot(R[i], z)
+        f2 = f2 - theta * di * di + (2.0 * di * wmp - di * di * R[i][i])
+        f2 = max(_EPS * f2_org, f2)
+        dtm = -f1 / f2 if k < len(breaks) else 0.0
+        t_prev = t
+    tsum += max(dtm, 0.0)
+    return [xi + tsum * di for xi, di in zip(xcp, d)], free
+
+
+def _subspace_point(x: list, g: list, xcp: list, free: list, theta: float, R: list) -> list:
+    """Minimize the model over the free variables from the Cauchy point, kept in the box.
+
+    The Newton step on the free variables is projected onto the box; if the
+    projection clips it and makes the direction from x point uphill, the
+    step is instead shortened to the box edge (L-BFGS-B v3.0).
+    """
+    idx = [i for i, fr in enumerate(free) if fr]
+    step = [a - b for a, b in zip(xcp, x)]
+    A, r = [], []
+    for k, i in enumerate(idx):
+        row = R[i]
+        A.append([-row[j] for j in idx])
+        A[k][k] += theta
+        r.append(-theta * step[i] - g[i] + _dot(row, step))
+    du = _solve_positive(A, r)
+    z = list(xcp)
+    clipped = False
+    for i, u in zip(idx, du):
+        v = xcp[i] + u
+        if v <= -_LOG_BOUND or v >= _LOG_BOUND:
+            v, clipped = min(max(v, -_LOG_BOUND), _LOG_BOUND), True
+        z[i] = v
+    if not clipped or _dot([a - b for a, b in zip(z, x)], g) <= 0:
+        return z
+    alpha, hit = 1.0, None
+    for j, (i, u) in enumerate(zip(idx, du)):
+        if u != 0:
+            room = (_LOG_BOUND if u > 0 else -_LOG_BOUND) - xcp[i]
+            reach = room / u if room * u > 0 else 0.0
+            if reach < alpha:
+                alpha, hit = reach, j
+    z = list(xcp)
+    if hit is not None:
+        z[idx[hit]] = _LOG_BOUND if du[hit] > 0 else -_LOG_BOUND
+        du[hit] = 0.0
+    for i, u in zip(idx, du):
+        z[i] += alpha * u
+    return z
+
+
+def _solve_positive(A: list, b: list) -> list:
+    """Solve A u = b in place for a small positive definite A, by elimination without pivoting."""
+    k = len(b)
+    for j in range(k):
+        pivot, row_j = A[j][j], A[j]
+        if pivot <= 0:
+            raise np.linalg.LinAlgError("subspace matrix is not positive definite")
+        for i in range(j + 1, k):
+            row = A[i]
+            m = row[j] / pivot
+            for c in range(j + 1, k):
+                row[c] -= m * row_j[c]
+            b[i] -= m * b[j]
+    for i in reversed(range(k)):
+        row = A[i]
+        v = b[i]
+        for c in range(i + 1, k):
+            v -= row[c] * b[c]
+        b[i] = v / row[i]
+    return b
+
+
+def _max_step(x: list, d: list) -> float:
+    """Largest step along d that stays in the box (capped at 1e10)."""
+    stpmax = 1e10
+    for xi, di in zip(x, d):
+        if di != 0:
+            room = (_LOG_BOUND if di > 0 else -_LOG_BOUND) - xi
+            stpmax = min(stpmax, room / di) if room * di > 0 else 0.0
+    return stpmax
+
+
+def _line_search(objective, x, f, d, z, gd0, stpmax, budget):
+    """More-Thuente search along d from x, trying the full step to z = x + d first.
+
+    Returns (outcome, evaluations, stp, x, f, g): outcome "ok" with the
+    accepted point, "failed" after ``_LS_STEPS`` trials or "budget" when a
+    trial would exceed ``budget`` evaluations. A trial at the point just
+    evaluated reuses its value.
+    """
+    search = _MoreThuente(f, gd0, stpmax)
+    stp, used, xt = 1.0, 0, None
+    for _ in range(_LS_STEPS):
+        trial = z if stp == 1.0 else [xi + stp * di for xi, di in zip(x, d)]
+        if trial != xt:
+            if used == budget:
+                return "budget", used, stp, None, None, None
+            xt = trial
+            ft, gt = objective(xt)
+            used += 1
+        step = search.next_step(stp, ft, _dot(gt, d))
+        if step is None:
+            return "ok", used, stp, xt, ft, gt
+        stp = step
+    return "failed", used, stp, None, None, None
+
+
+class _MoreThuente:
+    """One More-Thuente line search (MINPACK-2 ``dcsrch``, More & Thuente 1994) from step 1.
+
+    ``next_step`` takes phi(stp) and phi'(stp) for phi(t) = f(x + t d) and
+    returns the next trial step, or None when stp satisfies the strong Wolfe
+    conditions or no better step can be told apart (a warning exit, which
+    also accepts stp).
+    """
+
+    def __init__(self, f0: float, g0: float, stpmax: float):
+        self.finit, self.ginit, self.gtest = f0, g0, _LS_FTOL * g0
+        self.stpmax = stpmax
+        self.brackt, self.stage1 = False, True
+        self.width, self.width1 = stpmax, 2.0 * stpmax
+        self.stx = self.sty = 0.0
+        self.fx = self.fy = f0
+        self.gx = self.gy = g0
+        self.stmin, self.stmax = 0.0, 5.0
+
+    def next_step(self, stp: float, f: float, g: float) -> float | None:
+        ftest = self.finit + stp * self.gtest
+        if self.stage1 and f <= ftest and g >= 0:
+            self.stage1 = False
+        if (
+            self.brackt and (stp <= self.stmin or stp >= self.stmax)
+            or self.brackt and self.stmax - self.stmin <= _LS_XTOL * self.stmax
+            or stp == self.stpmax and f <= ftest and g <= self.gtest
+            or stp == 0.0 and (f > ftest or g >= self.gtest)
+            or f <= ftest and abs(g) <= _LS_GTOL * -self.ginit
+        ):
+            return None
+        if self.stage1 and self.fx >= f > ftest:
+            # the modified function psi(t) = phi(t) - phi(0) - ftol t phi'(0) keeps the search in stage 1
+            gt = self.gtest
+            stx, fx, gx, sty, fy, gy, stp, self.brackt = _dcstep(
+                self.stx, self.fx - self.stx * gt, self.gx - gt, self.sty, self.fy - self.sty * gt,
+                self.gy - gt, stp, f - stp * gt, g - gt, self.brackt, self.stmin, self.stmax,
+            )
+            fx, gx, fy, gy = fx + stx * gt, gx + gt, fy + sty * gt, gy + gt
+        else:
+            stx, fx, gx, sty, fy, gy, stp, self.brackt = _dcstep(
+                self.stx, self.fx, self.gx, self.sty, self.fy, self.gy, stp, f, g,
+                self.brackt, self.stmin, self.stmax,
+            )
+        self.stx, self.fx, self.gx, self.sty, self.fy, self.gy = stx, fx, gx, sty, fy, gy
+        if self.brackt:
+            if abs(sty - stx) >= 0.66 * self.width1:
+                stp = stx + 0.5 * (sty - stx)
+            self.width1, self.width = self.width, abs(sty - stx)
+            self.stmin, self.stmax = min(stx, sty), max(stx, sty)
+        else:
+            self.stmin, self.stmax = stp + 1.1 * (stp - stx), stp + 4.0 * (stp - stx)
+        stp = min(max(stp, 0.0), self.stpmax)
+        if self.brackt and (stp <= self.stmin or stp >= self.stmax or self.stmax - self.stmin <= _LS_XTOL * self.stmax):
+            stp = stx
+        return stp
+
+
+def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
+    """Safeguarded cubic/quadratic step of MINPACK-2 ``dcstep``; updates the bracket [stx, sty].
+
+    Computed in IEEE arithmetic, as MINPACK is: a zero division gives inf or
+    nan rather than raising.
+    """
+    stx, fx, dx, sty, fy, dy, stp, fp, dp = map(np.float64, (stx, fx, dx, sty, fy, dy, stp, fp, dp))
+    with np.errstate(all="ignore"):
+        opposite = dx != 0 and dp * (dx / abs(dx)) < 0
+        if fp > fx:
+            theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+            s = max(abs(theta), abs(dx), abs(dp))
+            gamma = s * np.sqrt((theta / s) ** 2 - (dx / s) * (dp / s))
+            if stp < stx:
+                gamma = -gamma
+            r = ((gamma - dx) + theta) / (((gamma - dx) + gamma) + dp)
+            stpc = stx + r * (stp - stx)
+            stpq = stx + ((dx / ((fx - fp) / (stp - stx) + dx)) / 2.0) * (stp - stx)
+            stpf = stpc if abs(stpc - stx) <= abs(stpq - stx) else stpc + (stpq - stpc) / 2.0
+            brackt = True
+        elif opposite:
+            theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+            s = max(abs(theta), abs(dx), abs(dp))
+            gamma = s * np.sqrt((theta / s) ** 2 - (dx / s) * (dp / s))
+            if stp > stx:
+                gamma = -gamma
+            r = ((gamma - dp) + theta) / (((gamma - dp) + gamma) + dx)
+            stpc = stp + r * (stx - stp)
+            stpq = stp + (dp / (dp - dx)) * (stx - stp)
+            stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
+            brackt = True
+        elif abs(dp) < abs(dx):
+            theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+            s = max(abs(theta), abs(dx), abs(dp))
+            gamma = s * np.sqrt(max(0.0, (theta / s) ** 2 - (dx / s) * (dp / s)))
+            if stp > stx:
+                gamma = -gamma
+            r = ((gamma - dp) + theta) / ((gamma + (dx - dp)) + gamma)
+            if r < 0 and gamma != 0:
+                stpc = stp + r * (stx - stp)
+            else:
+                stpc = stpmax if stp > stx else stpmin
+            stpq = stp + (dp / (dp - dx)) * (stx - stp)
+            if brackt:
+                stpf = stpc if abs(stpc - stp) < abs(stpq - stp) else stpq
+                bound = stp + 0.66 * (sty - stp)
+                stpf = min(bound, stpf) if stp > stx else max(bound, stpf)
+            else:
+                stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
+                stpf = min(max(stpf, stpmin), stpmax)
+        elif brackt:
+            theta = 3.0 * (fp - fy) / (sty - stp) + dy + dp
+            s = max(abs(theta), abs(dy), abs(dp))
+            gamma = s * np.sqrt((theta / s) ** 2 - (dy / s) * (dp / s))
+            if stp > sty:
+                gamma = -gamma
+            r = ((gamma - dp) + theta) / (((gamma - dp) + gamma) + dy)
+            stpf = stp + r * (sty - stp)
+        else:
+            stpf = stpmax if stp > stx else stpmin
+        if fp > fx:
+            sty, fy, dy = stp, fp, dp
+        else:
+            if opposite:
+                sty, fy, dy = stx, fx, dx
+            stx, fx, dx = stp, fp, dp
+    return float(stx), float(fx), float(dx), float(sty), float(fy), float(dy), float(stpf), brackt
 
 
 # -- sampling ----------------------------------------------------------------

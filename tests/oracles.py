@@ -132,6 +132,73 @@ def lml_gradient(
     return names, grad
 
 
+class _BudgetSpent(Exception):
+    pass
+
+
+def scipy_box_minimize(objective, x0, budget=200):
+    """scipy's L-BFGS-B on ``objective`` (value, gradient) in the box +-10, as the tuner runs its search.
+
+    A hard cap of ``budget`` evaluations (at least one), the evaluation at x0
+    included, and the best point seen is kept. scipy is imported here, so
+    only the tests that compare with it load it. Returns
+    ``(x, value, evaluations)`` for the best point seen.
+    """
+    from scipy.optimize import minimize
+
+    x0 = np.array(x0, dtype=float)
+    cap = max(budget, 1)
+    state = {"x": x0, "f": np.inf, "evals": 0, "last": None}
+
+    def counted(x):
+        last = state["last"]
+        if last is not None and np.array_equal(x, last[0]):
+            return last[1], last[2].copy()  # L-BFGS-B starts by evaluating x0 again
+        if state["evals"] >= cap:
+            raise _BudgetSpent
+        state["evals"] += 1
+        x = np.array(x, dtype=float)
+        f, g = objective(x)
+        if f < state["f"]:
+            state["f"], state["x"] = f, x
+        state["last"] = (x, f, g)
+        return f, g
+
+    counted(x0)
+    try:
+        minimize(counted, x0, method="L-BFGS-B", jac=True, bounds=[(-10.0, 10.0)] * len(x0))
+    except _BudgetSpent:
+        pass
+    return state["x"], state["f"], state["evals"]
+
+
+def scipy_lbfgsb(kernel, xs, ys, noise=0.1, budget=200, normalize_y=False):
+    """``gp.optimize_hyperparameters``' search run by scipy's L-BFGS-B instead.
+
+    The same objective (minus the tuner's ``_lml_and_gradient`` in its log
+    parameters, a failed evaluation scoring 1e12 with a zero gradient), box
+    and evaluation cap, through :func:`scipy_box_minimize`. Returns
+    ``(theta, lml, evaluations)``: the best log parameters seen, their log
+    marginal likelihood and the evaluation count.
+    """
+    xs = tuple(xs)
+    ys = np.array(ys, dtype=float)
+    _, theta0, rebuild = gp._theta_layout(kernel, noise, xs[0].space.d)
+
+    def objective(theta):
+        k2, n2 = rebuild(theta)
+        try:
+            lml, grad = gp._lml_and_gradient(k2, xs, ys, n2, normalize_y)
+        except np.linalg.LinAlgError:
+            return 1e12, np.zeros_like(theta)
+        if np.isfinite(lml) and np.isfinite(grad).all():
+            return -lml, -grad
+        return 1e12, np.zeros_like(theta)
+
+    theta, f, evaluations = scipy_box_minimize(objective, theta0, budget)
+    return theta, -f, evaluations
+
+
 def log_sign_evaluate(spec: KernelSpec, table: KravchukTable, m: int) -> float:
     """Kernel value at distance m, summing c_j * G'(d, j, m) in sign + log form.
 

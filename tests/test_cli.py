@@ -224,6 +224,19 @@ class TestFitPredict:
         lml_tuned = json.loads(tuned.read_text())["log_marginal_likelihood"]
         assert lml_tuned >= lml_plain - 1e-9
 
+    def test_tuning_writes_no_optimizer_diagnostics(self, tmp_path):
+        # how the optimizer stopped is for traces only: the model file and its
+        # manifest keep the keys of an untuned fit
+        data_path, _codes, _targets = self._write_dataset(tmp_path)
+        base = ["fit", "--dataset", str(data_path), "--kernel", HEAT_PLAIN, "--noise", "0.5"]
+        assert main(base + ["--out", str(tmp_path / "plain.json")]) == 0
+        assert main(base + ["--optimize", "--budget", "40", "--out", str(tmp_path / "tuned.json")]) == 0
+        for suffix in (".json", ".json.manifest.json"):
+            plain = json.loads((tmp_path / f"plain{suffix}").read_text())
+            tuned_text = (tmp_path / f"tuned{suffix}").read_text()
+            assert json.loads(tuned_text).keys() == plain.keys()
+            assert "stopped" not in tuned_text
+
     def test_fit_projected_model(self, tmp_path):
         data_path, codes, targets = self._write_dataset(tmp_path, n=10)
         model_path = tmp_path / "proj.json"
@@ -422,8 +435,8 @@ class TestNamedSeed:
 
 #: Run in a fresh interpreter with a scratch directory as its argument:
 #: importing the CLI, fitting, predicting, posterior sampling and the
-#: ``fit`` and ``predict`` commands must not load any scipy module, which
-#: only tuning needs; tuning must still load scipy.optimize and work.
+#: ``fit`` and ``predict`` commands, tuning and ``fit --optimize`` must not
+#: load any scipy module.
 IMPORT_GUARD = """
 import json, sys
 from pathlib import Path
@@ -452,11 +465,15 @@ assert graphgp.cli.main(args) == 0
 assert not scipy_modules(), f"graphgp loaded {scipy_modules()} without tuning"
 result = gp.optimize_hyperparameters(kernel, xs, ys, budget=10)
 assert result.evaluations > 1
-assert "scipy.optimize" in sys.modules
+assert not scipy_modules(), f"tuning loaded {scipy_modules()}"
+args = ["fit", "--dataset", str(tmp / "codes.jsonl"), "--kernel", '{"family": "heat"}', "--optimize",
+        "--budget", "10", "--out", str(tmp / "tuned.json")]
+assert graphgp.cli.main(args) == 0
+assert not scipy_modules(), f"fit --optimize loaded {scipy_modules()}"
 """
 
 
-def test_cli_import_leaves_out_scipy_optimize(tmp_path):
+def test_graphgp_loads_no_scipy(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c", IMPORT_GUARD, str(tmp_path)], env=env, capture_output=True, text=True, timeout=120

@@ -97,6 +97,14 @@ class TestEncode:
         assert code.space == GraphSpace(GraphSpaceKind.UNDIRECTED, 12)
         assert code.edges() == ((0, 6),)  # first carbon slot, first oxygen slot
 
+    def test_codes_of_one_layout_share_their_space(self):
+        mols = [Molecule(("C", "O"), ((0, 1),), 0.0), Molecule(("N", "C"), (), 1.0), ETHANOL]
+        for layout in (CNOCL_LAYOUT, SequentialLayout(3)):
+            first, *rest = (encode(mol, layout) for mol in mols)
+            assert all(code.space is first.space for code in rest)
+        directed = encode(ETHANOL, SequentialLayout(3), GraphSpaceKind.DIRECTED)
+        assert directed.space is not encode(ETHANOL, SequentialLayout(3)).space
+
     def test_no_bonds_gives_empty_code(self):
         mol = Molecule(("C", "N"), (), 0.0)
         assert encode(mol, CNOCL_LAYOUT).bits == 0

@@ -9,6 +9,8 @@ from oracles import (
     dense_log_marginal_likelihood,
     dense_posterior_sample,
     lml_gradient,
+    scipy_box_minimize,
+    scipy_lbfgsb,
 )
 
 from graphgp import gp
@@ -271,6 +273,71 @@ class TestLogMarginalLikelihood:
             assert gp.log_marginal_likelihood(model) == pytest.approx(expect, abs=1e-8)
 
 
+#: Tuning problems on the recovery data for the comparison with scipy's
+#: L-BFGS-B: (kernel, initial noise). The heat start's first step reaches the
+#: box in two parameters, ``first_step_hits_the_box`` in all three.
+SCIPY_PROBLEMS = {
+    "heat": lambda: (heat_kernel(U4, kappa=2.0, variance=0.5), 0.1),
+    "matern_to_the_nu_base_bound": lambda: (IsotropicKernel(matern_spec(U4.d, nu_base=1.5), U4), 0.1),
+    "linear": lambda: (LinearKernel(), 0.5),
+    "projected_exact": lambda: (ProjectedKernel(KernelSpec(Heat(1.0)), PermSubgroup.full(4), U4), 0.2),
+    "projected_monte_carlo": lambda: (
+        ProjectedKernel.monte_carlo(KernelSpec(Heat(2.0)), PermSubgroup.full(4), U4, 5, seed=4),
+        0.2,
+    ),
+    "first_step_hits_the_box": lambda: (heat_kernel(U4, kappa=8.0, variance=3.0), 0.01),
+    "start_outside_the_box": lambda: (heat_kernel(U4, kappa=2.0, variance=0.5), 1e-6),
+}
+
+#: Agreement of the tuner with scipy's L-BFGS-B on SCIPY_PROBLEMS, with the
+#: largest gap measured over all of them in brackets: equal evaluation counts
+#: [equal]; final log marginal likelihood within LBFGSB_LML_RTOL [1.2e-11
+#: relative]; final log parameters within LBFGSB_THETA_ATOL [7.2e-12], or
+#: within LBFGSB_FLAT_THETA_ATOL for the Matern problem, whose likelihood is
+#: nearly flat near the nu_base bound [2.3e-5].
+LBFGSB_LML_RTOL = 1e-9
+LBFGSB_THETA_ATOL = 1e-8
+LBFGSB_FLAT_THETA_ATOL = 1e-3
+
+
+def box_quadratic(A, c):
+    """0.5 (x - c)^T A (x - c) and its gradient."""
+    A, c = np.array(A), np.array(c)
+
+    def quadratic(x):
+        r = np.asarray(x) - c
+        return 0.5 * r @ A @ r, A @ r
+
+    return quadratic
+
+
+def scaled_rosenbrock(x, scale=3.75):
+    """The Rosenbrock function of x / scale and its gradient."""
+    z = np.asarray(x) / scale
+    value = float(np.sum(100.0 * (z[1:] - z[:-1] ** 2) ** 2 + (1.0 - z[:-1]) ** 2))
+    grad = np.zeros_like(z)
+    grad[:-1] = -400.0 * z[:-1] * (z[1:] - z[:-1] ** 2) - 2.0 * (1.0 - z[:-1])
+    grad[1:] += 200.0 * (z[1:] - z[:-1] ** 2)
+    return value, grad / scale
+
+
+#: Objectives in the box, with starts, whose searches take branches of
+#: L-BFGS-B that the likelihood problems above do not, or on which a change
+#: of those branches shows: a subspace step that the box clips into an uphill
+#: direction and that is cut back to the box edge, a line search in the stage
+#: of the modified function, a breakpoint passed with curvature memory, a
+#: line search extrapolating up to the box, and a long curved valley. Scipy
+#: reaches the same minimum with as many evaluations (measured: equal counts,
+#: values within 6.1e-18).
+BRANCH_PROBLEMS = {
+    "clipped_uphill_subspace_step": (box_quadratic([[9.26, -4.475], [-4.475, 2.234]], [-10.98, -14.23]), [2.49, -8.99]),
+    "clipped_subspace_step": (box_quadratic([[0.2254, 0.3673], [0.3673, 0.6409]], [-9.52, 14.15]), [7.16, 8.29]),
+    "breakpoint_with_memory": (box_quadratic([[0.265, -0.195], [-0.195, 0.595]], [14.82, 13.62]), [8.7, -4.74]),
+    "extrapolation_to_the_box": (box_quadratic([[0.255, 0.369], [0.369, 0.767]], [13.11, 9.65]), [4.52, 7.96]),
+    "rosenbrock": (scaled_rosenbrock, [3.83, 0.23, -6.44]),
+}
+
+
 class TestOptimize:
     def _recovery_problem(self, seed=5):
         rng = np.random.default_rng(seed)
@@ -324,6 +391,79 @@ class TestOptimize:
         assert "kappa" not in result.at_bound
         assert math.log(result.kernel.spec.family.nu - U4.d / 2) == pytest.approx(gp._LOG_BOUND, abs=1e-6)
         assert gp.optimize_hyperparameters(kernel0, xs, ys, noise=0.1, budget=0).at_bound == ()
+
+    @pytest.mark.parametrize("budget", [1, 3, 20, 10_000])
+    @pytest.mark.parametrize("normalize_y", [False, True])
+    @pytest.mark.parametrize("problem", sorted(SCIPY_PROBLEMS))
+    def test_matches_scipy_lbfgsb(self, problem, normalize_y, budget):
+        xs, ys = self._recovery_problem()
+        kernel, noise = SCIPY_PROBLEMS[problem]()
+        result = gp.optimize_hyperparameters(kernel, xs, ys, noise=noise, budget=budget, normalize_y=normalize_y)
+        theta, lml, evaluations = scipy_lbfgsb(kernel, xs, ys, noise=noise, budget=budget, normalize_y=normalize_y)
+        assert result.evaluations == evaluations
+        assert result.objective == pytest.approx(lml, rel=LBFGSB_LML_RTOL)
+        _, result_theta, _ = gp._theta_layout(result.kernel, result.noise, U4.d)
+        atol = LBFGSB_FLAT_THETA_ATOL if problem.startswith("matern") else LBFGSB_THETA_ATOL
+        np.testing.assert_allclose(result_theta, theta, rtol=0, atol=atol)
+
+    def test_each_stop_reason_is_reported(self, monkeypatch):
+        xs, ys = self._recovery_problem()
+        heat = heat_kernel(U4, kappa=2.0, variance=0.5)
+        assert gp.optimize_hyperparameters(LinearKernel(), xs, ys, noise=0.5, budget=200).stopped == "gradient"
+        assert gp.optimize_hyperparameters(heat, xs, ys, noise=0.1, budget=200).stopped == "reduction"
+        assert gp.optimize_hyperparameters(heat, xs, ys, noise=0.1, budget=3).stopped == "budget"
+        assert gp.optimize_hyperparameters(heat, xs, ys, noise=0.1, budget=0).stopped == "budget"
+
+        # a gradient that promises descent along every search direction while the
+        # likelihood only falls: each line search runs out of trials, and the
+        # first one has no curvature memory to drop
+        _, theta0, _ = gp._theta_layout(heat, 0.1, U4.d)
+
+        def misleading(kernel, xs_, ys_, noise, normalize_y):
+            _, theta, _ = gp._theta_layout(kernel, noise, U4.d)
+            return -1.0 - float(np.abs(theta - theta0).sum()), np.full(len(theta), -1.0)
+
+        monkeypatch.setattr(gp, "_lml_and_gradient", misleading)
+        result = gp.optimize_hyperparameters(heat, xs, ys, noise=0.1, budget=200)
+        assert result.stopped == "line_search"
+        assert result.evaluations == scipy_lbfgsb(heat, xs, ys, noise=0.1, budget=200)[2] > 1
+        assert result.kernel.spec == heat.spec
+
+    @pytest.mark.parametrize("problem", sorted(BRANCH_PROBLEMS))
+    def test_box_searches_match_scipy_lbfgsb(self, problem):
+        objective, x0 = BRANCH_PROBLEMS[problem]
+        values = []
+
+        def listed(x):
+            f, g = objective(x)
+            values.append(f)
+            return f, g.tolist()
+
+        f0, g0 = listed(x0)
+        gp._lbfgsb(listed, list(x0), f0, g0, 199)
+        _, f, evaluations = scipy_box_minimize(objective, x0, 200)
+        assert len(values) == evaluations
+        assert abs(min(values) - f) <= LBFGSB_LML_RTOL * max(1.0, abs(f))
+
+    def test_a_failed_line_search_drops_the_memory_once(self, monkeypatch):
+        xs, ys = self._recovery_problem()
+        searches = []
+        real = gp._line_search
+
+        def failing_from_the_fourth(objective, x, f, d, z, gd0, stpmax, budget):
+            searches.append(d)
+            if len(searches) < 4:
+                return real(objective, x, f, d, z, gd0, stpmax, budget)
+            return "failed", 0, 1.0, None, None, None
+
+        monkeypatch.setattr(gp, "_line_search", failing_from_the_fourth)
+        heat = heat_kernel(U4, kappa=2.0, variance=0.5)
+        result = gp.optimize_hyperparameters(heat, xs, ys, noise=0.1, budget=200)
+        # three searches, a failed one with the curvature memory, then one more
+        # from the same point along the steepest-descent path, and no third
+        assert result.stopped == "line_search"
+        assert len(searches) == 5
+        assert searches[4] != searches[3]
 
     def test_matern_below_half_dimension_rejected(self):
         xs, ys = self._recovery_problem()

@@ -34,7 +34,7 @@ def test_gram_classes_resolve(tracing):
 
 
 def test_no_scipy_binding_is_wrapped(tracing):
-    # graphgp imports scipy.optimize inside the tuner only, so it has no module-level binding to wrap
+    # graphgp tunes with its own L-BFGS-B and imports no scipy, so it has no such binding to wrap
     for mod, attr in [*tracing.FUNCTIONS.values(), *tracing.CACHES.values()]:
         assert attr != "minimize" and not mod.startswith("scipy"), (mod, attr)
     assert not hasattr(importlib.import_module("graphgp.gp"), "minimize")
