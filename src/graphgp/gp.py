@@ -282,15 +282,14 @@ def _gram_derivatives(kernel, xs: tuple[GraphCode, ...], names: tuple[str, ...])
 
 
 def _lml_and_gradient(
-    kernel, xs: tuple[GraphCode, ...], ys: np.ndarray, noise: float, normalize_y: bool
+    kernel, names: tuple[str, ...], xs: tuple[GraphCode, ...], ys: np.ndarray, noise: float, normalize_y: bool
 ) -> tuple[float, np.ndarray]:
     """Log marginal likelihood and its analytic gradient in the tuner's log parameters.
 
     The gradient is 0.5 tr(W dK/dtheta) with W = alpha alpha^T - (K + noise I)^-1
-    (Rasmussen & Williams 2006, eq. 5.9), in the order of
-    :class:`OptimizationResult` ``names``; for log noise dK/dtheta = noise I.
+    (Rasmussen & Williams 2006, eq. 5.9), in the order of ``names``, as
+    :func:`_theta_layout` gives them; for log noise dK/dtheta = noise I.
     """
-    names, _, _ = _theta_layout(kernel, noise, xs[0].space.d)
     K, dKs = _gram_derivatives(kernel, xs, names)
     model = _condition(kernel, xs, ys, K, noise, normalize_y)
     W = np.outer(model.alpha, model.alpha) - model.chol_inv.T @ model.chol_inv
@@ -332,7 +331,7 @@ def optimize_hyperparameters(
         state["evals"] += 1
         k2, n2 = rebuild(theta)
         try:
-            lml, grad = _lml_and_gradient(k2, xs, ys, n2, normalize_y)
+            lml, grad = _lml_and_gradient(k2, names, xs, ys, n2, normalize_y)
         except np.linalg.LinAlgError:
             lml, grad = math.nan, np.zeros(0)
         grad = grad.tolist()

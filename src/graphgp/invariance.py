@@ -11,16 +11,16 @@ which, because k is isotropic, collapses to a single average over H. A Monte
 Carlo estimator keeps the double average over one shared sample S of H
 instead; it handles larger groups and is positive semidefinite by
 construction; ``ProjectedKernel`` evaluates it at one representative code
-per orbit, so it is constant on orbits too, whatever the sample. Both are
-the kernel profile k(0..d) contracted with distance counts C[i, j, m]: the
-share of image pairs (a, b) with |a XOR b| = m, a running over the distinct
-orbit images of x_i and b = y_j (exact), or a and b over the |S| sample
-images of x_i and y_j (Monte Carlo). Every distinct image of x appears
-|Stab(x)| times among its |H| images (orbit-stabilizer), so shares over the
-distinct images equal those over H, bit for bit. One builder makes them
-all, by one vectorized XOR/popcount of each x's images against all the ys;
-a code's images come from one gather of its bits through the (|H|, d) or
-(|S|, d) slot-permutation array, one code at a time.
+per orbit, so it is constant on orbits too, whatever the sample. As
+|s_a(x) XOR s_b(y)| = |s_b^-1 s_a(x) XOR y|, it is a single average too, over
+the multiset S^-1 S of the |S|^2 node maps s_b^-1 s_a. Both are the kernel
+profile k(0..d) contracted with distance counts C[i, j, m]: the share of the
+node maps t, of H or of S^-1 S, with |t(x_i) XOR y_j| = m. Each x keeps its
+distinct images with integer multiplicities (|Stab(x)| each over H), so the
+shares, integer sums over an integer total, equal those over all node maps
+bit for bit. One builder makes them all, by one vectorized XOR/popcount of
+each x's images against all the ys; a code's images come from one gather of
+its bits through the (k, d) slot-permutation array, one code at a time.
 The counts do not depend on the kernel; the exact ones are cached per
 (H, xs, ys), so every objective evaluation of a tuning run costs one
 product of the tensor with the profile and its derivatives. Exact
@@ -75,15 +75,18 @@ QUOTIENT_MAX_DIM = 16
 #: kernel on the same split.
 COUNT_CACHE_SIZE = 8
 
-#: Slot-permutation arrays of enumerated groups kept for reuse, one per
-#: (group, space); the benchmark's (|H|, d) = (1296, 66) array holds 0.7 MB.
+#: Slot-permutation arrays kept for reuse, one per (source, space): the
+#: benchmark's (|H|, d) = (1296, 66) array holds 0.7 MB, a sample's
+#: (|S|^2, d) array 135 KB at |S| = 16 and 0.5 MB at |S| = 32.
 SLOT_PERMS_CACHE_SIZE = 4
 
-#: Orbit-image matrices kept for reuse, one per (group, code), of one
-#: ceil(d/64) * 8-byte row per distinct image: at most |H| rows (10.6 MB for
-#: 512 codes at |H| = 1296, d = 66), 241 on average over the benchmark
-#: molecules (about 2 MB for 512 codes). 512 covers the 256 codes a
-#: 64-train, 192-point prediction touches.
+#: Distinct-image matrices kept for reuse, one per (source, code), of one
+#: ceil(d/64) * 8-byte row plus an 8-byte multiplicity per distinct image.
+#: Over H: at most |H| rows (16 MB for 512 codes at |H| = 1296, d = 66), 241
+#: on average over the benchmark molecules (about 3 MB for 512 codes). Over a
+#: sample's S^-1 S: at most min(|S|^2, |orbit|) rows, about 100 on average
+#: at |S| = 16 and 195 at |S| = 32 on the benchmark molecules. 512 covers the
+#: 256 codes a 64-train, 192-point prediction touches.
 ORBIT_IMAGE_CACHE_SIZE = 512
 
 #: Largest residual group :func:`orbit_representative` enumerates; its
@@ -106,6 +109,18 @@ def _require_enumerable(H: PermSubgroup, cap: int = ENUMERATION_CAP) -> None:
             f"equivalence this way is as hard as the underlying matching problem) - "
             f"use the Monte Carlo estimator instead"
         )
+
+
+def _checked_sample(sample: Sequence[NodePermutation]) -> tuple[NodePermutation, ...]:
+    """The sample as a tuple; refused if empty, or if its |S|^2 node maps s_b^-1 s_a exceed the cap."""
+    if len(sample) == 0:
+        raise ValueError("sample must contain at least one permutation")
+    if len(sample) ** 2 > ENUMERATION_CAP:
+        raise GroupTooLargeError(
+            f"a sample of {len(sample)} gives {len(sample) ** 2} node maps s_b^-1 s_a, above the "
+            f"enumeration cap {ENUMERATION_CAP}; draw at most {math.isqrt(ENUMERATION_CAP)} elements"
+        )
+    return tuple(sample)
 
 
 @dataclass(frozen=True)
@@ -193,6 +208,9 @@ def draw_sample(
 
 # -- permuted-code machinery ------------------------------------------------
 
+#: Where a kernel's node maps come from: a group's elements, or a sample S's pairs S^-1 S.
+Source = PermSubgroup | tuple[NodePermutation, ...]
+
 
 def _image_sources(perms: Iterable[NodePermutation], space: GraphSpace) -> np.ndarray:
     """(k, d) gather index of the images sigma(x), one row per sigma: the slot
@@ -201,30 +219,30 @@ def _image_sources(perms: Iterable[NodePermutation], space: GraphSpace) -> np.nd
 
 
 @lru_cache(maxsize=SLOT_PERMS_CACHE_SIZE)
-def _slot_perms(H: PermSubgroup, space: GraphSpace) -> np.ndarray:
-    """(|H|, d) gather index of the orbit images, built from H's node maps."""
-    _require_enumerable(H)
-    perms = _image_sources(H.elements(), space)
+def _slot_perms(source: Source, space: GraphSpace) -> np.ndarray:
+    """(k, d) gather index of a source's images: H's elements, or the |S|^2 node
+    maps s_b^-1 s_a over the ordered pairs (a, b) of a sample S."""
+    if isinstance(source, PermSubgroup):
+        _require_enumerable(source)
+        perms = _image_sources(source.elements(), space)
+    else:  # row (a, b) is the inverse node map of s_b^-1 s_a: s_a^-1 s_b
+        maps = np.array([s.mapping for s in source], dtype=np.intp)
+        perms = slot_permutations(np.argsort(maps, axis=1)[:, maps].reshape(-1, maps.shape[1]), space)
     perms.setflags(write=False)
     return perms
 
 
 @lru_cache(maxsize=ORBIT_IMAGE_CACHE_SIZE)
-def _orbit_image_words(H: PermSubgroup, x: GraphCode) -> np.ndarray:
-    """(|orbit|, ceil(d/64)) uint64 matrix of the distinct sigma(x) over sigma in H, sorted."""
-    words = permuted_words(x, _slot_perms(H, x.space))
+def _distinct_images(source: Source, x: GraphCode) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct images t(x) over a source's node maps t, sorted, as a (k, ceil(d/64))
+    uint64 word matrix, and how many node maps give each: (words, multiplicities)."""
+    words = permuted_words(x, _slot_perms(source, x.space))
     words = words[np.lexsort(words.T)]
-    words = words[np.r_[True, (words[1:] != words[:-1]).any(axis=1)]]
+    first = np.flatnonzero(np.r_[True, (words[1:] != words[:-1]).any(axis=1)])
+    words, mult = words[first], np.diff(np.r_[first, len(words)])
     words.setflags(write=False)
-    return words
-
-
-def _sample_image_words(sample: Sequence[NodePermutation], xs: Sequence[GraphCode]) -> np.ndarray:
-    """(len(xs), |S|, ceil(d/64)) uint64 array of s(x) over the sample S, one code at a time."""
-    if len(sample) == 0:
-        raise ValueError("sample must contain at least one permutation")
-    sources = _image_sources(sample, xs[0].space)
-    return np.stack([permuted_words(x, sources) for x in xs])
+    mult.setflags(write=False)
+    return words, mult
 
 
 @lru_cache(maxsize=200_000)
@@ -239,9 +257,8 @@ def pair_histogram(H: PermSubgroup, x: GraphCode, y: GraphCode) -> np.ndarray:
         raise ValueError("codes live in different spaces")
     if y.bits < x.bits:
         x, y = y, x
-    images = _orbit_image_words(H, x)
-    dists = word_distances(images, code_words([y]))[:, 0]
-    hist = (np.bincount(dists, minlength=x.space.d + 1) * (H.order() // len(images))).astype(float)
+    words, mult = _distinct_images(H, x)
+    hist = np.bincount(word_distances(words, code_words([y]))[:, 0], weights=mult, minlength=x.space.d + 1)
     hist.setflags(write=False)
     return hist
 
@@ -383,52 +400,36 @@ def _distance_top(xs: Sequence[GraphCode], ys: Sequence[GraphCode]) -> int:
 
 
 def _distance_counts(
-    images_x: Sequence[np.ndarray], images_y: np.ndarray, top: int, upper: bool = False
+    images: Sequence[tuple[np.ndarray, np.ndarray]], targets: np.ndarray, top: int, upper: bool = False
 ) -> np.ndarray:
-    """C[i, j, m]: the share of image pairs (a, b) in images_x[i] x images_y[j] with |a XOR b| = m.
+    """C[i, j, m]: the share of x_i's images, by multiplicity, at distance m from target j.
 
-    Each entry is a word matrix with one row per image; codes on the x side
-    may have different numbers of images, those on the y side have the same
-    number, so ``images_y`` is one (len, images, words) array. ``upper``
-    (square builds) fills j >= i only.
+    ``images`` holds one :func:`_distinct_images` pair per x and ``targets``
+    one word row per y; each share is an integer sum over an integer total,
+    rounded once. ``upper`` (square builds) fills j >= i only.
     """
-    rows = images_y.shape[1]
-    targets = images_y.reshape(-1, images_y.shape[2])
-    out = np.zeros((len(images_x), len(images_y), top))
-    for i, a in enumerate(images_x):
+    out = np.zeros((len(images), len(targets), top))
+    for i, (words, mult) in enumerate(images):
         first = i if upper else 0
-        n = len(images_y) - first
-        dist = word_distances(a, targets[first * rows :]) + np.repeat(top * np.arange(n), rows)
-        out[i, first:] = np.bincount(dist.ravel(), minlength=n * top).reshape(n, top) / (len(a) * rows)
+        n = len(targets) - first
+        dist = word_distances(words, targets[first:]) + top * np.arange(n)
+        hist = np.bincount(dist.ravel(), weights=np.repeat(mult, n), minlength=n * top)
+        out[i, first:] = hist.reshape(n, top) / mult.sum()
     return out
 
 
-@lru_cache(maxsize=COUNT_CACHE_SIZE)
-def _group_counts(
-    H: PermSubgroup, xs: tuple[GraphCode, ...], ys: tuple[GraphCode, ...] | None
-) -> np.ndarray:
-    """Counts over H: the distinct orbit images of each x against y itself; ys=None means xs.
-
-    Keyed by the codes themselves, so a hit returns counts built from the
-    same codes (and spaces) as a call that passed the space check.
-    """
+def _counts(source: Source, xs: tuple[GraphCode, ...], ys: tuple[GraphCode, ...] | None) -> np.ndarray:
+    """Counts over a source's node maps: the images of each x against y itself; ys=None means xs."""
     targets = xs if ys is None else ys
     top = _distance_top(xs, targets)
-    out = _distance_counts(
-        [_orbit_image_words(H, x) for x in xs], code_words(targets)[:, None], top, upper=ys is None
-    )
+    out = _distance_counts([_distinct_images(source, x) for x in xs], code_words(targets), top, upper=ys is None)
     out.setflags(write=False)
     return out
 
 
-def _sample_counts(
-    sample: Sequence[NodePermutation], xs: tuple[GraphCode, ...], ys: tuple[GraphCode, ...] | None
-) -> np.ndarray:
-    """Counts over S x S: the |S| sample images of each x against those of each y; ys=None means xs."""
-    top = _distance_top(xs, xs if ys is None else ys)
-    images_x = _sample_image_words(sample, xs)
-    images_y = images_x if ys is None else _sample_image_words(sample, ys)
-    return _distance_counts(images_x, images_y, top, upper=ys is None)
+#: The exact kernel's counts, cached per (H, xs, ys): keyed by the codes themselves, so a hit
+#: returns counts built from the same codes (and spaces) as a call that passed the space check.
+_group_counts = lru_cache(maxsize=COUNT_CACHE_SIZE)(_counts)
 
 
 def _contract(
@@ -468,11 +469,11 @@ def invariant_gram_sampled(
     xs: Sequence[GraphCode],
     ys: Sequence[GraphCode] | None = None,
 ) -> np.ndarray:
-    """Gram matrix of the sampled estimator: distance counts over S x S times the kernel profile.
+    """Gram matrix of the sampled estimator: distance counts over S^-1 S times the kernel profile.
 
-    One shared S keeps it positive semidefinite.
+    One shared S keeps it positive semidefinite. The counts are not cached.
     """
-    return _gram(spec, partial(_sample_counts, sample), xs, ys)
+    return _gram(spec, partial(_counts, _checked_sample(sample)), xs, ys)
 
 
 def invariant_kernel_sampled(
@@ -701,14 +702,14 @@ def project_function(
 class ProjectedKernel:
     """Group-averaged kernel bound to a space: exact, or Monte Carlo with a fixed sample.
 
-    Grams and diagonals of both flavours come from the shared distance-count
-    builder: over the whole group when ``sample`` is None, else over
-    ``sample`` x ``sample``. The Monte Carlo flavour evaluates the sampled
-    estimator at :func:`orbit_representative` of each code, so its values,
-    like the exact ones, do not change when a graph is relabelled by H; it
-    is biased toward the unprojected kernel with weight 1/|S| (see
-    :func:`invariant_kernel_sampled`). An exact kernel over a group larger
-    than ``ENUMERATION_CAP`` is refused at construction (``GroupTooLargeError``).
+    Grams and diagonals of both flavours come from one distance-count
+    builder, over the whole group when ``sample`` is None, else over the
+    multiset S^-1 S; only the exact counts are cached. The Monte Carlo flavour
+    evaluates the sampled estimator at :func:`orbit_representative` of each
+    code, so its values, like the exact ones, do not change when a graph is
+    relabelled by H; it is biased toward the unprojected kernel with weight
+    1/|S| (see :func:`invariant_kernel_sampled`). A group, or |S|^2, above
+    ``ENUMERATION_CAP`` is refused at construction (``GroupTooLargeError``).
     """
 
     def __init__(
@@ -722,6 +723,10 @@ class ProjectedKernel:
             raise ValueError(f"subgroup on {subgroup.n} nodes does not act on n={space.n}")
         if sample is None:
             _require_enumerable(subgroup)
+            self._source, self._counts = subgroup, partial(_group_counts, subgroup)
+        else:
+            sample = _checked_sample(sample)
+            self._source, self._counts = sample, partial(_counts, sample)
         self.spec = spec
         self.subgroup = subgroup
         self.space = space
@@ -741,9 +746,8 @@ class ProjectedKernel:
     def gram(self, xs: Sequence[GraphCode], ys: Sequence[GraphCode] | None = None) -> np.ndarray:
         if self.sample is None:
             return invariant_gram_exact(self.spec, self.subgroup, xs, ys)
-        return invariant_gram_sampled(
-            self.spec, self.sample, self._representatives(xs), None if ys is None else self._representatives(ys)
-        )
+        ys = None if ys is None else self._points(ys)
+        return invariant_gram_sampled(self.spec, self.sample, self._points(xs), ys)
 
     def square_grams(self, xs: Sequence[GraphCode], profiles: np.ndarray) -> np.ndarray:
         """(k, n, n) square Grams of nonempty xs, one per row of a (k, d + 1) profile stack.
@@ -751,26 +755,21 @@ class ProjectedKernel:
         All k come from one count build, so a Monte Carlo kernel builds its
         uncached counts once for a Gram and its derivatives.
         """
-        if self.sample is None:
-            counts = partial(_group_counts, self.subgroup)
-        else:
-            counts, xs = partial(_sample_counts, self.sample), self._representatives(xs)
-        return _contract(profiles, counts, xs, None)
+        return _contract(profiles, self._counts, self._points(xs), None)
 
     def diag(self, xs: Sequence[GraphCode]) -> np.ndarray:
-        """Prior variances k_H(x, x): each point's own counts, without the square Gram."""
+        """Prior variances k_H(x, x): each point's own counts, built uncached, without the square Gram."""
         if len(xs) == 0:
             return np.zeros(0)
+        xs = self._points(xs)
         top = _distance_top(xs, xs)
-        if self.sample is None:
-            sides = zip((_orbit_image_words(self.subgroup, x) for x in xs), code_words(xs)[:, None, None])
-        else:
-            images = _sample_image_words(self.sample, self._representatives(xs))
-            sides = zip(images, images[:, None])
-        counts = np.stack([_distance_counts([a], b, top)[0, 0] for a, b in sides])
+        sides = zip((_distinct_images(self._source, x) for x in xs), code_words(xs)[:, None])
+        counts = np.stack([_distance_counts([images], target, top)[0, 0] for images, target in sides])
         return counts @ kernel_profile(self.spec, self.space.d)[:top]
 
-    def _representatives(self, xs: Sequence[GraphCode]) -> list[GraphCode]:
+    def _points(self, xs: Sequence[GraphCode]) -> Sequence[GraphCode]:
+        if self.sample is None:
+            return xs
         return [orbit_representative(self.subgroup, x) for x in xs]
 
     def with_spec(self, spec: KernelSpec) -> "ProjectedKernel":

@@ -183,12 +183,12 @@ def scipy_lbfgsb(kernel, xs, ys, noise=0.1, budget=200, normalize_y=False):
     """
     xs = tuple(xs)
     ys = np.array(ys, dtype=float)
-    _, theta0, rebuild = gp._theta_layout(kernel, noise, xs[0].space.d)
+    names, theta0, rebuild = gp._theta_layout(kernel, noise, xs[0].space.d)
 
     def objective(theta):
         k2, n2 = rebuild(theta)
         try:
-            lml, grad = gp._lml_and_gradient(k2, xs, ys, n2, normalize_y)
+            lml, grad = gp._lml_and_gradient(k2, names, xs, ys, n2, normalize_y)
         except np.linalg.LinAlgError:
             return 1e12, np.zeros_like(theta)
         if np.isfinite(lml) and np.isfinite(grad).all():
@@ -235,6 +235,18 @@ def group_counts_by_enumeration(H, xs, ys, top: int) -> np.ndarray:
         images = [apply_permutation(s, x).bits for s in elements]
         for j, y in enumerate(ys):
             out[i, j] = np.bincount([(a ^ int(y.bits)).bit_count() for a in images], minlength=top) / len(elements)
+    return out
+
+
+def sample_counts_by_enumeration(sample, xs, ys, top: int) -> np.ndarray:
+    """C[i, j, m]: the share of the |S| x |S| pairs (s_a(x_i), s_b(y_j)), enumerated one by one, at distance m."""
+    out = np.zeros((len(xs), len(ys), top))
+    for i, x in enumerate(xs):
+        images_x = [apply_permutation(s, x).bits for s in sample]
+        for j, y in enumerate(ys):
+            images_y = [apply_permutation(s, y).bits for s in sample]
+            dists = [(a ^ b).bit_count() for a in images_x for b in images_y]
+            out[i, j] = np.bincount(dists, minlength=top) / len(sample) ** 2
     return out
 
 

@@ -235,9 +235,9 @@ class TestNoiseFloorAgreement:
     @pytest.mark.parametrize("normalize_y", [False, True])
     def test_tuner_objective(self, normalize_y, rng):
         train, _, K, ys = self.problem(rng)
-        lml, grad = gp._lml_and_gradient(self.KERNEL, tuple(train), ys, gp.NOISE_FLOOR, normalize_y)
-        model = gp.fit(self.KERNEL, train, ys, gp.NOISE_FLOOR, normalize_y=normalize_y)
         names, _, _ = gp._theta_layout(self.KERNEL, gp.NOISE_FLOOR, U4.d)
+        lml, grad = gp._lml_and_gradient(self.KERNEL, names, tuple(train), ys, gp.NOISE_FLOOR, normalize_y)
+        model = gp.fit(self.KERNEL, train, ys, gp.NOISE_FLOOR, normalize_y=normalize_y)
         _, dKs = gp._gram_derivatives(self.KERNEL, tuple(train), names)
         lml_o, grad_o = dense_lml_and_gradient(K, dKs, model.normalized_targets(), model.noise + model.jitter)
         self.assert_close(lml, lml_o)
@@ -419,7 +419,7 @@ class TestOptimize:
         # first one has no curvature memory to drop
         _, theta0, _ = gp._theta_layout(heat, 0.1, U4.d)
 
-        def misleading(kernel, xs_, ys_, noise, normalize_y):
+        def misleading(kernel, names, xs_, ys_, noise, normalize_y):
             _, theta, _ = gp._theta_layout(kernel, noise, U4.d)
             return -1.0 - float(np.abs(theta - theta0).sum()), np.full(len(theta), -1.0)
 
@@ -537,7 +537,7 @@ class TestAnalyticGradient:
         xs = distinct_codes(U4, 12, rng)
         ys = 2.0 * rng.standard_normal(12) + 1.0
         names, fd = lml_gradient(kernel, xs, ys, 0.15, normalize_y=normalize_y)
-        lml, grad = gp._lml_and_gradient(kernel, tuple(xs), ys, 0.15, normalize_y)
+        lml, grad = gp._lml_and_gradient(kernel, names, tuple(xs), ys, 0.15, normalize_y)
         assert grad.shape == (len(names),)
         assert lml == gp.log_marginal_likelihood(gp.fit(kernel, xs, ys, 0.15, normalize_y=normalize_y))
         assert np.abs(grad - fd).max() <= GRADIENT_RTOL * np.abs(fd).max()

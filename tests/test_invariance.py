@@ -1,7 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
-from oracles import exact_gram_by_pairs, group_counts_by_enumeration, sampled_gram_by_pairs
+from oracles import (
+    exact_gram_by_pairs,
+    group_counts_by_enumeration,
+    sample_counts_by_enumeration,
+    sampled_gram_by_pairs,
+)
 
 from graphgp import gp, invariance, spaces
 from graphgp.invariance import (
@@ -25,7 +32,7 @@ from graphgp.invariance import (
     quotient_kernel_matrix,
 )
 from graphgp.kernels import CustomPhi, Heat, KernelSpec, LaplacianVariant, kernel_profile, matern_spec
-from graphgp.spaces import GraphSpace, GraphSpaceKind, apply_permutation, hamming
+from graphgp.spaces import GraphSpace, GraphSpaceKind, NodePermutation, apply_permutation, hamming
 
 U3 = GraphSpace(GraphSpaceKind.UNDIRECTED, 3)
 U4 = GraphSpace(GraphSpaceKind.UNDIRECTED, 4)
@@ -538,6 +545,17 @@ class TestCountTensorGram:
             assert np.array_equal(kernel.diag(xs), np.diag(kernel.gram(xs)))
             assert kernel.diag([]).shape == (0,)
 
+    def test_diag_leaves_the_count_cache_alone(self, rng):
+        # a per-point diagonal through the cache would evict the training tensors
+        spec = KernelSpec(Heat(2.0))
+        xs = sparse_codes(U12, rng, 10, density=0.3)
+        exact = ProjectedKernel(spec, BLOCKS_12, U12)
+        mc = ProjectedKernel.monte_carlo(spec, BLOCKS_12, U12, sample_size=6, seed=3)
+        before = _group_counts.cache_info()
+        for kernel in (exact, mc):
+            kernel.diag(xs)
+        assert _group_counts.cache_info() == before
+
     def test_one_tuning_run_builds_the_counts_once(self, rng):
         # the octave-spaced restarts of run_experiment, all on one split
         xs = sparse_codes(U12, rng, 12, density=0.3)
@@ -552,13 +570,13 @@ class TestCountTensorGram:
 
     def test_monte_carlo_tuning_builds_counts_once_per_evaluation(self, rng, monkeypatch):
         builds = []
-        original = invariance._sample_counts
+        original = invariance._counts
 
         def counted(sample, xs, ys):
             builds.append(len(xs))
             return original(sample, xs, ys)
 
-        monkeypatch.setattr(invariance, "_sample_counts", counted)
+        monkeypatch.setattr(invariance, "_counts", counted)
         xs = sparse_codes(U12, rng, 12, density=0.3)
         kernel = ProjectedKernel.monte_carlo(KernelSpec(Heat(4.0)), BLOCKS_12, U12, sample_size=4, seed=1)
         result = gp.optimize_hyperparameters(kernel, xs, rng.standard_normal(len(xs)), budget=15)
@@ -607,10 +625,28 @@ class TestDistinctImages:
         assert np.array_equal(ProjectedKernel(spec, H, space).diag(xs), own @ profile)
 
     @pytest.mark.parametrize("space,H", [(U12, BLOCKS_12), (DL8, BLOCKS_8)])
+    def test_counts_over_sample_pairs_equal_those_over_s_times_s(self, rng, space, H):
+        draws = draw_sample(H, 5, 7)
+        sample = (*draws, draws[0], NodePermutation.identity(space.n))  # a repeat and the identity
+        xs = [orbit_representative(H, x) for x in stabilized_codes(space, H) + sparse_codes(space, rng, 3)]
+        ys = sparse_codes(space, rng, 2) + stabilized_codes(space, H)[::-1]
+        assert any((invariance._distinct_images(sample, x)[1] > 1).any() for x in xs)
+        top = space.d + 1
+        square = sample_counts_by_enumeration(sample, xs, xs, top)
+        upper = np.where(np.triu(np.ones((len(xs), len(xs)), dtype=bool))[:, :, None], square, 0.0)
+        assert np.array_equal(invariance._counts(sample, tuple(xs), None), upper)
+        cross = sample_counts_by_enumeration(sample, xs, ys, top)
+        assert np.array_equal(invariance._counts(sample, tuple(xs), tuple(ys)), cross)
+        spec = KernelSpec(Heat(2.0), variance=1.3)
+        own = np.stack([square[i, i] for i in range(len(xs))])
+        kernel = ProjectedKernel(spec, H, space, sample=sample)
+        assert np.array_equal(kernel.diag(xs), own @ kernel_profile(spec, space.d))
+
+    @pytest.mark.parametrize("space,H", [(U12, BLOCKS_12), (DL8, BLOCKS_8)])
     def test_pair_histogram_counts_over_the_whole_group(self, space, H):
         codes = stabilized_codes(space, H)
         for x in codes:
-            images = invariance._orbit_image_words(H, x)
+            images, _ = invariance._distinct_images(H, x)
             assert len(images) == enumerate_orbit(H, x, keep_members=False).size
             for y in codes:
                 hist = pair_histogram(H, x, y)
@@ -670,6 +706,20 @@ class TestSampledCountGram:
         with pytest.raises(ValueError, match="at least one"):
             invariant_kernel_sampled(spec, (), xs[0], xs[1])
 
+    def test_sample_above_the_cap_refused_before_any_build(self):
+        # |S|^2 node maps s_b^-1 s_a get a gather index row each
+        spec, H = KernelSpec(Heat(1.0)), PermSubgroup.full(4)
+        sample = draw_sample(H, math.isqrt(invariance.ENUMERATION_CAP) + 1, 0)
+        before = invariance._slot_perms.cache_info().misses
+        with pytest.raises(GroupTooLargeError, match="enumeration cap"):
+            ProjectedKernel(spec, H, U4, sample=sample)
+        with pytest.raises(GroupTooLargeError, match="enumeration cap"):
+            invariant_gram_sampled(spec, sample, [U4.empty_code()])
+        with pytest.raises(GroupTooLargeError, match="enumeration cap"):
+            invariant_kernel_sampled(spec, sample, U4.empty_code(), U4.empty_code())
+        assert invariance._slot_perms.cache_info().misses == before
+        assert ProjectedKernel(spec, H, U4, sample=sample[:-1]).sample == sample[:-1]
+
 
 def relabelled(H, xs, rng):
     """Each code relabelled by its own uniform element of H."""
@@ -678,7 +728,7 @@ def relabelled(H, xs, rng):
 
 def in_orbit(H, x, y):
     """Whether y is one of the |H| orbit images of x."""
-    return bool(np.all(invariance._orbit_image_words(H, x) == spaces.code_words([y]), axis=1).any())
+    return bool(np.all(invariance._distinct_images(H, x)[0] == spaces.code_words([y]), axis=1).any())
 
 
 class TestOrbitRepresentative:
@@ -743,7 +793,8 @@ class TestOrbitRepresentative:
     [
         (spaces.edge_permutation, spaces.EDGE_PERMUTATION_CACHE_SIZE),
         (invariance._slot_perms, invariance.SLOT_PERMS_CACHE_SIZE),
-        (invariance._orbit_image_words, invariance.ORBIT_IMAGE_CACHE_SIZE),
+        (invariance._distinct_images, invariance.ORBIT_IMAGE_CACHE_SIZE),
+        pytest.param(invariance._group_counts, invariance.COUNT_CACHE_SIZE, id="_group_counts"),
         (invariance.orbit_representative, invariance.REPRESENTATIVE_CACHE_SIZE),
     ],
 )
