@@ -41,10 +41,7 @@ from .invariance import (
     PermSubgroup,
     ProjectedKernel,
     build_quotient,
-    draw_sample,
     invariant_kernel_exact,
-    invariant_kernel_sampled,
-    orbit_representative,
 )
 from .kernels import (
     IsotropicKernel,
@@ -180,8 +177,8 @@ def _cmd_kernel_invariant(args) -> int:
     else:
         if args.samples < 1:
             raise ValueError("--samples must be >= 1 in mc mode")
-        sample = draw_sample(H, args.samples, args.seed)
-        print(invariant_kernel_sampled(spec, sample, orbit_representative(H, x), orbit_representative(H, y)))
+        kernel = ProjectedKernel.monte_carlo(spec, H, space, args.samples, args.seed)  # refuses |S| before drawing
+        print(float(kernel.gram([x], [y])[0, 0]))
     return 0
 
 

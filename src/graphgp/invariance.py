@@ -32,6 +32,10 @@ The same orbits, viewed as vertices of a weighted quotient graph, carry the
 spectral kernel directly: the group-averaged kernel equals the quotient
 graph's kernel scaled by sqrt(orbit sizes), provided the symmetric
 normalized Laplacian and the full-space normalizer are used.
+
+Only the Gram path enumerates H. Quotients, function projection and orbit
+enumeration walk H's stabilizer chain instead: sum over blocks of b(b-1)/2
+transposition gathers rather than |H|.
 """
 
 from __future__ import annotations
@@ -56,9 +60,9 @@ from .spaces import (
     GraphCode,
     GraphSpace,
     NodePermutation,
+    _pack_words,
+    _unpack_words,
     code_words,
-    edge_permutation,
-    permute_slots,
     permuted_words,
     slot_permutations,
     word_distances,
@@ -111,15 +115,20 @@ def _require_enumerable(H: PermSubgroup, cap: int = ENUMERATION_CAP) -> None:
         )
 
 
+def _require_sample_size(size: int) -> None:
+    """Refuse a sample whose |S|^2 node maps s_b^-1 s_a exceed the cap; cheap, so check before drawing."""
+    if size**2 > ENUMERATION_CAP:
+        raise GroupTooLargeError(
+            f"a sample of {size} gives {size**2} node maps s_b^-1 s_a, above the "
+            f"enumeration cap {ENUMERATION_CAP}; draw at most {math.isqrt(ENUMERATION_CAP)} elements"
+        )
+
+
 def _checked_sample(sample: Sequence[NodePermutation]) -> tuple[NodePermutation, ...]:
     """The sample as a tuple; refused if empty, or if its |S|^2 node maps s_b^-1 s_a exceed the cap."""
     if len(sample) == 0:
         raise ValueError("sample must contain at least one permutation")
-    if len(sample) ** 2 > ENUMERATION_CAP:
-        raise GroupTooLargeError(
-            f"a sample of {len(sample)} gives {len(sample) ** 2} node maps s_b^-1 s_a, above the "
-            f"enumeration cap {ENUMERATION_CAP}; draw at most {math.isqrt(ENUMERATION_CAP)} elements"
-        )
+    _require_sample_size(len(sample))
     return tuple(sample)
 
 
@@ -275,20 +284,31 @@ class OrbitClass:
     members: tuple[GraphCode, ...] | None = None
 
 
-def _orbit_bits(H: PermSubgroup, space: GraphSpace, start_bits: int) -> set[int]:
-    gen_perms = [edge_permutation(g, space) for g in H.generators()]
-    seen = {start_bits}
-    frontier = [start_bits]
-    while frontier:
-        nxt = []
-        for b in frontier:
-            for perm in gen_perms:
-                nb = permute_slots(b, perm)
-                if nb not in seen:
-                    seen.add(nb)
-                    nxt.append(nb)
-        frontier = nxt
-    return seen
+def _chain(H: PermSubgroup, space: GraphSpace) -> list[np.ndarray]:
+    """H's stabilizer chain: per step k of a block b, the (k + 1, d) slot permutations of {id} and
+    (b_j b_k), j < k. Each element of H is one product of one row per step, so a minimum, sum or
+    orbit over H runs step by step; the rows, of involutions, are gather indices too."""
+    if H.n != space.n:
+        raise ValueError(f"subgroup on {H.n} nodes does not act on n={space.n}")
+    steps = []
+    for block in H.blocks:
+        for k in range(1, len(block)):
+            maps = np.tile(np.arange(H.n), (k + 1, 1))
+            for j in range(k):
+                maps[j + 1, [block[j], block[k]]] = block[k], block[j]
+            steps.append(slot_permutations(maps, space))
+    return steps
+
+
+def _fold(steps: Sequence[np.ndarray], values: np.ndarray, combine: np.ufunc) -> np.ndarray:
+    """values(x) <- combine over the rows t of a step of values(t(x)), step after step, for
+    every code x at once (``values`` holds one entry per code, indexed by code integer)."""
+    d = len(values).bit_length() - 1
+    bits = (np.arange(len(values), dtype=np.int64)[:, None] >> np.arange(d)) & 1
+    weights = np.int64(1) << np.arange(d, dtype=np.int64)
+    for step in steps:
+        values = combine.reduce([values[bits[:, src] @ weights] for src in step])
+    return values
 
 
 def enumerate_orbit(
@@ -297,14 +317,17 @@ def enumerate_orbit(
     cap: int = ENUMERATION_CAP,
     keep_members: bool = True,
 ) -> OrbitClass:
-    """The orbit of a graph under H, with its lexicographically minimal member."""
+    """The orbit of a graph under H, grown along H's chain, with its lexicographically minimal member."""
     _require_enumerable(H, cap)
-    space = x.space
-    orbit = _orbit_bits(H, space, x.bits)
-    members = None
-    if keep_members:
-        members = tuple(GraphCode(space, b) for b in sorted(orbit))
-    return OrbitClass(canonical=GraphCode(space, min(orbit)), size=len(orbit), members=members)
+    space, words = x.space, code_words([x])
+    for step in _chain(H, space):  # each step's images, sorted (the last word is the most significant key)
+        words = _pack_words(_unpack_words(words, space.d)[:, step].reshape(-1, space.d))
+        words = words[np.lexsort(words.T)]
+        words = words[np.r_[True, (words[1:] != words[:-1]).any(axis=1)]]
+    raw, width = words.astype("<u8").tobytes(), 8 * words.shape[1]
+    bits = [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
+    members = tuple(GraphCode(space, b) for b in bits) if keep_members else None
+    return OrbitClass(canonical=GraphCode(space, bits[0]), size=len(bits), members=members)
 
 
 def _refined_colors(H: PermSubgroup, x: GraphCode) -> list[int]:
@@ -545,25 +568,14 @@ def build_quotient(H: PermSubgroup, space: GraphSpace, max_dim: int = QUOTIENT_M
             f"space has 2^{d} codes, above the enumeration limit 2^{max_dim}; "
             f"quotient construction requires visiting every code"
         )
-    if H.n != space.n:
-        raise ValueError(f"subgroup on {H.n} nodes does not act on n={space.n}")
-    size = 1 << d
-    class_of = np.full(size, -1, dtype=np.int64)
-    classes: list[OrbitClass] = []
-    for v in range(size):
-        if class_of[v] >= 0:
-            continue
-        orbit = _orbit_bits(H, space, v)
-        idx = len(classes)
-        for b in orbit:
-            class_of[b] = idx
-        classes.append(OrbitClass(canonical=GraphCode(space, min(orbit)), size=len(orbit)))
-    h = len(classes)
-    weights = np.zeros((h, h))
-    codes = np.arange(size, dtype=np.int64)
+    codes = np.arange(1 << d, dtype=np.int64)
+    least = _fold(_chain(H, space), codes, np.minimum)  # each code's orbit minimum
+    canonical, class_of, sizes = np.unique(least, return_inverse=True, return_counts=True)
+    classes = tuple(OrbitClass(GraphCode(space, int(c)), int(n)) for c, n in zip(canonical, sizes))
+    weights = np.zeros((len(classes), len(classes)))
     for t in range(d):
         np.add.at(weights, (class_of[codes], class_of[codes ^ (1 << t)]), 1.0)
-    return QuotientGraph(space, H, tuple(classes), weights, class_of)
+    return QuotientGraph(space, H, classes, weights, class_of)
 
 
 def quotient_kernel_matrix(spec: KernelSpec, quotient: QuotientGraph) -> np.ndarray:
@@ -658,14 +670,6 @@ def orbit_equivalence_test(
 # -- averaging arbitrary functions -------------------------------------------
 
 
-def _all_code_images(sources: np.ndarray, d: int) -> list[np.ndarray]:
-    """Index arrays mapping every code to its image, one per row of a gather index."""
-    codes = np.arange(1 << d, dtype=np.int64)
-    bits = (codes[:, None] >> np.arange(d)[None, :]) & 1
-    weights = np.int64(1) << np.arange(d, dtype=np.int64)
-    return [bits[:, src] @ weights for src in sources]
-
-
 def project_function(
     H: PermSubgroup,
     space: GraphSpace,
@@ -677,8 +681,9 @@ def project_function(
     """Average a function over the group: out(x) = mean over sigma of f(sigma(x)).
 
     ``values`` holds f over all 2^d codes, indexed by code integer. The exact
-    average is constant on orbits and idempotent; passing ``sample_size``
-    averages over an i.i.d. sample of H instead (for groups above the cap).
+    average is constant on orbits and idempotent, and sums along H's chain: it
+    matches the per-element average within 1e-13 * max|values|. Passing
+    ``sample_size`` averages over an i.i.d. sample of H instead (above the cap).
     """
     d = space.d
     if d > QUOTIENT_MAX_DIM:
@@ -688,15 +693,10 @@ def project_function(
         raise ValueError(f"expected one value per code (2^{d}), got {values.shape[0]}")
     if sample_size is None:
         _require_enumerable(H, cap)
-        images = _all_code_images(_image_sources(H.elements(), space), d)
-    else:
-        if seed is None:
-            raise ValueError("sample-based averaging requires a seed")
-        images = _all_code_images(_image_sources(draw_sample(H, sample_size, seed), space), d)
-    acc = np.zeros_like(values)
-    for img in images:
-        acc += values[img]
-    return acc / len(images)
+        return _fold(_chain(H, space), values, np.add) / H.order()
+    if seed is None:
+        raise ValueError("sample-based averaging requires a seed")
+    return _fold([_image_sources(draw_sample(H, sample_size, seed), space)], values, np.add) / sample_size
 
 
 class ProjectedKernel:
@@ -741,6 +741,7 @@ class ProjectedKernel:
         sample_size: int,
         seed: int,
     ) -> "ProjectedKernel":
+        _require_sample_size(sample_size)
         return cls(spec, subgroup, space, sample=draw_sample(subgroup, sample_size, seed))
 
     def gram(self, xs: Sequence[GraphCode], ys: Sequence[GraphCode] | None = None) -> np.ndarray:

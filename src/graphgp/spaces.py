@@ -29,8 +29,8 @@ import numpy as np
 DEFAULT_MAX_NODES = 16
 
 #: Slot permutations kept for reuse, one per (node permutation, space), each
-#: a d-tuple (about 0.6 KB at d = 66): room for the 1296 elements of the
-#: benchmark's group next to the Monte Carlo samples in use.
+#: a d-tuple (about 0.6 KB at d = 66), for :func:`apply_permutation`: the
+#: bulk paths gather through slot-permutation arrays instead.
 EDGE_PERMUTATION_CACHE_SIZE = 2048
 
 

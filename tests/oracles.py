@@ -238,6 +238,19 @@ def group_counts_by_enumeration(H, xs, ys, top: int) -> np.ndarray:
     return out
 
 
+def orbit_labels_by_enumeration(H, space) -> np.ndarray:
+    """Each code's least image apply_permutation(s, x).bits over all of H.elements(), indexed by code."""
+    elements = list(H.elements())
+    return np.array([min(apply_permutation(s, x).bits for s in elements) for x in space.all_codes()])
+
+
+def projection_by_enumeration(H, space, values) -> np.ndarray:
+    """out(x) = the mean of values[s(x)] over all of H.elements(), one element at a time."""
+    elements = list(H.elements())
+    sums = [sum(values[apply_permutation(s, x).bits] for s in elements) for x in space.all_codes()]
+    return np.array(sums) / len(elements)
+
+
 def sample_counts_by_enumeration(sample, xs, ys, top: int) -> np.ndarray:
     """C[i, j, m]: the share of the |S| x |S| pairs (s_a(x_i), s_b(y_j)), enumerated one by one, at distance m."""
     out = np.zeros((len(xs), len(ys), top))

@@ -16,7 +16,9 @@ from graphgp import datasets, gp
 from graphgp.cli import EXPERIMENT_METHODS, load_model, main, named_seed, run_experiment
 from graphgp.invariance import (
     ENUMERATION_CAP,
+    GroupTooLargeError,
     PermSubgroup,
+    ProjectedKernel,
     draw_sample,
     invariant_kernel_exact,
     invariant_kernel_sampled,
@@ -125,6 +127,22 @@ class TestKernelCommands:
         rep = orbit_representative(PermSubgroup.full(4), x)
         assert rep == orbit_representative(PermSubgroup.full(4), y)
         assert first == invariant_kernel_sampled(spec, draw_sample(PermSubgroup.full(4), 6, 3), rep, rep)
+
+    def test_oversized_mc_sample_refused_before_drawing(self, capsys, monkeypatch):
+        def refuse(self, rng):
+            raise AssertionError("drew a sample that the |S|^2 cap refuses")
+
+        monkeypatch.setattr(PermSubgroup, "random_element", refuse)
+        space = GraphSpace(GraphSpaceKind.UNDIRECTED, 4)
+        with pytest.raises(GroupTooLargeError):
+            ProjectedKernel.monte_carlo(KernelSpec(Heat(1.0)), PermSubgroup.full(4), space, 100_000, 0)
+        x = json.dumps(graph_to_json(space.empty_code()))
+        args = [
+            "kernel", "invariant", "--space", U4_SPACE, "--blocks", "0,1,2,3", "--spec", HEAT_PLAIN,
+            "--x", x, "--y", x, "--mode", "mc", "--samples", "100000",
+        ]
+        assert main(args) == 2
+        assert "enumeration cap" in capsys.readouterr().err
 
 
 class TestTableDump:

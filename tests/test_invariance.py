@@ -6,6 +6,8 @@ import pytest
 from oracles import (
     exact_gram_by_pairs,
     group_counts_by_enumeration,
+    orbit_labels_by_enumeration,
+    projection_by_enumeration,
     sample_counts_by_enumeration,
     sampled_gram_by_pairs,
 )
@@ -464,6 +466,55 @@ class TestProjectFunction:
             project_function(H, space, np.zeros(4), cap=10)
 
 
+#: The exact projection sums |H| values per code in another order than one element at a time.
+PROJECTION_RTOL = 1e-13
+
+CHAIN_CASES = [
+    (U4, PermSubgroup.full(4)),
+    (U4, PermSubgroup(4, ((0, 1), (2, 3)))),
+    (GraphSpace(GraphSpaceKind.UNDIRECTED_LOOPS, 3), PermSubgroup.full(3)),
+    (GraphSpace(GraphSpaceKind.UNDIRECTED_LOOPS, 4), PermSubgroup(4, ((0, 3), (1, 2)))),
+    (GraphSpace(GraphSpaceKind.DIRECTED, 3), PermSubgroup.full(3)),
+    (GraphSpace(GraphSpaceKind.DIRECTED, 3), PermSubgroup(3, ((0, 2), (1,)))),
+    (GraphSpace(GraphSpaceKind.DIRECTED_LOOPS, 3), PermSubgroup(3, ((0, 1, 2),))),
+    (GraphSpace(GraphSpaceKind.DIRECTED_LOOPS, 3), PermSubgroup.trivial(3)),
+]
+
+
+class TestChainAgainstEnumeration:
+    """Quotients, projections and orbits walk H's stabilizer chain; these check them against all of H."""
+
+    @pytest.mark.parametrize("space,H", CHAIN_CASES)
+    def test_quotient_canonicals_are_least_images(self, space, H):
+        quotient = build_quotient(H, space)
+        canonical = np.array([c.canonical.bits for c in quotient.classes])[quotient.class_of]
+        assert np.array_equal(canonical, orbit_labels_by_enumeration(H, space))
+
+    @pytest.mark.parametrize("space,H", CHAIN_CASES)
+    def test_projection_is_the_mean_over_the_group(self, rng, space, H):
+        values = rng.standard_normal(1 << space.d)
+        want = projection_by_enumeration(H, space, values)
+        assert np.abs(project_function(H, space, values) - want).max() <= PROJECTION_RTOL * np.abs(values).max()
+
+    def test_orbit_tools_never_enumerate_the_group(self, rng, monkeypatch):
+        def refuse(self):
+            raise AssertionError("orbit tools walk the stabilizer chain, not H's elements or generators")
+
+        H, U5 = PermSubgroup.full(5), GraphSpace(GraphSpaceKind.UNDIRECTED, 5)
+        monkeypatch.setattr(PermSubgroup, "elements", refuse)
+        monkeypatch.setattr(PermSubgroup, "generators", refuse)
+        quotient = build_quotient(H, U5)
+        assert quotient.num_classes == 34  # graphs on 5 unlabelled nodes
+        values = rng.standard_normal(1 << U5.d)
+        class_means = np.bincount(quotient.class_of, weights=values) / quotient.sizes()
+        np.testing.assert_allclose(project_function(H, U5, values), class_means[quotient.class_of], atol=1e-13)
+        x = U5.code_from_edges([[0, 1], [1, 2], [3, 4]])
+        orbit = enumerate_orbit(H, x)
+        members = np.flatnonzero(quotient.class_of == quotient.class_index(x))
+        assert [m.bits for m in orbit.members] == members.tolist()
+        assert orbit.canonical == quotient.classes[quotient.class_index(x)].canonical
+
+
 class TestProjectedKernelObject:
     def test_exact_gram(self, rng):
         H = PermSubgroup.full(4)
@@ -648,6 +699,7 @@ class TestDistinctImages:
         for x in codes:
             images, _ = invariance._distinct_images(H, x)
             assert len(images) == enumerate_orbit(H, x, keep_members=False).size
+            assert np.array_equal(spaces.code_words(enumerate_orbit(H, x).members), images)
             for y in codes:
                 hist = pair_histogram(H, x, y)
                 assert hist.sum() == H.order()
