@@ -19,23 +19,26 @@ node maps t, of H or of S^-1 S, with |t(x_i) XOR y_j| = m. Each x keeps its
 distinct images with integer multiplicities (|Stab(x)| each over H), so the
 shares, integer sums over an integer total, equal those over all node maps
 bit for bit. One builder makes them all, by one vectorized XOR/popcount of
-each x's images against all the ys; a code's images come from one gather of
-its bits through the (k, d) slot-permutation array, one code at a time.
-The counts do not depend on the kernel; the exact ones are cached per
-(H, xs, ys), so every objective evaluation of a tuning run costs one
-product of the tensor with the profile and its derivatives. Exact
-evaluation requires enumerating H; deciding whether two graphs share an
-orbit reduces to three such kernel values, so no shortcut exists in general
-(for H the full symmetric group this is exactly graph-isomorphism testing).
+each x's images against all the ys. A code's images over H grow along H's
+stabilizer chain (below), so exact cost follows the size of its orbit, not
+|H|; only a sample's images come from one gather of its bits through the
+(|S|^2, d) slot-permutation array. The counts do not depend on the kernel;
+the exact ones are cached per (H, xs, ys), so every objective evaluation of
+a tuning run costs one product of the tensor with the profile and its
+derivatives. Exact evaluation visits whole orbits, and H is still refused
+above ``ENUMERATION_CAP``; deciding whether two graphs share an orbit
+reduces to three such kernel values, so no shortcut exists in general (for
+H the full symmetric group this is exactly graph-isomorphism testing).
 
 The same orbits, viewed as vertices of a weighted quotient graph, carry the
 spectral kernel directly: the group-averaged kernel equals the quotient
 graph's kernel scaled by sqrt(orbit sizes), provided the symmetric
 normalized Laplacian and the full-space normalizer are used.
 
-Only the Gram path enumerates H. Quotients, function projection and orbit
-enumeration walk H's stabilizer chain instead: sum over blocks of b(b-1)/2
-transposition gathers rather than |H|.
+Nothing enumerates H one element at a time. Grams, quotients, function
+projection, orbit enumeration and orbit representatives walk a stabilizer
+chain instead: sum over blocks of b(b-1)/2 transposition gathers rather
+than |H|.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -79,9 +82,10 @@ QUOTIENT_MAX_DIM = 16
 #: kernel on the same split.
 COUNT_CACHE_SIZE = 8
 
-#: Slot-permutation arrays kept for reuse, one per (source, space): the
-#: benchmark's (|H|, d) = (1296, 66) array holds 0.7 MB, a sample's
-#: (|S|^2, d) array 135 KB at |S| = 16 and 0.5 MB at |S| = 32.
+#: Slot-permutation arrays kept for reuse: a sample's S^-1 S gather index, one
+#: per (sample, space), of (|S|^2, d) entries (135 KB at |S| = 16 and 0.5 MB at
+#: |S| = 32 for d = 66); and a group's stabilizer chain, one per (H, space), of
+#: sum over blocks of b(b+1)/2 - 1 rows of d entries (11 KB at |H| = 1296).
 SLOT_PERMS_CACHE_SIZE = 4
 
 #: Distinct-image matrices kept for reuse, one per (source, code), of one
@@ -93,8 +97,8 @@ SLOT_PERMS_CACHE_SIZE = 4
 #: 256 codes a 64-train, 192-point prediction touches.
 ORBIT_IMAGE_CACHE_SIZE = 512
 
-#: Largest residual group :func:`orbit_representative` enumerates; its
-#: (order, d) gather index holds about 21 MB at 8! and d = 66 while it is used.
+#: Largest residual group :func:`orbit_representative` searches; the orbit it
+#: grows along the residual's chain holds at most that many word rows.
 REPRESENTATIVE_CAP = 40_320
 
 #: Orbit representatives kept for reuse, one code per (group, code).
@@ -175,16 +179,6 @@ class PermSubgroup:
             out *= math.factorial(len(b))
         return out
 
-    def generators(self) -> tuple[NodePermutation, ...]:
-        """Star transpositions within each block; they generate the group."""
-        gens = []
-        for block in self.blocks:
-            for other in block[1:]:
-                mapping = list(range(self.n))
-                mapping[block[0]], mapping[other] = mapping[other], mapping[block[0]]
-                gens.append(NodePermutation(tuple(mapping)))
-        return tuple(gens)
-
     def elements(self) -> Iterator[NodePermutation]:
         """Every element, as independent arrangements of each block."""
         per_block = [list(itertools.permutations(b)) for b in self.blocks]
@@ -221,22 +215,13 @@ def draw_sample(
 Source = PermSubgroup | tuple[NodePermutation, ...]
 
 
-def _image_sources(perms: Iterable[NodePermutation], space: GraphSpace) -> np.ndarray:
-    """(k, d) gather index of the images sigma(x), one row per sigma: the slot
-    permutations of the inverse node maps (see ``permuted_words``)."""
-    return slot_permutations(np.argsort([sigma.mapping for sigma in perms], axis=1), space)
-
-
 @lru_cache(maxsize=SLOT_PERMS_CACHE_SIZE)
-def _slot_perms(source: Source, space: GraphSpace) -> np.ndarray:
-    """(k, d) gather index of a source's images: H's elements, or the |S|^2 node
-    maps s_b^-1 s_a over the ordered pairs (a, b) of a sample S."""
-    if isinstance(source, PermSubgroup):
-        _require_enumerable(source)
-        perms = _image_sources(source.elements(), space)
-    else:  # row (a, b) is the inverse node map of s_b^-1 s_a: s_a^-1 s_b
-        maps = np.array([s.mapping for s in source], dtype=np.intp)
-        perms = slot_permutations(np.argsort(maps, axis=1)[:, maps].reshape(-1, maps.shape[1]), space)
+def _slot_perms(sample: tuple[NodePermutation, ...], space: GraphSpace) -> np.ndarray:
+    """(|S|^2, d) gather index of the images under the node maps s_b^-1 s_a over the
+    ordered pairs (a, b) of a sample S."""
+    maps = np.array([s.mapping for s in sample], dtype=np.intp)
+    # row (a, b) is the inverse node map of s_b^-1 s_a: s_a^-1 s_b (see ``permuted_words``)
+    perms = slot_permutations(np.argsort(maps, axis=1)[:, maps].reshape(-1, maps.shape[1]), space)
     perms.setflags(write=False)
     return perms
 
@@ -244,11 +229,17 @@ def _slot_perms(source: Source, space: GraphSpace) -> np.ndarray:
 @lru_cache(maxsize=ORBIT_IMAGE_CACHE_SIZE)
 def _distinct_images(source: Source, x: GraphCode) -> tuple[np.ndarray, np.ndarray]:
     """The distinct images t(x) over a source's node maps t, sorted, as a (k, ceil(d/64))
-    uint64 word matrix, and how many node maps give each: (words, multiplicities)."""
-    words = permuted_words(x, _slot_perms(source, x.space))
-    words = words[np.lexsort(words.T)]
-    first = np.flatnonzero(np.r_[True, (words[1:] != words[:-1]).any(axis=1)])
-    words, mult = words[first], np.diff(np.r_[first, len(words)])
+    uint64 word matrix, and how many node maps give each: (words, multiplicities). Over H, x's
+    orbit grown along H's chain, |Stab(x)| = |H| / |orbit| each; over S^-1 S, one gather."""
+    if isinstance(source, PermSubgroup):
+        _require_enumerable(source)
+        words = _orbit_words(source, code_words([x]), x.space)
+        mult = np.full(len(words), source.order() // len(words))
+    else:
+        words = permuted_words(x, _slot_perms(source, x.space))
+        words = words[np.lexsort(words.T)]
+        first = np.flatnonzero(np.r_[True, (words[1:] != words[:-1]).any(axis=1)])
+        words, mult = words[first], np.diff(np.r_[first, len(words)])
     words.setflags(write=False)
     mult.setflags(write=False)
     return words, mult
@@ -284,7 +275,8 @@ class OrbitClass:
     members: tuple[GraphCode, ...] | None = None
 
 
-def _chain(H: PermSubgroup, space: GraphSpace) -> list[np.ndarray]:
+@lru_cache(maxsize=SLOT_PERMS_CACHE_SIZE)
+def _chain(H: PermSubgroup, space: GraphSpace) -> tuple[np.ndarray, ...]:
     """H's stabilizer chain: per step k of a block b, the (k + 1, d) slot permutations of {id} and
     (b_j b_k), j < k. Each element of H is one product of one row per step, so a minimum, sum or
     orbit over H runs step by step; the rows, of involutions, are gather indices too."""
@@ -297,7 +289,18 @@ def _chain(H: PermSubgroup, space: GraphSpace) -> list[np.ndarray]:
             for j in range(k):
                 maps[j + 1, [block[j], block[k]]] = block[k], block[j]
             steps.append(slot_permutations(maps, space))
-    return steps
+            steps[-1].setflags(write=False)
+    return tuple(steps)
+
+
+def _orbit_words(H: PermSubgroup, words: np.ndarray, space: GraphSpace) -> np.ndarray:
+    """The distinct images under H of a (1, ceil(d/64)) word row, sorted (the last word is the
+    most significant key): grown along H's chain, duplicates dropped after each step."""
+    for step in _chain(H, space):
+        words = _pack_words(_unpack_words(words, space.d)[:, step].reshape(-1, space.d))
+        words = words[np.lexsort(words.T)]
+        words = words[np.r_[True, (words[1:] != words[:-1]).any(axis=1)]]
+    return words
 
 
 def _fold(steps: Sequence[np.ndarray], values: np.ndarray, combine: np.ufunc) -> np.ndarray:
@@ -319,11 +322,8 @@ def enumerate_orbit(
 ) -> OrbitClass:
     """The orbit of a graph under H, grown along H's chain, with its lexicographically minimal member."""
     _require_enumerable(H, cap)
-    space, words = x.space, code_words([x])
-    for step in _chain(H, space):  # each step's images, sorted (the last word is the most significant key)
-        words = _pack_words(_unpack_words(words, space.d)[:, step].reshape(-1, space.d))
-        words = words[np.lexsort(words.T)]
-        words = words[np.r_[True, (words[1:] != words[:-1]).any(axis=1)]]
+    space = x.space
+    words = _orbit_words(H, code_words([x]), space)
     raw, width = words.astype("<u8").tobytes(), 8 * words.shape[1]
     bits = [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
     members = tuple(GraphCode(space, b) for b in bits) if keep_members else None
@@ -389,9 +389,8 @@ def orbit_representative(H: PermSubgroup, x: GraphCode) -> GraphCode:
     residual = PermSubgroup(H.n, tuple(classes))
     if residual.order() > REPRESENTATIVE_CAP:
         residual = PermSubgroup.trivial(H.n)
-    maps = np.array([r.mapping for r in residual.elements()], dtype=np.intp)[:, order]
-    words = permuted_words(x, slot_permutations(np.argsort(maps, axis=1), x.space))
-    least = words[np.lexsort(words.T)[0]]  # the last word is the most significant key
+    ordered = permuted_words(x, slot_permutations(np.argsort(order)[None], x.space))
+    least = _orbit_words(residual, ordered, x.space)[0]
     return GraphCode(x.space, sum(int(w) << 64 * k for k, w in enumerate(least)))
 
 
@@ -696,7 +695,8 @@ def project_function(
         return _fold(_chain(H, space), values, np.add) / H.order()
     if seed is None:
         raise ValueError("sample-based averaging requires a seed")
-    return _fold([_image_sources(draw_sample(H, sample_size, seed), space)], values, np.add) / sample_size
+    maps = [sigma.mapping for sigma in draw_sample(H, sample_size, seed)]
+    return _fold([slot_permutations(np.argsort(maps, axis=1), space)], values, np.add) / sample_size
 
 
 class ProjectedKernel:

@@ -12,7 +12,7 @@ import pytest
 
 from synthetic import molecules_from_prior, molecules_like_demo05, molecules_mixed_elements
 
-from graphgp import datasets, gp
+from graphgp import datasets, gp, invariance
 from graphgp.cli import EXPERIMENT_METHODS, load_model, main, named_seed, run_experiment
 from graphgp.invariance import (
     ENUMERATION_CAP,
@@ -20,9 +20,11 @@ from graphgp.invariance import (
     PermSubgroup,
     ProjectedKernel,
     draw_sample,
+    invariant_gram_exact,
     invariant_kernel_exact,
     invariant_kernel_sampled,
     orbit_representative,
+    pair_histogram,
 )
 from graphgp.kernels import Heat, IsotropicKernel, KernelSpec, LaplacianVariant, evaluate
 from graphgp.kravchuk import build_table
@@ -140,6 +142,30 @@ class TestKernelCommands:
         args = [
             "kernel", "invariant", "--space", U4_SPACE, "--blocks", "0,1,2,3", "--spec", HEAT_PLAIN,
             "--x", x, "--y", x, "--mode", "mc", "--samples", "100000",
+        ]
+        assert main(args) == 2
+        assert "enumeration cap" in capsys.readouterr().err
+
+    def test_exact_group_above_the_cap_refused_before_any_build(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("built the group's chain or elements before the cap refused it")
+
+        monkeypatch.setattr(invariance, "_chain", refuse)
+        monkeypatch.setattr(PermSubgroup, "elements", refuse)
+        space, H = GraphSpace(GraphSpaceKind.UNDIRECTED, 11), PermSubgroup.full(11)
+        assert H.order() > ENUMERATION_CAP
+        x, y = space.code_from_edges([[0, 1]]), space.code_from_edges([[2, 3], [3, 4]])
+        spec = KernelSpec(Heat(1.0))
+        with pytest.raises(GroupTooLargeError, match="enumeration cap"):
+            invariant_gram_exact(spec, H, [x, y])
+        with pytest.raises(GroupTooLargeError, match="enumeration cap"):
+            invariant_kernel_exact(spec, H, x, y)
+        with pytest.raises(GroupTooLargeError, match="enumeration cap"):
+            pair_histogram(H, x, y)
+        args = [
+            "kernel", "invariant", "--space", '{"kind": "U", "n": 11}', "--blocks", ",".join(map(str, range(11))),
+            "--spec", HEAT_PLAIN, "--x", json.dumps(graph_to_json(x)), "--y", json.dumps(graph_to_json(y)),
+            "--mode", "exact",
         ]
         assert main(args) == 2
         assert "enumeration cap" in capsys.readouterr().err

@@ -68,22 +68,6 @@ class TestPermSubgroup:
         H = PermSubgroup.from_string("0,1,2|3", 4)
         assert H.blocks == ((0, 1, 2), (3,))
 
-    def test_generators_generate_the_group(self):
-        H = PermSubgroup(5, ((0, 1, 2), (3, 4)))
-        seen = {tuple(range(5))}
-        frontier = [tuple(range(5))]
-        gens = H.generators()
-        while frontier:
-            nxt = []
-            for m in frontier:
-                for g in gens:
-                    composed = tuple(g.mapping[m[i]] for i in range(5))
-                    if composed not in seen:
-                        seen.add(composed)
-                        nxt.append(composed)
-            frontier = nxt
-        assert len(seen) == H.order() == 12
-
     def test_random_element_stays_in_group(self, rng):
         H = PermSubgroup(6, ((0, 1, 2), (3, 4), (5,)))
         for _ in range(100):
@@ -498,11 +482,12 @@ class TestChainAgainstEnumeration:
 
     def test_orbit_tools_never_enumerate_the_group(self, rng, monkeypatch):
         def refuse(self):
-            raise AssertionError("orbit tools walk the stabilizer chain, not H's elements or generators")
+            raise AssertionError("orbit tools and Grams walk the stabilizer chain, not H's elements")
 
         H, U5 = PermSubgroup.full(5), GraphSpace(GraphSpaceKind.UNDIRECTED, 5)
         monkeypatch.setattr(PermSubgroup, "elements", refuse)
-        monkeypatch.setattr(PermSubgroup, "generators", refuse)
+        for cached in (invariance._distinct_images, _group_counts, pair_histogram, orbit_representative):
+            cached.cache_clear()  # so nothing below is served from an earlier test's build
         quotient = build_quotient(H, U5)
         assert quotient.num_classes == 34  # graphs on 5 unlabelled nodes
         values = rng.standard_normal(1 << U5.d)
@@ -513,6 +498,17 @@ class TestChainAgainstEnumeration:
         members = np.flatnonzero(quotient.class_of == quotient.class_index(x))
         assert [m.bits for m in orbit.members] == members.tolist()
         assert orbit.canonical == quotient.classes[quotient.class_index(x)].canonical
+        spec = KernelSpec(Heat(2.0))
+        xs, ys = sparse_codes(U5, rng, 4, density=0.4), sparse_codes(U5, rng, 3, density=0.4)
+        exact = ProjectedKernel(spec, H, U5)
+        square = exact.gram(xs)
+        np.testing.assert_allclose(exact.diag(xs), np.diag(square), rtol=1e-12)
+        assert np.array_equal(exact.square_grams(xs, kernel_profile(spec, U5.d)[None])[0], square)
+        cross = exact.gram(xs, ys)
+        np.testing.assert_allclose(cross[0, 0], invariant_kernel_exact(spec, H, xs[0], ys[0]), rtol=1e-12)
+        assert pair_histogram(H, xs[1], ys[1]).sum() == H.order()
+        sampled = ProjectedKernel.monte_carlo(spec, H, U5, sample_size=4, seed=0)
+        assert sampled.gram(xs, ys).shape == (4, 3)  # through orbit_representative
 
 
 class TestProjectedKernelObject:
@@ -845,6 +841,7 @@ class TestOrbitRepresentative:
     [
         (spaces.edge_permutation, spaces.EDGE_PERMUTATION_CACHE_SIZE),
         (invariance._slot_perms, invariance.SLOT_PERMS_CACHE_SIZE),
+        (invariance._chain, invariance.SLOT_PERMS_CACHE_SIZE),
         (invariance._distinct_images, invariance.ORBIT_IMAGE_CACHE_SIZE),
         pytest.param(invariance._group_counts, invariance.COUNT_CACHE_SIZE, id="_group_counts"),
         (invariance.orbit_representative, invariance.REPRESENTATIVE_CACHE_SIZE),
