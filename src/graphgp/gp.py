@@ -9,15 +9,15 @@ observed under i.i.d. Gaussian noise, the posterior mean and covariance are
 computed through the Cholesky factor L of K + noise I (escalating jitter if
 needed) and its inverse, formed once per fit: every solve is a product with
 L^-1, in numpy alone. Hyperparameters are tuned by maximizing the log
-marginal likelihood over log-scale parameters with its analytic gradient
-0.5 tr((alpha alpha^T - (K + noise I)^-1) dK/dtheta), where each dK/dtheta
-comes from the same distance counts as K, contracted with the derivative
-of the kernel profile, by an in-package port of L-BFGS-B (Byrd, Lu,
-Nocedal & Zhu 1995; v3.0, Morales & Nocedal 2011) with a More-Thuente line
-search (More & Thuente 1994) in a box of +-10 around the origin of log
-space. Prior samples come either from a dense factor, from
-explicit Walsh features (exact law up to the chosen level), or from
-random-anchor features that scale to high levels; posterior samples are
+marginal likelihood over log-scale parameters with an in-package port of
+L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995; v3.0, Morales & Nocedal 2011) with a
+More-Thuente line search (More & Thuente 1994) in a box of +-10 around the
+origin of log space, fed by the analytic gradient 0.5 tr(W dK/dtheta),
+W = alpha alpha^T - (K + noise I)^-1. No dK/dtheta is built: it is K's
+distance counts at the profile's derivative q, so the trace is q @ g, with g
+the counts contracted once with W. Prior samples come either from a dense
+factor, from explicit Walsh features (exact law up to the chosen level), or
+from random-anchor features that scale to high levels; posterior samples are
 prior samples transformed by the usual pathwise update. Averaging sampled
 functions over a permutation group gives draws from the group-averaged
 (projected) process.
@@ -265,22 +265,6 @@ def _theta_layout(kernel, noise: float, d: int):
     raise ValueError(f"cannot tune hyperparameters of family {type(fam).__name__}")
 
 
-def _gram_derivatives(kernel, xs: tuple[GraphCode, ...], names: tuple[str, ...]) -> tuple[np.ndarray, list]:
-    """The training Gram K and dK/dtheta for every kernel parameter in ``names`` (noise excluded).
-
-    dK/dlog(variance) is K itself; the spectral parameters' derivatives come
-    with K from one stack of profiles, so from one build of the counts.
-    """
-    if isinstance(kernel, LinearKernel):
-        K = kernel.gram(xs)
-        return K, [K]
-    d = xs[0].space.d
-    derivs = profile_derivatives(kernel.spec, d)
-    grams = kernel.square_grams(xs, np.stack([kernel_profile(kernel.spec, d), *derivs.values()]))
-    by_name = dict(zip(derivs, grams[1:]), variance=grams[0])
-    return grams[0], [by_name[name] for name in names[:-1]]
-
-
 def _lml_and_gradient(
     kernel, names: tuple[str, ...], xs: tuple[GraphCode, ...], ys: np.ndarray, noise: float, normalize_y: bool
 ) -> tuple[float, np.ndarray]:
@@ -288,12 +272,24 @@ def _lml_and_gradient(
 
     The gradient is 0.5 tr(W dK/dtheta) with W = alpha alpha^T - (K + noise I)^-1
     (Rasmussen & Williams 2006, eq. 5.9), in the order of ``names``, as
-    :func:`_theta_layout` gives them; for log noise dK/dtheta = noise I.
+    :func:`_theta_layout` gives them; for log noise dK/dtheta = noise I. No
+    dK/dtheta is built: it is K's counts at the profile's derivative q (the
+    profile itself for log variance), so the trace is q @ g, with g the
+    kernel's pullback of W (``tuning_gram``); the linear kernel's is <W, K>.
     """
-    K, dKs = _gram_derivatives(kernel, xs, names)
+    if isinstance(kernel, LinearKernel):
+        K = kernel.gram(xs)
+        rates, pullback = [np.ones(1)], lambda W: np.array([np.vdot(W, K)])
+    else:
+        d = xs[0].space.d
+        profile = kernel_profile(kernel.spec, d)
+        K, pullback = kernel.tuning_gram(xs, profile)
+        by_name = dict(profile_derivatives(kernel.spec, d), variance=profile)
+        rates = [by_name[name] for name in names[:-1]]
     model = _condition(kernel, xs, ys, K, noise, normalize_y)
     W = np.outer(model.alpha, model.alpha) - model.chol_inv.T @ model.chol_inv
-    grad = [np.vdot(W, dK) for dK in dKs] + [model.noise * np.trace(W)]
+    g = pullback(W)
+    grad = [q @ g for q in rates] + [model.noise * np.trace(W)]
     return log_marginal_likelihood(model), 0.5 * np.array(grad)
 
 

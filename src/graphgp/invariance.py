@@ -24,9 +24,9 @@ stabilizer chain (below), so exact cost follows the size of its orbit, not
 |H|; only a sample's images come from one gather of its bits through the
 (|S|^2, d) slot-permutation array. The counts do not depend on the kernel;
 the exact ones are cached per (H, xs, ys), so every objective evaluation of
-a tuning run costs one product of the tensor with the profile and its
-derivatives. Exact evaluation visits whole orbits, and H is still refused
-above ``ENUMERATION_CAP``; deciding whether two graphs share an orbit
+a tuning run costs one product of the tensor with the profile and one with
+the gradient's weight matrix. Exact evaluation visits whole orbits, and H is
+still refused above ``ENUMERATION_CAP``; deciding whether two graphs share an orbit
 reduces to three such kernel values, so no shortcut exists in general (for
 H the full symmetric group this is exactly graph-isomorphism testing).
 
@@ -46,7 +46,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -305,12 +305,13 @@ def _orbit_words(H: PermSubgroup, words: np.ndarray, space: GraphSpace) -> np.nd
 
 def _fold(steps: Sequence[np.ndarray], values: np.ndarray, combine: np.ufunc) -> np.ndarray:
     """values(x) <- combine over the rows t of a step of values(t(x)), step after step, for
-    every code x at once (``values`` holds one entry per code, indexed by code integer)."""
+    every code x at once (``values`` holds one entry per code, indexed by code integer), each
+    row as it is gathered: a step of many rows (a sample) holds two gathered arrays, not all."""
     d = len(values).bit_length() - 1
     bits = (np.arange(len(values), dtype=np.int64)[:, None] >> np.arange(d)) & 1
     weights = np.int64(1) << np.arange(d, dtype=np.int64)
     for step in steps:
-        values = combine.reduce([values[bits[:, src] @ weights] for src in step])
+        values = reduce(combine, (values[bits[:, src] @ weights] for src in step))
     return values
 
 
@@ -454,25 +455,23 @@ def _counts(source: Source, xs: tuple[GraphCode, ...], ys: tuple[GraphCode, ...]
 _group_counts = lru_cache(maxsize=COUNT_CACHE_SIZE)(_counts)
 
 
-def _contract(
-    profiles: np.ndarray, counts: Callable, xs: Sequence[GraphCode], ys: Sequence[GraphCode] | None
-) -> np.ndarray:
-    """(k, len(xs), len(ys)) Grams from one build of counts(xs, ys), one per row of a
-    (k, d + 1) profile stack; square Grams are exactly symmetric. Needs nonempty code lists."""
-    c = counts(tuple(xs), None if ys is None else tuple(ys))
-    out = np.stack([c @ profile[: c.shape[2]] for profile in profiles])  # each row as a lone Gram would be
-    if ys is None:
-        out += np.swapaxes(np.triu(out, 1), 1, 2)  # square counts leave the lower triangle at 0.0
+def _contract(profile: np.ndarray, c: np.ndarray, square: bool) -> np.ndarray:
+    """The Gram of a (d + 1) profile from count tensor c; square counts fill j >= i only, and
+    their Gram is mirrored exactly symmetric."""
+    out = c @ profile[: c.shape[2]]
+    if square:
+        out += np.triu(out, 1).T  # square counts leave the lower triangle at 0.0
     return out
 
 
 def _gram(
     spec: KernelSpec, counts: Callable, xs: Sequence[GraphCode], ys: Sequence[GraphCode] | None
 ) -> np.ndarray:
-    """One Gram: the kernel profile's row of :func:`_contract`."""
+    """One Gram: the kernel profile contracted with one build of counts(xs, ys)."""
     if len(xs) == 0 or (ys is not None and len(ys) == 0):
         return np.zeros((len(xs), len(xs) if ys is None else len(ys)))
-    return _contract(kernel_profile(spec, xs[0].space.d)[None], counts, xs, ys)[0]
+    c = counts(tuple(xs), None if ys is None else tuple(ys))
+    return _contract(kernel_profile(spec, xs[0].space.d), c, ys is None)
 
 
 def invariant_gram_exact(
@@ -704,9 +703,11 @@ class ProjectedKernel:
 
     Grams and diagonals of both flavours come from one distance-count
     builder, over the whole group when ``sample`` is None, else over the
-    multiset S^-1 S; only the exact counts are cached. The Monte Carlo flavour
-    evaluates the sampled estimator at :func:`orbit_representative` of each
-    code, so its values, like the exact ones, do not change when a graph is
+    multiset S^-1 S; only the exact counts are cached. The tuner never
+    builds a Gram's derivatives: it contracts the same counts once with its
+    weight matrix (:meth:`tuning_gram`). The Monte Carlo flavour evaluates
+    the sampled estimator at :func:`orbit_representative` of each code, so
+    its values, like the exact ones, do not change when a graph is
     relabelled by H; it is biased toward the unprojected kernel with weight
     1/|S| (see :func:`invariant_kernel_sampled`). A group, or |S|^2, above
     ``ENUMERATION_CAP`` is refused at construction (``GroupTooLargeError``).
@@ -750,13 +751,14 @@ class ProjectedKernel:
         ys = None if ys is None else self._points(ys)
         return invariant_gram_sampled(self.spec, self.sample, self._points(xs), ys)
 
-    def square_grams(self, xs: Sequence[GraphCode], profiles: np.ndarray) -> np.ndarray:
-        """(k, n, n) square Grams of nonempty xs, one per row of a (k, d + 1) profile stack.
-
-        All k come from one count build, so a Monte Carlo kernel builds its
-        uncached counts once for a Gram and its derivatives.
-        """
-        return _contract(profiles, self._counts, self._points(xs), None)
+    def tuning_gram(self, xs: Sequence[GraphCode], profile: np.ndarray) -> tuple[np.ndarray, Callable]:
+        """The square Gram of nonempty xs at a (d + 1) profile and its pullback W -> g, from one
+        count build (so a Monte Carlo kernel builds its uncached counts once per evaluation): g is
+        W's upper-triangle weights (2 W_ij off the diagonal, W_ii on it) times the counts, so
+        g @ q == <W, Gram at q> for every profile q and symmetric W."""
+        c = self._counts(tuple(self._points(xs)), None)  # square counts: 0.0 below the diagonal
+        rows, pad = c.reshape(-1, c.shape[2]), (0, len(profile) - c.shape[2])
+        return _contract(profile, c, True), lambda W: np.pad((W + np.triu(W, 1)).ravel() @ rows, pad)
 
     def diag(self, xs: Sequence[GraphCode]) -> np.ndarray:
         """Prior variances k_H(x, x): each point's own counts, built uncached, without the square Gram."""

@@ -20,9 +20,10 @@ pair contributes the single count at its Hamming distance, so the Gram is
 the profile indexed by a Hamming matrix, which is cached for the code lists
 it was built from; :mod:`graphgp.invariance` averages the counts over a
 permutation group. A Gram's derivative in a spectral parameter is the same
-counts contracted with the profile's derivative
-(:func:`profile_derivatives`), so kernels build a Gram and its derivatives
-together from one stack of profiles (``square_grams``).
+counts contracted with the profile's derivative q (:func:`profile_derivatives`),
+so it is never built: tr(W dK) is q @ g, where g is the counts contracted
+once with W. A kernel's ``tuning_gram`` returns the square Gram and this
+pullback W -> g from one build of the counts.
 """
 
 from __future__ import annotations
@@ -282,20 +283,13 @@ def _hamming_matrix(xs: tuple[GraphCode, ...], ys: tuple[GraphCode, ...] | None)
     return out
 
 
-def _indexed_grams(
-    profiles: np.ndarray, xs: Sequence[GraphCode], ys: Sequence[GraphCode] | None
-) -> np.ndarray:
-    """(k, len(xs), len(ys)) Grams: each row of a (k, d + 1) profile stack at the pairwise distances."""
-    return profiles[:, _hamming_matrix(tuple(xs), None if ys is None else tuple(ys))]
-
-
 def gram(
     spec: KernelSpec, xs: Sequence[GraphCode], ys: Sequence[GraphCode] | None = None
 ) -> np.ndarray:
     """Gram matrix of kernel values at pairwise Hamming distances."""
     if len(xs) == 0:
         return np.zeros((0, 0 if ys is None else len(ys)))
-    return _indexed_grams(kernel_profile(spec, xs[0].space.d)[None], xs, ys)[0]
+    return kernel_profile(spec, xs[0].space.d)[_hamming_matrix(tuple(xs), None if ys is None else tuple(ys))]
 
 
 class IsotropicKernel:
@@ -308,9 +302,11 @@ class IsotropicKernel:
     def gram(self, xs: Sequence[GraphCode], ys: Sequence[GraphCode] | None = None) -> np.ndarray:
         return gram(self.spec, xs, ys)
 
-    def square_grams(self, xs: Sequence[GraphCode], profiles: np.ndarray) -> np.ndarray:
-        """(k, n, n) square Grams of xs, one per row of a (k, d + 1) profile stack."""
-        return _indexed_grams(profiles, xs, None)
+    def tuning_gram(self, xs: Sequence[GraphCode], profile: np.ndarray) -> tuple[np.ndarray, Callable]:
+        """The square Gram of nonempty xs at a (d + 1) profile, and its pullback W -> g: the
+        Hamming-distance counts weighted by W, so g @ q == <W, Gram at q> for symmetric W."""
+        D = _hamming_matrix(tuple(xs), None)
+        return profile[D], lambda W: np.bincount(D.ravel(), weights=W.ravel(), minlength=len(profile))
 
     def diag(self, xs: Sequence[GraphCode]) -> np.ndarray:
         """Prior variances k(x, x), without the square Gram."""

@@ -22,8 +22,9 @@ from graphgp.kernels import (
     LaplacianVariant,
     LinearKernel,
     matern_spec,
+    profile_derivatives,
 )
-from graphgp.spaces import GraphSpace, GraphSpaceKind, permute_bits
+from graphgp.spaces import GraphSpace, GraphSpaceKind, pairwise_hamming, permute_bits
 
 U4 = GraphSpace(GraphSpaceKind.UNDIRECTED, 4)
 DL3 = GraphSpace(GraphSpaceKind.DIRECTED_LOOPS, 3)
@@ -238,7 +239,8 @@ class TestNoiseFloorAgreement:
         names, _, _ = gp._theta_layout(self.KERNEL, gp.NOISE_FLOOR, U4.d)
         lml, grad = gp._lml_and_gradient(self.KERNEL, names, tuple(train), ys, gp.NOISE_FLOOR, normalize_y)
         model = gp.fit(self.KERNEL, train, ys, gp.NOISE_FLOOR, normalize_y=normalize_y)
-        _, dKs = gp._gram_derivatives(self.KERNEL, tuple(train), names)
+        derivs = dict(profile_derivatives(self.KERNEL.spec, U4.d), variance=self.KERNEL.profile())
+        dKs = [derivs[name][pairwise_hamming(train)] for name in names[:-1]]
         lml_o, grad_o = dense_lml_and_gradient(K, dKs, model.normalized_targets(), model.noise + model.jitter)
         self.assert_close(lml, lml_o)
         self.assert_close(grad, grad_o)
@@ -590,19 +592,19 @@ class TestJitter:
 class FailingKernel(IsotropicKernel):
     """Kernel whose tuning Grams raise ``error`` away from its starting spec, logging each raise.
 
-    The tuner's objective builds the Gram and its derivatives through
-    ``square_grams``, so that is where the failure is injected.
+    The tuner's objective builds the Gram and the pullback of its gradient
+    through ``tuning_gram``, so that is where the failure is injected.
     """
 
     def __init__(self, spec, space, start, error, raised):
         super().__init__(spec, space)
         self.start, self.error, self.raised = start, error, raised
 
-    def square_grams(self, xs, profiles):
+    def tuning_gram(self, xs, profile):
         if self.spec != self.start:
             self.raised.append(self.spec)
             raise self.error("injected failure")
-        return super().square_grams(xs, profiles)
+        return super().tuning_gram(xs, profile)
 
     def with_spec(self, spec):
         return FailingKernel(spec, self.space, self.start, self.error, self.raised)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +34,15 @@ from graphgp.invariance import (
     quotient_kernel,
     quotient_kernel_matrix,
 )
-from graphgp.kernels import CustomPhi, Heat, KernelSpec, LaplacianVariant, kernel_profile, matern_spec
+from graphgp.kernels import (
+    CustomPhi,
+    Heat,
+    IsotropicKernel,
+    KernelSpec,
+    LaplacianVariant,
+    kernel_profile,
+    matern_spec,
+)
 from graphgp.spaces import GraphSpace, GraphSpaceKind, NodePermutation, apply_permutation, hamming
 
 U3 = GraphSpace(GraphSpaceKind.UNDIRECTED, 3)
@@ -443,6 +452,18 @@ class TestProjectFunction:
         b = project_function(H, U4, values, sample_size=4, seed=3)
         assert np.array_equal(a, b)
 
+    def test_sampled_memory_does_not_grow_with_the_sample(self):
+        # a sample is one step of sample_size rows: combined as they are gathered, not held all at once
+        U6 = GraphSpace(GraphSpaceKind.UNDIRECTED, 6)  # d = 15: each gathered array is 256 KB
+        values = np.random.default_rng(0).standard_normal(1 << U6.d)
+        tracemalloc.start()
+        try:
+            project_function(PermSubgroup.full(6), U6, values, sample_size=400, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6  # 400 arrays held at once peaked at 214 MB
+
     def test_cap_refusal(self, rng):
         H = PermSubgroup.full(8)
         space = GraphSpace(GraphSpaceKind.UNDIRECTED, 8)  # d = 28 > cap as well
@@ -503,7 +524,7 @@ class TestChainAgainstEnumeration:
         exact = ProjectedKernel(spec, H, U5)
         square = exact.gram(xs)
         np.testing.assert_allclose(exact.diag(xs), np.diag(square), rtol=1e-12)
-        assert np.array_equal(exact.square_grams(xs, kernel_profile(spec, U5.d)[None])[0], square)
+        assert np.array_equal(exact.tuning_gram(xs, kernel_profile(spec, U5.d))[0], square)
         cross = exact.gram(xs, ys)
         np.testing.assert_allclose(cross[0, 0], invariant_kernel_exact(spec, H, xs[0], ys[0]), rtol=1e-12)
         assert pair_histogram(H, xs[1], ys[1]).sum() == H.order()
@@ -543,6 +564,37 @@ def sparse_codes(space, rng, count, density=0.2):
         bits = sum(1 << s for s in range(space.d) if rng.random() < density)
         out.append(space.code_from_int(bits))
     return out
+
+
+class TestTuningGram:
+    """``tuning_gram``'s pullback g of a symmetric W satisfies g @ q == <W, Gram at q> for any profile q."""
+
+    @pytest.mark.parametrize("flavour", ["isotropic", "exact", "monte_carlo"])
+    def test_pullback_contracts_like_the_gram(self, rng, flavour):
+        spec = KernelSpec(Heat(4.0), variance=1.3)
+        xs = sparse_codes(U12, rng, 10, density=0.3)
+        q = rng.standard_normal(U12.d + 1)
+        if flavour == "isotropic":
+            kernel = IsotropicKernel(spec, U12)
+            gram_q = q[spaces.pairwise_hamming(xs)]
+        else:
+            if flavour == "exact":
+                kernel = ProjectedKernel(spec, BLOCKS_12, U12)
+                counts = _group_counts(BLOCKS_12, tuple(xs), None)
+            else:
+                kernel = ProjectedKernel.monte_carlo(spec, BLOCKS_12, U12, sample_size=5, seed=2)
+                reps = tuple(orbit_representative(BLOCKS_12, x) for x in xs)
+                counts = invariance._counts(kernel.sample, reps, None)
+            mirrored = counts + counts.transpose(1, 0, 2)  # square counts fill j >= i only
+            mirrored[np.diag_indices(len(xs))] /= 2
+            gram_q = mirrored @ q[: counts.shape[2]]
+        W = rng.standard_normal((len(xs), len(xs)))
+        W += W.T
+        K, pullback = kernel.tuning_gram(xs, kernel_profile(spec, U12.d))
+        assert np.array_equal(K, kernel.gram(xs))
+        g = pullback(W)
+        assert g.shape == (U12.d + 1,)
+        assert abs(q @ g - np.vdot(W, gram_q)) <= 1e-12 * abs(np.vdot(W, gram_q))
 
 
 class TestCountTensorGram:
@@ -662,11 +714,8 @@ class TestDistinctImages:
         assert np.array_equal(_group_counts(H, tuple(xs), None), upper)
         assert np.array_equal(_group_counts(H, tuple(xs), tuple(ys)), cross)
 
-        def reference(xs_, ys_):
-            return upper if ys_ is None else cross
-
-        for ys_ in (None, ys):
-            expect = invariance._contract(profile[None], reference, xs, ys_)[0]
+        for ys_, counts in ((None, upper), (ys, cross)):
+            expect = invariance._contract(profile, counts, ys_ is None)
             assert np.array_equal(invariant_gram_exact(spec, H, xs, ys_), expect)
         own = np.stack([square[i, i] for i in range(len(xs))])
         assert np.array_equal(ProjectedKernel(spec, H, space).diag(xs), own @ profile)
@@ -824,8 +873,12 @@ class TestOrbitRepresentative:
         assert np.array_equal(kernel.gram(gxs), kernel.gram(xs))
         assert np.array_equal(kernel.gram(gxs, gys), kernel.gram(xs, ys))
         assert np.array_equal(kernel.diag(gxs), kernel.diag(xs))
-        profiles = np.stack([kernel_profile(kernel.spec, space.d)] * 2)
-        assert np.array_equal(kernel.square_grams(gxs, profiles), kernel.square_grams(xs, profiles))
+        profile = kernel_profile(kernel.spec, space.d)
+        (K_g, pullback_g), (K, pullback) = kernel.tuning_gram(gxs, profile), kernel.tuning_gram(xs, profile)
+        W = rng.standard_normal((len(xs), len(xs)))
+        W += W.T
+        assert np.array_equal(K_g, K)
+        assert np.array_equal(pullback_g(W), pullback(W))
 
     def test_monte_carlo_tuning_ignores_relabelling(self, rng):
         kernel = ProjectedKernel.monte_carlo(KernelSpec(Heat(4.0)), BLOCKS_12, U12, sample_size=4, seed=1)
