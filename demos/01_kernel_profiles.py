@@ -11,6 +11,8 @@ spectral sum would have 2^36 terms.
 
 from pathlib import Path
 
+import numpy as np
+
 from graphgp import (
     GraphSpaceKind,
     GraphSpace,
@@ -19,8 +21,8 @@ from graphgp import (
     LaplacianVariant,
     heat_closed_form,
     kernel_profile,
+    level_log_weights,
     matern_spec,
-    spectral_coefficients,
 )
 from graphgp.cli import main as graphgp_main
 
@@ -50,7 +52,7 @@ worst = max(
 print(f"\nheat profile vs closed form tanh(k^2/2)^m: max |diff| = {worst:.2e}")
 
 # where the prior variance lives across frequency levels
-weights = spectral_coefficients(heat, d).weights()
+weights = np.exp(level_log_weights(heat, d))
 print("\nheat spectrum: share of variance per level (first 8 levels)")
 for j in range(8):
     bar = "#" * int(60 * weights[j])

@@ -41,10 +41,11 @@ from .kernels import (
     gram,
     heat_closed_form,
     kernel_profile,
+    level_amplitudes,
+    level_log_weights,
     matern_spec,
     spec_from_json,
     spec_to_json,
-    spectral_coefficients,
 )
 from .invariance import (
     OrbitClass,

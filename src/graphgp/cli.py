@@ -48,9 +48,9 @@ from .kernels import (
     LinearKernel,
     evaluate,
     kernel_profile,
+    level_log_weights,
     spec_from_json,
     spec_to_json,
-    spectral_coefficients,
 )
 from .kravchuk import build_table
 from .spaces import graph_from_json, graph_to_json, space_from_json
@@ -143,8 +143,7 @@ def _cmd_kernel_profile(args) -> int:
     spec = spec_from_json(_json_arg(args.spec), d=d)
     table = build_table(d)
     profile = kernel_profile(spec, d)
-    coeffs = spectral_coefficients(spec, d)
-    weights = coeffs.weights()
+    weights = np.exp(level_log_weights(spec, d))
     components = spec.variance * weights[:, None] * table.values  # (level j, distance m)
     out = Path(args.out)
     with open(out, "w", newline="") as fh:

@@ -38,8 +38,9 @@ from .kernels import (
     LinearKernel,
     Matern,
     kernel_profile,
+    level_amplitudes,
     profile_derivatives,
-    spectral_coefficients,
+    truncation_level,
 )
 from .kravchuk import build_table
 from .spaces import GraphCode, NodePermutation, apply_permutation, bit_matrix, pairwise_hamming
@@ -754,14 +755,12 @@ def sample_prior_exact(kernel, xs: Sequence[GraphCode], n_samples: int, seed: in
     return rng.standard_normal((n_samples, len(xs))) @ L.T
 
 
-def _level_amplitudes(spec: KernelSpec, d: int) -> np.ndarray:
-    """Per-level subset variance a_j with k = sum_j a_j G(d,j,.); zeros beyond truncation."""
-    coeffs = spectral_coefficients(spec, d)
-    log_binom = build_table(d).log_binom
-    out = np.zeros(d + 1)
-    live = np.isfinite(coeffs.log_weights)
-    out[live] = spec.variance * np.exp(coeffs.log_weights[live] - log_binom[live])
-    return out
+def _level_cap(spec: KernelSpec, d: int, level_cap: int | None) -> int:
+    """A sampler's highest Walsh level: ``level_cap``, else the spec's truncation level."""
+    J = truncation_level(spec, d) if level_cap is None else level_cap
+    if not (0 <= J <= d):
+        raise ValueError(f"level cap {J} out of range for d={d}")
+    return J
 
 
 class TruncatedWalshSampler:
@@ -775,11 +774,7 @@ class TruncatedWalshSampler:
 
     def __init__(self, spec: KernelSpec, space, level_cap: int | None = None, feature_budget: int = 1 << 20):
         d = space.d
-        J = level_cap
-        if J is None:
-            J = d if spec.truncation is None else min(spec.truncation, d)
-        if not (0 <= J <= d):
-            raise ValueError(f"level cap {J} out of range for d={d}")
+        J = _level_cap(spec, d, level_cap)
         sizes = [math.comb(d, j) for j in range(J + 1)]
         count = sum(sizes)
         if count > feature_budget:
@@ -794,7 +789,7 @@ class TruncatedWalshSampler:
         subsets = (combo for j in range(J + 1) for combo in itertools.combinations(range(d), j))
         for f, combo in enumerate(subsets):
             self._subsets[f, list(combo)] = 1
-        self._sqrt_amp = np.repeat(np.sqrt(_level_amplitudes(self.spec, d)[: J + 1]), sizes)
+        self._sqrt_amp = np.repeat(np.sqrt(level_amplitudes(self.spec, d)[: J + 1]), sizes)
 
     @property
     def n_features(self) -> int:
@@ -826,16 +821,14 @@ class RandomPhaseSampler:
         if num_anchors < 1:
             raise ValueError(f"need at least one anchor, got {num_anchors}")
         d = space.d
-        J = level_cap
-        if J is None:
-            J = d if spec.truncation is None else min(spec.truncation, d)
+        J = _level_cap(spec, d, level_cap)
         self.spec = replace(spec, truncation=J)
         self.space = space
         self.level_cap = J
         self.num_anchors = num_anchors
         rng = np.random.default_rng(seed)
         self.anchors = tuple(space.random_code(rng) for _ in range(num_anchors))
-        amps = _level_amplitudes(self.spec, d)
+        amps = level_amplitudes(self.spec, d)
         self._coef = np.repeat(np.sqrt(amps[: J + 1] / num_anchors), num_anchors)
         table = build_table(d)
         self._raw_levels = table.values[: J + 1, :] * np.exp(table.log_binom[: J + 1, None])

@@ -52,12 +52,11 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .kernels import (
-    CustomPhi,
     KernelSpec,
     LaplacianVariant,
     kernel_profile,
-    log_normalizer,
-    spectral_coefficients,
+    level_amplitudes,
+    level_log_weights,
 )
 from .spaces import (
     GraphCode,
@@ -579,11 +578,14 @@ def build_quotient(H: PermSubgroup, space: GraphSpace, max_dim: int = QUOTIENT_M
 def quotient_kernel_matrix(spec: KernelSpec, quotient: QuotientGraph) -> np.ndarray:
     """Group-averaged kernel values between all class pairs, via the quotient.
 
-    Eigendecomposes the quotient's symmetric normalized Laplacian, applies
-    the spectral density of ``spec`` with the normalizer computed on the
-    full space (so the values agree with the exact double average), and
-    rescales by sqrt(class size) on each side: a class-constant eigenfunction
-    that has unit norm over all 2^d codes takes the value
+    Eigendecomposes the quotient's symmetric normalized Laplacian, whose
+    eigenvalues are hypercube levels 2j/d (anything else is refused as an
+    inconsistent quotient). An eigenvector at level j carries 2^d a_j, with
+    a_j = sigma^2 Phi(lambda_j) / C the spec's per-subset amplitude
+    (:func:`~graphgp.kernels.level_amplitudes`, normalized on the full space
+    so the values agree with the exact double average). The result is
+    rescaled by sqrt(class size) on each side: a class-constant
+    eigenfunction that has unit norm over all 2^d codes takes the value
     g(class) / sqrt(|class|) on each member, so the per-class spectral sum
     relates to the kernel of the averaged process through exactly that
     factor.
@@ -601,16 +603,13 @@ def quotient_kernel_matrix(spec: KernelSpec, quotient: QuotientGraph) -> np.ndar
     lap = np.eye(quotient.num_classes) - inv_sqrt_deg[:, None] * quotient.weights * inv_sqrt_deg[None, :]
     mu, vec = np.linalg.eigh(lap)
 
-    J = d if spec.truncation is None else min(spec.truncation, d)
-    level = np.rint(mu * d / 2.0).astype(int)
-    on_lattice = (np.abs(mu * d / 2.0 - level) <= 1e-6) & (level >= 0) & (level <= d)
-    lam = np.where(on_lattice, 2.0 * np.clip(level, 0, d) / d, np.clip(mu, 0.0, None))
-    log_phi = np.asarray(spec.family.log_phi(lam), dtype=float)
-    retained = np.where(on_lattice, level <= J, lam <= 2.0 * J / d + 1e-12)
-
-    log_scale = math.log(spec.variance) + d * math.log(2.0) - log_normalizer(spec, d)
-    with np.errstate(over="raise"):
-        phi_eff = np.where(retained & np.isfinite(log_phi), np.exp(log_phi + log_scale), 0.0)
+    half_mu = mu * d / 2.0
+    level = np.rint(half_mu).astype(int)
+    if np.abs(half_mu - level).max() > 1e-6 or level.min() < 0 or level.max() > d:
+        raise ValueError(
+            f"quotient Laplacian eigenvalues in [{mu.min():.6g}, {mu.max():.6g}] are not all hypercube levels 2j/d"
+        )
+    phi_eff = 2**d * level_amplitudes(spec, d)[level]
     k_classes = (vec * phi_eff) @ vec.T
     psi = np.sqrt(sizes)
     out = k_classes / (psi[:, None] * psi[None, :])
@@ -631,19 +630,17 @@ def quotient_kernel(spec: KernelSpec, quotient: QuotientGraph, i: int, j: int) -
 
 
 def _require_strictly_positive(spec: KernelSpec, d: int) -> None:
-    if spec.truncation is not None and spec.truncation < d:
+    """Refuse a spec that puts zero weight on any level 2j/d, truncated or where Phi vanishes.
+
+    Only when every level amplitude is positive do equal group-averaged
+    kernel values imply a shared orbit.
+    """
+    dead = np.flatnonzero(np.isneginf(level_log_weights(spec, d)))
+    if dead.size:
         raise ValueError(
             "orbit-equivalence testing needs a spectral density that is strictly "
-            "positive on every level; truncation discards levels above "
-            f"{spec.truncation}"
+            f"positive on every level; levels {dead.tolist()} have zero weight"
         )
-    if isinstance(spec.family, CustomPhi):
-        coeffs = spectral_coefficients(spec, d)
-        if not np.isfinite(coeffs.log_weights).all():
-            raise ValueError(
-                "orbit-equivalence testing needs a strictly positive spectral "
-                "density; this one vanishes on some level"
-            )
 
 
 def orbit_equivalence_test(

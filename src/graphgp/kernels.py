@@ -9,9 +9,12 @@ distance m = |x XOR y| and can be written as
 where G' are the normalized level sums from :mod:`graphgp.kravchuk`, the
 c_j are nonnegative and sum to one, and c_j is proportional to
 Phi(lambda_j) * C(d, j) for a nonnegative spectral density Phi evaluated at
-the hypercube Laplacian eigenvalue of level j. The normalizer is computed
-with a max-shifted log-sum-exp so very peaked or very flat spectra stay
-finite, and it guarantees k(x, x) = sigma^2.
+the hypercube Laplacian eigenvalue of level j. This module is the one place
+that spectrum is worked out, as two read-only (d + 1) arrays:
+:func:`level_log_weights` holds log c_j (normalized with a max-shifted
+log-sum-exp so very peaked or very flat spectra stay finite, which pins
+k(x, x) = sigma^2), and :func:`level_amplitudes` the per-subset variances
+a_j = sigma^2 c_j / C(d, j) that Walsh features and the quotient kernel use.
 
 The whole kernel is its profile, the d + 1 values k(0..d), which is one
 vector-matrix product of the c_j with the table of G'. Every Gram matrix in
@@ -29,7 +32,7 @@ pullback W -> g from one build of the counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -120,9 +123,6 @@ class KernelSpec:
         if self.truncation is not None and self.truncation < 0:
             raise ValueError(f"truncation must be >= 0, got {self.truncation}")
 
-    def with_variance(self, variance: float) -> "KernelSpec":
-        return replace(self, variance=variance)
-
 
 def matern_spec(
     d: int,
@@ -148,61 +148,43 @@ def eigenvalue_levels(variant: LaplacianVariant, d: int) -> np.ndarray:
     return 2.0 * j / d
 
 
-class CoefficientVector:
-    """Per-level kernel coefficients in log form.
+def truncation_level(spec: KernelSpec, d: int) -> int:
+    """The highest level J the spec keeps on a d-bit space: its truncation, at most d."""
+    return d if spec.truncation is None else min(spec.truncation, d)
 
-    ``log_weights[j]`` is log c_j where c_j = Phi(lambda_j) C(d, j) / C and
-    the normalizer C makes the c_j sum to one; levels beyond the truncation
-    are -inf.
+
+@lru_cache(maxsize=512)
+def level_log_weights(spec: KernelSpec, d: int) -> np.ndarray:
+    """Read-only log c_j for levels j = 0..d, the c_j summing to one.
+
+    c_j = Phi(lambda_j) C(d, j) / C, with the normalizer C taken as a
+    max-shifted log-sum-exp over the retained levels; dividing by C is what
+    pins k(x, x) to sigma^2. Entries are -inf beyond the truncation and
+    wherever Phi vanishes.
     """
-
-    def __init__(self, d: int, log_weights: np.ndarray, levels: np.ndarray):
-        self.d = d
-        log_weights = np.asarray(log_weights, dtype=float)
-        log_weights.setflags(write=False)
-        self.log_weights = log_weights
-        levels = np.asarray(levels, dtype=float)
-        levels.setflags(write=False)
-        self.levels = levels
-
-    def weights(self) -> np.ndarray:
-        return np.exp(self.log_weights)
-
-
-def _log_level_masses(spec: KernelSpec, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """log(Phi(lambda_j) * C(d, j)) per level, truncated; plus the levels."""
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    J = d if spec.truncation is None else min(spec.truncation, d)
-    lam = eigenvalue_levels(spec.laplacian, d)
-    log_phi = np.asarray(spec.family.log_phi(lam), dtype=float)
-    log_raw = log_phi + build_table(d).log_binom
-    log_raw[J + 1 :] = -np.inf
-    return log_raw, lam
-
-
-def log_normalizer(spec: KernelSpec, d: int) -> float:
-    """log of C = sum over retained levels of Phi(lambda_j) * C(d, j).
-
-    Computed with a max-shifted log-sum-exp; dividing the raw level masses
-    by C is what pins k(x, x) to sigma^2.
-    """
-    return _log_sum_exp(_log_level_masses(spec, d)[0])
-
-
-def _log_sum_exp(log_raw: np.ndarray) -> float:
+    log_binom = build_table(d).log_binom
+    log_raw = np.asarray(spec.family.log_phi(eigenvalue_levels(spec.laplacian, d)), dtype=float) + log_binom
+    log_raw[truncation_level(spec, d) + 1 :] = -np.inf
     finite = np.isfinite(log_raw)
     if not finite.any():
         raise ValueError("degenerate kernel: the spectral density vanishes on every retained level")
     shift = log_raw[finite].max()
-    return float(shift + math.log(np.exp(log_raw[finite] - shift).sum()))
+    out = log_raw - float(shift + math.log(np.exp(log_raw[finite] - shift).sum()))
+    out.setflags(write=False)
+    return out
 
 
-@lru_cache(maxsize=512)
-def spectral_coefficients(spec: KernelSpec, d: int) -> CoefficientVector:
-    """Normalized per-level coefficients of the kernel on a d-bit space."""
-    log_raw, lam = _log_level_masses(spec, d)
-    return CoefficientVector(d, log_raw - _log_sum_exp(log_raw), lam)
+def level_amplitudes(spec: KernelSpec, d: int) -> np.ndarray:
+    """Per-subset variance a_j = sigma^2 c_j / C(d, j) for levels j = 0..d, 0 where c_j = 0.
+
+    k = sum_j a_j G(d, j, .) with the raw level sums G, so a_j is the
+    variance of each level-j Walsh feature.
+    """
+    log_c = level_log_weights(spec, d)
+    out = np.zeros(d + 1)
+    live = np.isfinite(log_c)
+    out[live] = spec.variance * np.exp(log_c[live] - build_table(d).log_binom[live])
+    return out
 
 
 def kernel_profile(spec: KernelSpec, d: int) -> np.ndarray:
@@ -214,7 +196,7 @@ def kernel_profile(spec: KernelSpec, d: int) -> np.ndarray:
     to one, so however the signed terms cancel, each value is within a few
     (d + 1) rounding units of sigma^2 of the exact sum.
     """
-    profile = spec.variance * (spectral_coefficients(spec, d).weights() @ build_table(d).values)
+    profile = spec.variance * (np.exp(level_log_weights(spec, d)) @ build_table(d).values)
     profile[0] = spec.variance
     return profile
 
@@ -228,8 +210,7 @@ def profile_derivatives(spec: KernelSpec, d: int) -> dict[str, np.ndarray]:
     is pinned to sigma^2.
     """
     fam = spec.family
-    coeffs = spectral_coefficients(spec, d)
-    lam = coeffs.levels
+    lam = eigenvalue_levels(spec.laplacian, d)
     if isinstance(fam, Heat):
         rates = {"kappa": -(fam.kappa**2) * lam}
     elif isinstance(fam, Matern):
@@ -240,7 +221,7 @@ def profile_derivatives(spec: KernelSpec, d: int) -> dict[str, np.ndarray]:
         }
     else:
         raise ValueError(f"no parameter derivatives for family {type(fam).__name__}")
-    w = coeffs.weights()
+    w = np.exp(level_log_weights(spec, d))
     values = build_table(d).values
     out = {}
     for name, r in rates.items():

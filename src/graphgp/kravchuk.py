@@ -13,7 +13,7 @@ integer closed form and direct enumeration of subsets.
 from __future__ import annotations
 
 import math
-import threading
+from functools import lru_cache
 
 import numpy as np
 
@@ -62,10 +62,11 @@ def _normalized_values(d: int) -> np.ndarray:
     return prev
 
 
-_TABLE_CACHE: dict[int, KravchukTable] = {}
-_TABLE_LOCK = threading.Lock()
+#: Tables kept for reuse, one per dimension; 16 tables at d = 256 hold about 8 MB.
+TABLE_CACHE_SIZE = 16
 
 
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
 def build_table(d: int) -> KravchukTable:
     """Build (or fetch from cache) the normalized table for dimension d >= 1.
 
@@ -75,9 +76,4 @@ def build_table(d: int) -> KravchukTable:
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    with _TABLE_LOCK:
-        table = _TABLE_CACHE.get(d)
-        if table is None:
-            table = KravchukTable(d, _normalized_values(d))
-            _TABLE_CACHE[d] = table
-    return table
+    return KravchukTable(d, _normalized_values(d))

@@ -258,10 +258,6 @@ class NodePermutation:
     def identity(cls, n: int) -> "NodePermutation":
         return cls(tuple(range(n)))
 
-    @classmethod
-    def from_sequence(cls, seq: Iterable[int]) -> "NodePermutation":
-        return cls(tuple(int(v) for v in seq))
-
     @property
     def n(self) -> int:
         return len(self.mapping)

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from graphgp import gp
-from graphgp.kernels import KernelSpec, LaplacianVariant, kernel_profile, spectral_coefficients
+from graphgp.kernels import KernelSpec, LaplacianVariant, kernel_profile, level_log_weights
 from graphgp.kravchuk import KravchukTable, build_table
 from graphgp.spaces import GraphCode, apply_permutation
 
@@ -210,12 +210,12 @@ def log_sign_evaluate(spec: KernelSpec, table: KravchukTable, m: int) -> float:
     assert 0 <= m <= d
     if m == 0:
         return spec.variance
-    coeffs = spectral_coefficients(spec, d)
+    log_w = level_log_weights(spec, d)
     g = table.values[:, m]
-    live = np.isfinite(coeffs.log_weights) & (g != 0.0)
+    live = np.isfinite(log_w) & (g != 0.0)
     if not live.any():
         return 0.0
-    log_terms = coeffs.log_weights[live] + np.log(np.abs(g[live]))
+    log_terms = log_w[live] + np.log(np.abs(g[live]))
     signs = np.sign(g[live])
     shift = log_terms.max()
     acc = float(np.sum(signs * np.exp(log_terms - shift)))

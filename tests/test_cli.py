@@ -334,6 +334,16 @@ class TestSampleCommand:
         ]) == 0
         assert len(read_csv(out)) == 4
 
+    @pytest.mark.parametrize("mode", ["walsh", "phase"])
+    def test_level_cap_above_d_is_a_validation_error(self, tmp_path, capsys, mode):
+        out = tmp_path / f"{mode}.csv"
+        assert main([
+            "sample", "--space", U4_SPACE, "--spec", HEAT_PLAIN, "--mode", mode,
+            "--level-cap", "7", "--n", "3", "--seed", "2", "--out", str(out),
+        ]) == 2
+        assert "out of range" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_validation_error_is_2(self, capsys):

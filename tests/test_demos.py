@@ -1,4 +1,4 @@
-"""The orbit demos run end to end in-process, their own asserts included."""
+"""The spectral and orbit demos run end to end in-process, their own asserts included."""
 
 import runpy
 from pathlib import Path
@@ -11,6 +11,8 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
 @pytest.mark.parametrize(
     "name,expected",
     [
+        ("01_kernel_profiles.py", "level  0: 0.5203"),
+        ("02_toy_regression.py", "XOR-translated problem, max |prediction change|: 0.00e+00"),
         ("03_quotients_and_orbits.py", "11 isomorphism classes under all 24 relabelings"),
         ("04_monte_carlo_projection.py", "full-group projection is constant on orbits"),
     ],

@@ -13,12 +13,13 @@ from oracles import (
     sampled_gram_by_pairs,
 )
 
-from graphgp import gp, invariance, spaces
+from graphgp import gp, invariance, kravchuk, spaces
 from graphgp.invariance import (
     COUNT_CACHE_SIZE,
     GroupTooLargeError,
     PermSubgroup,
     ProjectedKernel,
+    QuotientGraph,
     build_quotient,
     draw_sample,
     enumerate_orbit,
@@ -369,6 +370,15 @@ class TestQuotientKernel:
         quotient = build_quotient(PermSubgroup.full(3), U3)
         with pytest.raises(ValueError):
             quotient_kernel(KernelSpec(Heat(1.0)), quotient, 0, 99)
+
+    def test_eigenvalues_off_the_hypercube_levels_rejected(self):
+        quotient = build_quotient(PermSubgroup.full(3), U3)
+        weights = quotient.weights.copy()
+        weights[0, 1] += 0.1
+        weights[1, 0] += 0.1
+        skewed = QuotientGraph(U3, quotient.subgroup, quotient.classes, weights, quotient.class_of)
+        with pytest.raises(ValueError, match="hypercube levels 2j/d"):
+            quotient_kernel_matrix(KernelSpec(Heat(1.0)), skewed)
 
 
 class TestOrbitEquivalenceTest:
@@ -898,6 +908,7 @@ class TestOrbitRepresentative:
         (invariance._distinct_images, invariance.ORBIT_IMAGE_CACHE_SIZE),
         pytest.param(invariance._group_counts, invariance.COUNT_CACHE_SIZE, id="_group_counts"),
         (invariance.orbit_representative, invariance.REPRESENTATIVE_CACHE_SIZE),
+        (kravchuk.build_table, kravchuk.TABLE_CACHE_SIZE),
     ],
 )
 def test_image_caches_are_bounded(cached, size):

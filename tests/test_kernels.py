@@ -19,10 +19,11 @@ from graphgp.kernels import (
     gram,
     heat_closed_form,
     kernel_profile,
+    level_amplitudes,
+    level_log_weights,
     matern_spec,
     spec_from_json,
     spec_to_json,
-    spectral_coefficients,
 )
 from graphgp.kravchuk import build_table
 from graphgp.spaces import GraphSpace, GraphSpaceKind, hamming, permute_bits
@@ -55,27 +56,27 @@ class TestSpectralCoefficients:
     def test_convex_combination(self, rng):
         for _ in range(20):
             spec = random_spec(rng)
-            w = spectral_coefficients(spec, 8).weights()
+            w = np.exp(level_log_weights(spec, 8))
             assert np.all(w >= 0)
             assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_truncated_levels_excluded(self):
         spec = KernelSpec(Heat(1.0), truncation=3)
-        coeffs = spectral_coefficients(spec, 8)
-        assert np.all(np.isneginf(coeffs.log_weights[4:]))
-        assert np.exp(coeffs.log_weights[:4]).sum() == pytest.approx(1.0, abs=1e-12)
+        log_w = level_log_weights(spec, 8)
+        assert np.all(np.isneginf(log_w[4:]))
+        assert np.exp(log_w[:4]).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_matern_snapshot(self):
         spec = matern_spec(6, nu_base=2.5, kappa=1.0)
         assert spec.family.nu == 5.5
-        w = spectral_coefficients(spec, 6).weights()
+        w = np.exp(level_log_weights(spec, 6))
         assert w == pytest.approx(MATERN_D6_WEIGHTS, rel=1e-12)
 
     def test_heat_small_kappa_flattens(self):
         # kappa -> 0 puts mass C(d,j)/2^d on level j and kills off-diagonal values
         d = 8
         spec = KernelSpec(Heat(1e-4), laplacian=PLAIN)
-        w = spectral_coefficients(spec, d).weights()
+        w = np.exp(level_log_weights(spec, d))
         expect = np.array([math.comb(d, j) for j in range(d + 1)]) / 2**d
         assert w == pytest.approx(expect, rel=1e-6)
         profile = kernel_profile(spec, d)
@@ -85,7 +86,7 @@ class TestSpectralCoefficients:
 
     def test_heat_large_kappa_is_constant_kernel(self):
         spec = KernelSpec(Heat(25.0), laplacian=PLAIN)
-        w = spectral_coefficients(spec, 6).weights()
+        w = np.exp(level_log_weights(spec, 6))
         assert w[0] == pytest.approx(1.0, abs=1e-12)
         profile = kernel_profile(spec, 6)
         assert profile == pytest.approx(np.ones(7), abs=1e-10)
@@ -93,12 +94,12 @@ class TestSpectralCoefficients:
     def test_degenerate_density_rejected(self):
         spec = KernelSpec(CustomPhi(lambda lam: 0.0))
         with pytest.raises(ValueError, match="degenerate"):
-            spectral_coefficients(spec, 4)
+            level_log_weights(spec, 4)
 
     def test_negative_density_rejected(self):
         spec = KernelSpec(CustomPhi(lambda lam: -1.0))
         with pytest.raises(ValueError, match="nonnegative"):
-            spectral_coefficients(spec, 4)
+            level_log_weights(spec, 4)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -236,11 +237,10 @@ class TestRestrictionProperty:
 class TestTruncation:
     def test_captured_mass_monotone(self):
         d = 10
-        full = spectral_coefficients(KernelSpec(Heat(1.0)), d).weights()
+        full = np.exp(level_log_weights(KernelSpec(Heat(1.0)), d))
         masses = []
         for J in range(d + 1):
-            coeffs = spectral_coefficients(KernelSpec(Heat(1.0), truncation=J), d)
-            live = np.isfinite(coeffs.log_weights)
+            live = np.isfinite(level_log_weights(KernelSpec(Heat(1.0), truncation=J), d))
             masses.append(full[live].sum())
         assert all(a <= b + 1e-15 for a, b in zip(masses, masses[1:]))
         assert masses[-1] == pytest.approx(1.0, abs=1e-12)
@@ -253,9 +253,7 @@ class TestTruncation:
     def test_full_truncation_matches_walsh_enumeration(self, space, rng):
         d = space.d
         spec = KernelSpec(Heat(0.9), 1.7, PLAIN, truncation=d)
-        coeffs = spectral_coefficients(spec, d)
-        log_binom = build_table(d).log_binom
-        amps = spec.variance * np.exp(coeffs.log_weights - log_binom)
+        amps = level_amplitudes(spec, d)
         x, y = space.random_code(rng), space.random_code(rng)
         by_enumeration = sum(amps[j] * brute_force_level_sum(x, y, j) for j in range(d + 1))
         assert evaluate(spec, build_table(d), hamming(x, y)) == pytest.approx(

@@ -111,6 +111,20 @@ class TestTruncatedWalshSampler:
         assert np.array_equal(sampler.draw(xs, 5, 9), sampler.draw(xs, 5, 9))
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda cap: gp.TruncatedWalshSampler(KernelSpec(Heat(1.0)), U4, level_cap=cap),
+        lambda cap: gp.RandomPhaseSampler(KernelSpec(Heat(1.0)), U4, num_anchors=4, seed=0, level_cap=cap),
+    ],
+    ids=["walsh", "phase"],
+)
+@pytest.mark.parametrize("cap", [-1, U4.d + 1])
+def test_level_cap_outside_the_levels_rejected(make, cap):
+    with pytest.raises(ValueError, match=f"level cap {cap} out of range for d={U4.d}"):
+        make(cap)
+
+
 class TestRandomPhaseSampler:
     def test_zero_mean(self, rng):
         spec = KernelSpec(Heat(1.0))
