@@ -37,7 +37,6 @@ from .kernels import (
     KernelSpec,
     LinearKernel,
     Matern,
-    kernel_profile,
     level_amplitudes,
     profile_derivatives,
     truncation_level,
@@ -51,9 +50,13 @@ _JITTER_GROWTH = 10.0
 _JITTER_RETRIES = 3
 
 
-def _cholesky_with_jitter(K: np.ndarray, noise_var: float) -> tuple[np.ndarray, float]:
-    """Lower Cholesky of K + noise_var I, adding jitter relative to K's largest diagonal if needed."""
-    eye = np.eye(K.shape[0])
+def _cholesky_with_jitter(K: np.ndarray, noise_var: float, eye: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    """Lower Cholesky of K + noise_var I, adding jitter relative to K's largest diagonal if needed.
+
+    ``eye`` is the identity of K's size, for callers that factor many Grams of one size.
+    """
+    if eye is None:
+        eye = np.eye(K.shape[0])
     scale = max(float(np.abs(np.diag(K)).max()), 1e-12)
     jitters = [0.0] + [_JITTER_FACTOR * scale * _JITTER_GROWTH**k for k in range(_JITTER_RETRIES)]
     for jit in jitters:
@@ -104,7 +107,10 @@ def fit(kernel, xs: Sequence[GraphCode], ys: Sequence[float], noise: float, norm
     every prediction is mapped back to the original scale.
     """
     xs, ys = _training_data(xs, ys)
-    return _condition(kernel, xs, ys, kernel.gram(xs), noise, normalize_y)
+    noise = max(float(noise), NOISE_FLOOR)
+    y_mean, y_std, z = _normalized(ys, normalize_y)
+    L, jitter, L_inv, alpha = _factor(kernel.gram(xs), noise, z, np.eye(len(xs)))
+    return GPModel(kernel, xs, ys, noise, y_mean, y_std, L, L_inv, alpha, jitter)
 
 
 def _training_data(xs: Sequence[GraphCode], ys: Sequence[float]) -> tuple[tuple[GraphCode, ...], np.ndarray]:
@@ -120,14 +126,8 @@ def _training_data(xs: Sequence[GraphCode], ys: Sequence[float]) -> tuple[tuple[
     return xs, ys
 
 
-def _condition(
-    kernel, xs: tuple[GraphCode, ...], ys: np.ndarray, K: np.ndarray, noise: float, normalize_y: bool
-) -> GPModel:
-    """The model given the training Gram K: factor K + noise I (with jitter), invert L, solve against y.
-
-    Shared by ``fit`` and the tuner's objective, so their likelihoods are bit-equal.
-    """
-    noise_eff = max(float(noise), NOISE_FLOOR)
+def _normalized(ys: np.ndarray, normalize_y: bool) -> tuple[float, float, np.ndarray]:
+    """(y_mean, y_std, z): the targets' centre and scale, 0 and 1 unless ``normalize_y``, and (ys - y_mean) / y_std."""
     if normalize_y:
         y_mean = float(ys.mean())
         y_std = float(ys.std())
@@ -135,11 +135,17 @@ def _condition(
             raise ValueError("targets are constant; cannot normalize")
     else:
         y_mean, y_std = 0.0, 1.0
-    z = (ys - y_mean) / y_std
-    L, jitter = _cholesky_with_jitter(K, noise_eff)
+    return y_mean, y_std, (ys - y_mean) / y_std
+
+
+def _factor(K: np.ndarray, noise: float, z: np.ndarray, eye: np.ndarray) -> tuple:
+    """(L, jitter, L^-1, alpha): factor K + noise I (with jitter), invert L, solve against z.
+
+    Shared by ``fit`` and the tuner's objective, so their likelihoods are bit-equal.
+    """
+    L, jitter = _cholesky_with_jitter(K, noise, eye)
     L_inv = np.linalg.inv(L)
-    alpha = L_inv.T @ (L_inv @ z)
-    return GPModel(kernel, xs, ys, noise_eff, y_mean, y_std, L, L_inv, alpha, jitter)
+    return L, jitter, L_inv, L_inv.T @ (L_inv @ z)
 
 
 def prior_moments(kernel, xs: Sequence[GraphCode]) -> tuple[np.ndarray, np.ndarray]:
@@ -170,12 +176,12 @@ def predict(model: GPModel, xs: Sequence[GraphCode], full_cov: bool = False) -> 
 
 def log_marginal_likelihood(model: GPModel) -> float:
     """Log evidence of the (normalized-scale) targets under the fitted model."""
-    z = model.normalized_targets()
-    return float(
-        -0.5 * z @ model.alpha
-        - np.sum(np.log(np.diag(model.chol)))
-        - 0.5 * model.n * math.log(2.0 * math.pi)
-    )
+    return _log_evidence(model.normalized_targets(), model.alpha, model.chol, 0.5 * model.n * math.log(2.0 * math.pi))
+
+
+def _log_evidence(z: np.ndarray, alpha: np.ndarray, L: np.ndarray, const: float) -> float:
+    """-z^T alpha / 2 - log det L - const, const being n log(2 pi) / 2; shared with the tuner's objective."""
+    return float(-0.5 * z @ alpha - np.sum(np.log(np.diag(L))) - const)
 
 
 # -- hyperparameter optimization --------------------------------------------
@@ -222,76 +228,90 @@ _LS_FTOL, _LS_GTOL, _LS_XTOL, _LS_STEPS = 1e-3, 0.9, 0.1, 20
 
 
 def _theta_layout(kernel, noise: float, d: int):
-    """(names, theta0, rebuild) for log-space tuning of a kernel + noise; noise comes last."""
-    log = math.log
-    if isinstance(kernel, LinearKernel):
-        names = ("variance", "noise")
-        theta0 = np.array([log(kernel.variance), log(noise)])
+    """(names, theta0, unpack, rebuild) for log-space tuning of a kernel + noise; noise comes last.
 
-        def rebuild(theta):
-            return kernel.with_variance(math.exp(theta[0])), math.exp(theta[1])
-
-        return names, theta0, rebuild
-    spec = kernel.spec
-    fam = spec.family
-    if isinstance(fam, Heat):
-        names = ("kappa", "variance", "noise")
-        theta0 = np.array([log(fam.kappa), log(spec.variance), log(noise)])
-
-        def rebuild(theta):
-            new = KernelSpec(Heat(math.exp(theta[0])), math.exp(theta[1]), spec.laplacian, spec.truncation)
-            return kernel.with_spec(new), math.exp(theta[2])
-
-        return names, theta0, rebuild
-    if isinstance(fam, Matern):
-        nu_base = fam.nu - d / 2
-        if nu_base <= 0:
-            raise ValueError(
-                f"Matern tuning parameterizes nu = d/2 + nu_base; nu={fam.nu} "
-                f"gives nu_base={nu_base} <= 0 for d={d}"
-            )
-        names = ("kappa", "variance", "nu_base", "noise")
-        theta0 = np.array([log(fam.kappa), log(spec.variance), log(nu_base), log(noise)])
-
-        def rebuild(theta):
-            new = KernelSpec(
-                Matern(nu=d / 2 + math.exp(theta[2]), kappa=math.exp(theta[0])),
-                math.exp(theta[1]),
-                spec.laplacian,
-                spec.truncation,
-            )
-            return kernel.with_spec(new), math.exp(theta[3])
-
-        return names, theta0, rebuild
-    raise ValueError(f"cannot tune hyperparameters of family {type(fam).__name__}")
-
-
-def _lml_and_gradient(
-    kernel, names: tuple[str, ...], xs: tuple[GraphCode, ...], ys: np.ndarray, noise: float, normalize_y: bool
-) -> tuple[float, np.ndarray]:
-    """Log marginal likelihood and its analytic gradient in the tuner's log parameters.
-
-    The gradient is 0.5 tr(W dK/dtheta) with W = alpha alpha^T - (K + noise I)^-1
-    (Rasmussen & Williams 2006, eq. 5.9), in the order of ``names``, as
-    :func:`_theta_layout` gives them; for log noise dK/dtheta = noise I. No
-    dK/dtheta is built: it is K's counts at the profile's derivative q (the
-    profile itself for log variance), so the trace is q @ g, with g the
-    kernel's pullback of W (``tuning_gram``); the linear kernel's is <W, K>.
+    ``unpack(theta)`` gives (params, noise), params being the kernel's spec
+    (its variance for the linear kernel); ``rebuild(theta)`` gives (kernel, noise).
     """
+    exp, log = math.exp, math.log
     if isinstance(kernel, LinearKernel):
-        K = kernel.gram(xs)
-        rates, pullback = [np.ones(1)], lambda W: np.array([np.vdot(W, K)])
+        names, theta0 = ("variance", "noise"), [log(kernel.variance), log(noise)]
+        with_params = kernel.with_variance
+
+        def params(theta):
+            return exp(theta[0])
+
     else:
-        d = xs[0].space.d
-        profile = kernel_profile(kernel.spec, d)
-        K, pullback = kernel.tuning_gram(xs, profile)
-        by_name = dict(profile_derivatives(kernel.spec, d), variance=profile)
-        rates = [by_name[name] for name in names[:-1]]
-    model = _condition(kernel, xs, ys, K, noise, normalize_y)
-    W = np.outer(model.alpha, model.alpha) - model.chol_inv.T @ model.chol_inv
-    g = pullback(W)
-    grad = [q @ g for q in rates] + [model.noise * np.trace(W)]
-    return log_marginal_likelihood(model), 0.5 * np.array(grad)
+        spec, with_params = kernel.spec, kernel.with_spec
+        fam = spec.family
+        if isinstance(fam, Heat):
+            names, theta0 = ("kappa", "variance", "noise"), [log(fam.kappa), log(spec.variance), log(noise)]
+
+            def params(theta):
+                return KernelSpec(Heat(exp(theta[0])), exp(theta[1]), spec.laplacian, spec.truncation)
+
+        elif isinstance(fam, Matern):
+            nu_base = fam.nu - d / 2
+            if nu_base <= 0:
+                raise ValueError(
+                    f"Matern tuning parameterizes nu = d/2 + nu_base; nu={fam.nu} "
+                    f"gives nu_base={nu_base} <= 0 for d={d}"
+                )
+            names = ("kappa", "variance", "nu_base", "noise")
+            theta0 = [log(fam.kappa), log(spec.variance), log(nu_base), log(noise)]
+
+            def params(theta):
+                family = Matern(nu=d / 2 + exp(theta[2]), kappa=exp(theta[0]))
+                return KernelSpec(family, exp(theta[1]), spec.laplacian, spec.truncation)
+
+        else:
+            raise ValueError(f"cannot tune hyperparameters of family {type(fam).__name__}")
+
+    def unpack(theta):
+        return params(theta), exp(theta[-1])
+
+    def rebuild(theta):
+        return with_params(params(theta)), exp(theta[-1])
+
+    return names, np.array(theta0), unpack, rebuild
+
+
+def _tuning_objective(kernel, names: tuple[str, ...], xs: tuple[GraphCode, ...], ys: np.ndarray, normalize_y: bool):
+    """The tuner's objective, built once per run: (params, noise) -> (log marginal likelihood, gradient).
+
+    ``params`` and ``noise`` are what :func:`_theta_layout`'s ``unpack``
+    gives. The gradient is 0.5 tr(W dK/dtheta) with
+    W = alpha alpha^T - (K + noise I)^-1 (Rasmussen & Williams 2006,
+    eq. 5.9), in the order of ``names``; for log noise dK/dtheta = noise I.
+    No dK/dtheta is built: it is K's counts at the profile's derivative q,
+    so the trace is q @ g, with g the counts' pullback of W. Every q comes
+    with the profile from one :func:`profile_derivatives` call (q is the
+    profile itself for log variance); the linear kernel's profile is its
+    variance, its one q is 1 and its g is <W, K>.
+    """
+    _, _, z = _normalized(ys, normalize_y)
+    n = len(xs)
+    eye, const = np.eye(n), 0.5 * n * math.log(2.0 * math.pi)
+    gram_at = kernel.tuning_counts(xs)
+    d = xs[0].space.d
+
+    def spectrum(params):
+        if isinstance(kernel, LinearKernel):
+            return params, [np.ones(1)]
+        derivs = profile_derivatives(params, d)
+        return derivs["variance"], [derivs[name] for name in names[:-1]]
+
+    def lml_and_gradient(params, noise: float) -> tuple[float, np.ndarray]:
+        profile, rates = spectrum(params)
+        K, pullback = gram_at(profile)
+        noise = max(noise, NOISE_FLOOR)
+        L, _, L_inv, alpha = _factor(K, noise, z, eye)
+        W = np.outer(alpha, alpha) - L_inv.T @ L_inv
+        g = pullback(W)
+        grad = [q @ g for q in rates] + [noise * np.trace(W)]
+        return _log_evidence(z, alpha, L, const), 0.5 * np.array(grad)
+
+    return lml_and_gradient
 
 
 def optimize_hyperparameters(
@@ -315,20 +335,28 @@ def optimize_hyperparameters(
     parameters unchanged. An evaluation whose covariance cannot be factored,
     or whose likelihood or gradient is not finite, scores as a wall and is
     counted in ``failed``; any other error propagates.
+
+    The objective is built once per run: the normalized targets, the
+    identity and the kernel's distance counts (the Hamming matrix, the
+    cached exact count tensor, or the linear kernel's bit Gram) are fixed at
+    entry, so an evaluation only maps theta to a spec and noise, computes
+    the profile and its rates, and contracts, factors, inverts and pulls
+    back. A Monte Carlo kernel's counts are the exception: the package
+    caches no sample counts, so each evaluation builds them again.
     """
     xs, ys = _training_data(xs, ys)
-    names, theta0, rebuild = _theta_layout(kernel, noise, xs[0].space.d)
+    names, theta0, unpack, rebuild = _theta_layout(kernel, noise, xs[0].space.d)
     for name, value in zip(names, theta0):
         if not np.isfinite(value):
             raise ValueError(f"initial value of parameter {name!r} is not finite in log space")
+    lml_and_gradient = _tuning_objective(kernel, names, xs, ys, normalize_y)
 
     state = {"best_theta": theta0, "best_f": math.inf, "evals": 0, "failed": 0}
 
     def objective(theta: list) -> tuple[float, list]:
         state["evals"] += 1
-        k2, n2 = rebuild(theta)
         try:
-            lml, grad = _lml_and_gradient(k2, names, xs, ys, n2, normalize_y)
+            lml, grad = lml_and_gradient(*unpack(theta))
         except np.linalg.LinAlgError:
             lml, grad = math.nan, np.zeros(0)
         grad = grad.tolist()

@@ -23,10 +23,11 @@ each x's images against all the ys. A code's images over H grow along H's
 stabilizer chain (below), so exact cost follows the size of its orbit, not
 |H|; only a sample's images come from one gather of its bits through the
 (|S|^2, d) slot-permutation array. The counts do not depend on the kernel;
-the exact ones are cached per (H, xs, ys), so every objective evaluation of
-a tuning run costs one product of the tensor with the profile and one with
-the gradient's weight matrix. Exact evaluation visits whole orbits, and H is
-still refused above ``ENUMERATION_CAP``; deciding whether two graphs share an orbit
+the exact ones are cached per (H, xs, ys) and a tuning run fetches them
+once, so each of its objective evaluations costs one product of the tensor
+with the profile and one with the gradient's weight matrix. Exact
+evaluation visits whole orbits, and H is still refused above
+``ENUMERATION_CAP``; deciding whether two graphs share an orbit
 reduces to three such kernel values, so no shortcut exists in general (for
 H the full symmetric group this is exactly graph-isomorphism testing).
 
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from typing import Callable, Iterator, Sequence
@@ -95,6 +97,11 @@ SLOT_PERMS_CACHE_SIZE = 4
 #: at |S| = 16 and 195 at |S| = 32 on the benchmark molecules. 512 covers the
 #: 256 codes a 64-train, 192-point prediction touches.
 ORBIT_IMAGE_CACHE_SIZE = 512
+
+#: Class-by-class kernel matrices a quotient keeps, least recently used first
+#: out; each is num_classes^2 float64 values (195 KB for the 156 classes of U6
+#: under S6).
+QUOTIENT_KERNEL_CACHE_SIZE = 16
 
 #: Largest residual group :func:`orbit_representative` searches; the orbit it
 #: grows along the residual's chain holds at most that many word rows.
@@ -310,7 +317,8 @@ def _fold(steps: Sequence[np.ndarray], values: np.ndarray, combine: np.ufunc) ->
     bits = (np.arange(len(values), dtype=np.int64)[:, None] >> np.arange(d)) & 1
     weights = np.int64(1) << np.arange(d, dtype=np.int64)
     for step in steps:
-        values = reduce(combine, (values[bits[:, src] @ weights] for src in step))
+        # bit s of t(x) is bit src_s of x, so t(x)'s index is bits @ w with w[src_s] = 2^s
+        values = reduce(combine, (values[bits @ w] for w in weights[np.argsort(step, axis=1)]))
     return values
 
 
@@ -463,6 +471,20 @@ def _contract(profile: np.ndarray, c: np.ndarray, square: bool) -> np.ndarray:
     return out
 
 
+def _square_tuning(c: np.ndarray, size: int) -> Callable:
+    """A function of a profile that gives the square Gram of square counts c and its pullback
+    W -> g, of ``size`` entries: W's upper-triangle weights (2 W_ij off the diagonal, W_ii on it)
+    times the counts, so g @ q == <W, Gram at q> for every profile q and symmetric W."""
+    rows = c.reshape(-1, c.shape[2])
+
+    def pullback(W: np.ndarray) -> np.ndarray:
+        g = np.zeros(size)
+        g[: c.shape[2]] = (W + np.triu(W, 1)).ravel() @ rows
+        return g
+
+    return lambda profile: (_contract(profile, c, True), pullback)
+
+
 def _gram(
     spec: KernelSpec, counts: Callable, xs: Sequence[GraphCode], ys: Sequence[GraphCode] | None
 ) -> np.ndarray:
@@ -542,7 +564,7 @@ class QuotientGraph:
         class_of = np.asarray(class_of)
         class_of.setflags(write=False)
         self.class_of = class_of
-        self._kernel_cache: dict[KernelSpec, np.ndarray] = {}
+        self._kernel_cache: OrderedDict[KernelSpec, np.ndarray] = OrderedDict()
 
     @property
     def num_classes(self) -> int:
@@ -594,9 +616,10 @@ def quotient_kernel_matrix(spec: KernelSpec, quotient: QuotientGraph) -> np.ndar
         raise ValueError(
             "quotient evaluation is only valid for the symmetric normalized Laplacian"
         )
-    cached = quotient._kernel_cache.get(spec)
-    if cached is not None:
-        return cached
+    cache = quotient._kernel_cache
+    if spec in cache:
+        cache.move_to_end(spec)
+        return cache[spec]
     d = quotient.space.d
     sizes = quotient.sizes()
     inv_sqrt_deg = 1.0 / np.sqrt(sizes * d)
@@ -614,7 +637,9 @@ def quotient_kernel_matrix(spec: KernelSpec, quotient: QuotientGraph) -> np.ndar
     psi = np.sqrt(sizes)
     out = k_classes / (psi[:, None] * psi[None, :])
     out.setflags(write=False)
-    quotient._kernel_cache[spec] = out
+    cache[spec] = out
+    if len(cache) > QUOTIENT_KERNEL_CACHE_SIZE:
+        cache.popitem(last=False)
     return out
 
 
@@ -702,8 +727,10 @@ class ProjectedKernel:
     builder, over the whole group when ``sample`` is None, else over the
     multiset S^-1 S; only the exact counts are cached. The tuner never
     builds a Gram's derivatives: it contracts the same counts once with its
-    weight matrix (:meth:`tuning_gram`). The Monte Carlo flavour evaluates
-    the sampled estimator at :func:`orbit_representative` of each code, so
+    weight matrix (:meth:`tuning_counts`), fetching exact counts once per
+    tuning run and building Monte Carlo ones at each evaluation, as
+    :meth:`gram` does. The Monte Carlo flavour evaluates the sampled
+    estimator at :func:`orbit_representative` of each code, so
     its values, like the exact ones, do not change when a graph is
     relabelled by H; it is biased toward the unprojected kernel with weight
     1/|S| (see :func:`invariant_kernel_sampled`). A group, or |S|^2, above
@@ -748,14 +775,14 @@ class ProjectedKernel:
         ys = None if ys is None else self._points(ys)
         return invariant_gram_sampled(self.spec, self.sample, self._points(xs), ys)
 
-    def tuning_gram(self, xs: Sequence[GraphCode], profile: np.ndarray) -> tuple[np.ndarray, Callable]:
-        """The square Gram of nonempty xs at a (d + 1) profile and its pullback W -> g, from one
-        count build (so a Monte Carlo kernel builds its uncached counts once per evaluation): g is
-        W's upper-triangle weights (2 W_ij off the diagonal, W_ii on it) times the counts, so
-        g @ q == <W, Gram at q> for every profile q and symmetric W."""
-        c = self._counts(tuple(self._points(xs)), None)  # square counts: 0.0 below the diagonal
-        rows, pad = c.reshape(-1, c.shape[2]), (0, len(profile) - c.shape[2])
-        return _contract(profile, c, True), lambda W: np.pad((W + np.triu(W, 1)).ravel() @ rows, pad)
+    def tuning_counts(self, xs: Sequence[GraphCode]) -> Callable:
+        """Once per tuning run, a function of a (d + 1) profile that gives the square Gram of
+        nonempty xs and its pullback W -> g (see :func:`_square_tuning`). The exact counts are
+        fetched here, once; a Monte Carlo kernel's are not cached, so each call builds them."""
+        points, size = tuple(self._points(xs)), self.space.d + 1
+        if self.sample is None:
+            return _square_tuning(self._counts(points, None), size)
+        return lambda profile: _square_tuning(self._counts(points, None), size)(profile)
 
     def diag(self, xs: Sequence[GraphCode]) -> np.ndarray:
         """Prior variances k_H(x, x): each point's own counts, built uncached, without the square Gram."""

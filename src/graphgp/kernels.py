@@ -25,8 +25,9 @@ it was built from; :mod:`graphgp.invariance` averages the counts over a
 permutation group. A Gram's derivative in a spectral parameter is the same
 counts contracted with the profile's derivative q (:func:`profile_derivatives`),
 so it is never built: tr(W dK) is q @ g, where g is the counts contracted
-once with W. A kernel's ``tuning_gram`` returns the square Gram and this
-pullback W -> g from one build of the counts.
+once with W. A kernel's ``tuning_counts`` fetches a training set's square
+counts once per tuning run and returns a function that, at each
+evaluation's profile, gives the square Gram and this pullback W -> g.
 """
 
 from __future__ import annotations
@@ -196,18 +197,25 @@ def kernel_profile(spec: KernelSpec, d: int) -> np.ndarray:
     to one, so however the signed terms cancel, each value is within a few
     (d + 1) rounding units of sigma^2 of the exact sum.
     """
-    profile = spec.variance * (np.exp(level_log_weights(spec, d)) @ build_table(d).values)
-    profile[0] = spec.variance
+    return _profile(spec.variance, np.exp(level_log_weights(spec, d)), build_table(d).values)
+
+
+def _profile(variance: float, weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+    profile = variance * (weights @ values)
+    profile[0] = variance
     return profile
 
 
 def profile_derivatives(spec: KernelSpec, d: int) -> dict[str, np.ndarray]:
-    """Derivatives of :func:`kernel_profile` in log kappa and, for Matérn, in log nu_base.
+    """Derivatives of :func:`kernel_profile` in log variance, log kappa and, for Matérn, log nu_base.
 
-    nu_base is nu - d/2, the tuner's Matérn parameter. A level weight moves
-    as dc_j = c_j (r_j - sum_k c_k r_k) with r_j = d log Phi(lambda_j), so
-    truncated levels (c_j = 0) contribute nothing. Entry 0 is 0 because k(0)
-    is pinned to sigma^2.
+    The one in log variance is the profile itself, so a tuning evaluation
+    takes its Gram's profile and every rate from this one pass over the
+    level weights. nu_base is nu - d/2, the tuner's Matérn parameter. A
+    level weight moves as dc_j = c_j (r_j - sum_k c_k r_k) with
+    r_j = d log Phi(lambda_j), so truncated levels (c_j = 0) contribute
+    nothing. The other derivatives' entry 0 is 0 because k(0) is pinned to
+    sigma^2.
     """
     fam = spec.family
     lam = eigenvalue_levels(spec.laplacian, d)
@@ -223,7 +231,7 @@ def profile_derivatives(spec: KernelSpec, d: int) -> dict[str, np.ndarray]:
         raise ValueError(f"no parameter derivatives for family {type(fam).__name__}")
     w = np.exp(level_log_weights(spec, d))
     values = build_table(d).values
-    out = {}
+    out = {"variance": _profile(spec.variance, w, values)}
     for name, r in rates.items():
         deriv = spec.variance * ((w * (r - w @ r)) @ values)
         deriv[0] = 0.0
@@ -283,11 +291,13 @@ class IsotropicKernel:
     def gram(self, xs: Sequence[GraphCode], ys: Sequence[GraphCode] | None = None) -> np.ndarray:
         return gram(self.spec, xs, ys)
 
-    def tuning_gram(self, xs: Sequence[GraphCode], profile: np.ndarray) -> tuple[np.ndarray, Callable]:
-        """The square Gram of nonempty xs at a (d + 1) profile, and its pullback W -> g: the
-        Hamming-distance counts weighted by W, so g @ q == <W, Gram at q> for symmetric W."""
+    def tuning_counts(self, xs: Sequence[GraphCode]) -> Callable:
+        """Once per tuning run, the Hamming matrix of nonempty xs, as a function of a (d + 1)
+        profile that gives the square Gram and its pullback W -> g: the Hamming-distance counts
+        weighted by W, so g @ q == <W, Gram at q> for symmetric W."""
         D = _hamming_matrix(tuple(xs), None)
-        return profile[D], lambda W: np.bincount(D.ravel(), weights=W.ravel(), minlength=len(profile))
+        flat, size = D.ravel(), self.space.d + 1
+        return lambda profile: (profile[D], lambda W: np.bincount(flat, weights=W.ravel(), minlength=size))
 
     def diag(self, xs: Sequence[GraphCode]) -> np.ndarray:
         """Prior variances k(x, x), without the square Gram."""
@@ -317,6 +327,18 @@ class LinearKernel:
         bx = bit_matrix(xs)
         by = bx if ys is None else bit_matrix(ys)
         return self.variance * (bx @ by.T + 1.0)
+
+    def tuning_counts(self, xs: Sequence[GraphCode]) -> Callable:
+        """Once per tuning run, the bit Gram B = <x, y> + 1 of nonempty xs, as a function of a
+        variance that gives the square Gram variance * B and its pullback W -> [<W, Gram>]."""
+        bx = bit_matrix(xs)
+        B = bx @ bx.T + 1.0
+
+        def at(variance: float) -> tuple[np.ndarray, Callable]:
+            K = variance * B
+            return K, lambda W: np.array([np.vdot(W, K)])
+
+        return at
 
     def diag(self, xs: Sequence[GraphCode]) -> np.ndarray:
         """Prior variances sigma^2 (|x| + 1), without the square Gram."""

@@ -115,7 +115,7 @@ def lml_gradient(
 ) -> tuple[tuple[str, ...], np.ndarray]:
     """Central-difference gradient of the log marginal likelihood in the tuner's log parameters."""
     xs = tuple(xs)
-    names, theta0, rebuild = gp._theta_layout(kernel, noise, xs[0].space.d)
+    names, theta0, _, rebuild = gp._theta_layout(kernel, noise, xs[0].space.d)
 
     def value(theta):
         k2, n2 = rebuild(theta)
@@ -175,20 +175,21 @@ def scipy_box_minimize(objective, x0, budget=200):
 def scipy_lbfgsb(kernel, xs, ys, noise=0.1, budget=200, normalize_y=False):
     """``gp.optimize_hyperparameters``' search run by scipy's L-BFGS-B instead.
 
-    The same objective (minus the tuner's ``_lml_and_gradient`` in its log
-    parameters, a failed evaluation scoring 1e12 with a zero gradient), box
+    The same objective (minus the tuner's ``_tuning_objective``, built once,
+    in its log parameters, a failed evaluation scoring 1e12 with a zero
+    gradient), box
     and evaluation cap, through :func:`scipy_box_minimize`. Returns
     ``(theta, lml, evaluations)``: the best log parameters seen, their log
     marginal likelihood and the evaluation count.
     """
     xs = tuple(xs)
     ys = np.array(ys, dtype=float)
-    names, theta0, rebuild = gp._theta_layout(kernel, noise, xs[0].space.d)
+    names, theta0, unpack, _ = gp._theta_layout(kernel, noise, xs[0].space.d)
+    lml_and_gradient = gp._tuning_objective(kernel, names, xs, ys, normalize_y)
 
     def objective(theta):
-        k2, n2 = rebuild(theta)
         try:
-            lml, grad = gp._lml_and_gradient(k2, names, xs, ys, n2, normalize_y)
+            lml, grad = lml_and_gradient(*unpack(theta))
         except np.linalg.LinAlgError:
             return 1e12, np.zeros_like(theta)
         if np.isfinite(lml) and np.isfinite(grad).all():

@@ -13,7 +13,7 @@ from oracles import (
     scipy_lbfgsb,
 )
 
-from graphgp import gp
+from graphgp import gp, invariance, kernels
 from graphgp.invariance import PermSubgroup, ProjectedKernel
 from graphgp.kernels import (
     Heat,
@@ -236,10 +236,11 @@ class TestNoiseFloorAgreement:
     @pytest.mark.parametrize("normalize_y", [False, True])
     def test_tuner_objective(self, normalize_y, rng):
         train, _, K, ys = self.problem(rng)
-        names, _, _ = gp._theta_layout(self.KERNEL, gp.NOISE_FLOOR, U4.d)
-        lml, grad = gp._lml_and_gradient(self.KERNEL, names, tuple(train), ys, gp.NOISE_FLOOR, normalize_y)
+        names = gp._theta_layout(self.KERNEL, gp.NOISE_FLOOR, U4.d)[0]
+        objective = gp._tuning_objective(self.KERNEL, names, tuple(train), ys, normalize_y)
+        lml, grad = objective(self.KERNEL.spec, gp.NOISE_FLOOR)
         model = gp.fit(self.KERNEL, train, ys, gp.NOISE_FLOOR, normalize_y=normalize_y)
-        derivs = dict(profile_derivatives(self.KERNEL.spec, U4.d), variance=self.KERNEL.profile())
+        derivs = profile_derivatives(self.KERNEL.spec, U4.d)
         dKs = [derivs[name][pairwise_hamming(train)] for name in names[:-1]]
         lml_o, grad_o = dense_lml_and_gradient(K, dKs, model.normalized_targets(), model.noise + model.jitter)
         self.assert_close(lml, lml_o)
@@ -404,7 +405,7 @@ class TestOptimize:
         theta, lml, evaluations = scipy_lbfgsb(kernel, xs, ys, noise=noise, budget=budget, normalize_y=normalize_y)
         assert result.evaluations == evaluations
         assert result.objective == pytest.approx(lml, rel=LBFGSB_LML_RTOL)
-        _, result_theta, _ = gp._theta_layout(result.kernel, result.noise, U4.d)
+        result_theta = gp._theta_layout(result.kernel, result.noise, U4.d)[1]
         atol = LBFGSB_FLAT_THETA_ATOL if problem.startswith("matern") else LBFGSB_THETA_ATOL
         np.testing.assert_allclose(result_theta, theta, rtol=0, atol=atol)
 
@@ -419,13 +420,16 @@ class TestOptimize:
         # a gradient that promises descent along every search direction while the
         # likelihood only falls: each line search runs out of trials, and the
         # first one has no curvature memory to drop
-        _, theta0, _ = gp._theta_layout(heat, 0.1, U4.d)
+        theta0 = gp._theta_layout(heat, 0.1, U4.d)[1]
 
-        def misleading(kernel, names, xs_, ys_, noise, normalize_y):
-            _, theta, _ = gp._theta_layout(kernel, noise, U4.d)
-            return -1.0 - float(np.abs(theta - theta0).sum()), np.full(len(theta), -1.0)
+        def misleading(kernel, names, xs_, ys_, normalize_y):
+            def lml_and_gradient(spec, noise):
+                theta = gp._theta_layout(kernel.with_spec(spec), noise, U4.d)[1]
+                return -1.0 - float(np.abs(theta - theta0).sum()), np.full(len(theta), -1.0)
 
-        monkeypatch.setattr(gp, "_lml_and_gradient", misleading)
+            return lml_and_gradient
+
+        monkeypatch.setattr(gp, "_tuning_objective", misleading)
         result = gp.optimize_hyperparameters(heat, xs, ys, noise=0.1, budget=200)
         assert result.stopped == "line_search"
         assert result.evaluations == scipy_lbfgsb(heat, xs, ys, noise=0.1, budget=200)[2] > 1
@@ -497,7 +501,7 @@ class TestOptimize:
             ys = rng.standard_normal(10)
             noise = 0.1
             names, grad = lml_gradient(kernel, xs, ys, noise)
-            _, theta0, rebuild = gp._theta_layout(kernel, noise, U4.d)
+            _, theta0, _, rebuild = gp._theta_layout(kernel, noise, U4.d)
 
             def value(theta):
                 k2, n2 = rebuild(theta)
@@ -539,7 +543,8 @@ class TestAnalyticGradient:
         xs = distinct_codes(U4, 12, rng)
         ys = 2.0 * rng.standard_normal(12) + 1.0
         names, fd = lml_gradient(kernel, xs, ys, 0.15, normalize_y=normalize_y)
-        lml, grad = gp._lml_and_gradient(kernel, names, tuple(xs), ys, 0.15, normalize_y)
+        params = kernel.variance if isinstance(kernel, LinearKernel) else kernel.spec
+        lml, grad = gp._tuning_objective(kernel, names, tuple(xs), ys, normalize_y)(params, 0.15)
         assert grad.shape == (len(names),)
         assert lml == gp.log_marginal_likelihood(gp.fit(kernel, xs, ys, 0.15, normalize_y=normalize_y))
         assert np.abs(grad - fd).max() <= GRADIENT_RTOL * np.abs(fd).max()
@@ -569,6 +574,44 @@ class TestBudget:
             assert result.evaluations == budget
 
 
+#: Per flavour: the kernel, and the cached function its tuning counts come from.
+COUNT_FETCHES = {
+    "isotropic": (lambda: heat_kernel(U4, kappa=3.0), kernels._hamming_matrix),
+    "projected_exact": (lambda: ProjectedKernel(KernelSpec(Heat(3.0)), FULL_U4, U4), invariance._group_counts),
+}
+
+
+class TestCountsPerRun:
+    @pytest.mark.parametrize("budget", [1, 30])
+    @pytest.mark.parametrize("flavour", sorted(COUNT_FETCHES))
+    def test_counts_are_fetched_once_per_run(self, flavour, budget, rng):
+        make, cached = COUNT_FETCHES[flavour]
+        xs = distinct_codes(U4, 12, rng)
+        ys = rng.standard_normal(12)
+        before = cached.cache_info()
+        result = gp.optimize_hyperparameters(make(), xs, ys, noise=0.5, budget=budget)
+        after = cached.cache_info()
+        assert after.hits + after.misses - before.hits - before.misses == 1
+        assert result.evaluations == 1 if budget == 1 else result.evaluations > 10
+
+    def test_monte_carlo_counts_are_built_at_every_evaluation(self, rng, monkeypatch):
+        """Monte Carlo counts stay uncached (ROADMAP.md item 1): until the benchmark worker stops
+        keeping every round it completes, the faster runs a per-run cache gives raise its peak
+        memory past the benchmark's bound."""
+        builds = []
+        real = invariance._counts
+
+        def counted(source, xs, ys):
+            builds.append(xs)
+            return real(source, xs, ys)
+
+        monkeypatch.setattr(invariance, "_counts", counted)
+        kernel = ProjectedKernel.monte_carlo(KernelSpec(Heat(3.0)), FULL_U4, U4, 5, seed=4)
+        xs = distinct_codes(U4, 12, rng)
+        result = gp.optimize_hyperparameters(kernel, xs, rng.standard_normal(12), noise=0.5, budget=30)
+        assert len(builds) == result.evaluations > 10
+
+
 class TestJitter:
     def test_duplicate_points_need_jitter_but_fit(self, rng):
         kernel = heat_kernel(U4)
@@ -590,24 +633,27 @@ class TestJitter:
 
 
 class FailingKernel(IsotropicKernel):
-    """Kernel whose tuning Grams raise ``error`` away from its starting spec, logging each raise.
+    """Kernel whose tuning Grams raise ``error`` away from its starting profile, logging each raise.
 
     The tuner's objective builds the Gram and the pullback of its gradient
-    through ``tuning_gram``, so that is where the failure is injected.
+    through the function ``tuning_counts`` returns, so that is where the
+    failure is injected.
     """
 
-    def __init__(self, spec, space, start, error, raised):
+    def __init__(self, spec, space, error, raised):
         super().__init__(spec, space)
-        self.start, self.error, self.raised = start, error, raised
+        self.error, self.raised = error, raised
 
-    def tuning_gram(self, xs, profile):
-        if self.spec != self.start:
-            self.raised.append(self.spec)
-            raise self.error("injected failure")
-        return super().tuning_gram(xs, profile)
+    def tuning_counts(self, xs):
+        gram_at, start = super().tuning_counts(xs), self.profile()
 
-    def with_spec(self, spec):
-        return FailingKernel(spec, self.space, self.start, self.error, self.raised)
+        def failing(profile):
+            if not np.array_equal(profile, start):
+                self.raised.append(profile)
+                raise self.error("injected failure")
+            return gram_at(profile)
+
+        return failing
 
 
 class TestTunerFailures:
@@ -624,7 +670,7 @@ class TestTunerFailures:
         xs, ys = self.data(rng)
         spec = KernelSpec(Heat(1.0))
         raised = []
-        kernel = FailingKernel(spec, U4, spec, np.linalg.LinAlgError, raised)
+        kernel = FailingKernel(spec, U4, np.linalg.LinAlgError, raised)
         result = gp.optimize_hyperparameters(kernel, xs, ys, budget=20)
         assert result.failed == len(raised) > 0
         assert result.kernel.spec == spec
@@ -632,13 +678,13 @@ class TestTunerFailures:
     def test_non_finite_likelihoods_are_counted(self, rng, monkeypatch):
         xs, ys = self.data(rng)
         calls = []
-        original = gp.log_marginal_likelihood
+        original = gp._log_evidence
 
-        def first_finite(model):
-            calls.append(model)
-            return original(model) if len(calls) == 1 else math.nan
+        def first_finite(z, alpha, L, const):
+            calls.append(L)
+            return original(z, alpha, L, const) if len(calls) == 1 else math.nan
 
-        monkeypatch.setattr(gp, "log_marginal_likelihood", first_finite)
+        monkeypatch.setattr(gp, "_log_evidence", first_finite)
         result = gp.optimize_hyperparameters(heat_kernel(U4), xs, ys, budget=20)
         assert result.failed == result.evaluations - 1 > 0
 
@@ -650,7 +696,10 @@ class TestTunerFailures:
         def first_finite(spec, d):
             calls.append(spec)
             derivs = original(spec, d)
-            return derivs if len(calls) == 1 else {k: np.full_like(v, np.nan) for k, v in derivs.items()}
+            if len(calls) == 1:
+                return derivs
+            # the profile stays finite, so K factors and only the gradient is not finite
+            return {k: v if k == "variance" else np.full_like(v, np.nan) for k, v in derivs.items()}
 
         monkeypatch.setattr(gp, "profile_derivatives", first_finite)
         result = gp.optimize_hyperparameters(heat_kernel(U4), xs, ys, budget=20)
@@ -660,6 +709,6 @@ class TestTunerFailures:
     def test_other_errors_propagate(self, rng):
         xs, ys = self.data(rng)
         spec = KernelSpec(Heat(1.0))
-        kernel = FailingKernel(spec, U4, spec, ValueError, [])
+        kernel = FailingKernel(spec, U4, ValueError, [])
         with pytest.raises(ValueError, match="injected"):
             gp.optimize_hyperparameters(kernel, xs, ys, budget=20)

@@ -380,6 +380,22 @@ class TestQuotientKernel:
         with pytest.raises(ValueError, match="hypercube levels 2j/d"):
             quotient_kernel_matrix(KernelSpec(Heat(1.0)), skewed)
 
+    def test_kernel_cache_is_bounded(self):
+        quotient = build_quotient(PermSubgroup.full(4), U4)
+        size = invariance.QUOTIENT_KERNEL_CACHE_SIZE
+        specs = [KernelSpec(Heat(0.5 + 0.1 * k)) for k in range(size + 3)]
+        first = quotient_kernel_matrix(specs[0], quotient)
+        for spec in specs:
+            quotient_kernel_matrix(spec, quotient)
+        assert len(quotient._kernel_cache) == size
+        assert specs[0] not in quotient._kernel_cache  # the least recently used went first
+        last = quotient_kernel_matrix(specs[-1], quotient)
+        assert quotient_kernel_matrix(specs[-1], quotient) is last
+        assert not last.flags.writeable
+        again = quotient_kernel_matrix(specs[0], quotient)  # rebuilt after eviction, equal
+        assert again is not first and np.array_equal(again, first)
+        assert len(quotient._kernel_cache) == size
+
 
 class TestOrbitEquivalenceTest:
     def test_reflexive(self, rng):
@@ -534,7 +550,7 @@ class TestChainAgainstEnumeration:
         exact = ProjectedKernel(spec, H, U5)
         square = exact.gram(xs)
         np.testing.assert_allclose(exact.diag(xs), np.diag(square), rtol=1e-12)
-        assert np.array_equal(exact.tuning_gram(xs, kernel_profile(spec, U5.d))[0], square)
+        assert np.array_equal(exact.tuning_counts(xs)(kernel_profile(spec, U5.d))[0], square)
         cross = exact.gram(xs, ys)
         np.testing.assert_allclose(cross[0, 0], invariant_kernel_exact(spec, H, xs[0], ys[0]), rtol=1e-12)
         assert pair_histogram(H, xs[1], ys[1]).sum() == H.order()
@@ -577,7 +593,8 @@ def sparse_codes(space, rng, count, density=0.2):
 
 
 class TestTuningGram:
-    """``tuning_gram``'s pullback g of a symmetric W satisfies g @ q == <W, Gram at q> for any profile q."""
+    """The tuning Gram's pullback g of a symmetric W (from the function ``tuning_counts`` returns)
+    satisfies g @ q == <W, Gram at q> for any profile q."""
 
     @pytest.mark.parametrize("flavour", ["isotropic", "exact", "monte_carlo"])
     def test_pullback_contracts_like_the_gram(self, rng, flavour):
@@ -600,7 +617,7 @@ class TestTuningGram:
             gram_q = mirrored @ q[: counts.shape[2]]
         W = rng.standard_normal((len(xs), len(xs)))
         W += W.T
-        K, pullback = kernel.tuning_gram(xs, kernel_profile(spec, U12.d))
+        K, pullback = kernel.tuning_counts(xs)(kernel_profile(spec, U12.d))
         assert np.array_equal(K, kernel.gram(xs))
         g = pullback(W)
         assert g.shape == (U12.d + 1,)
@@ -884,7 +901,7 @@ class TestOrbitRepresentative:
         assert np.array_equal(kernel.gram(gxs, gys), kernel.gram(xs, ys))
         assert np.array_equal(kernel.diag(gxs), kernel.diag(xs))
         profile = kernel_profile(kernel.spec, space.d)
-        (K_g, pullback_g), (K, pullback) = kernel.tuning_gram(gxs, profile), kernel.tuning_gram(xs, profile)
+        (K_g, pullback_g), (K, pullback) = kernel.tuning_counts(gxs)(profile), kernel.tuning_counts(xs)(profile)
         W = rng.standard_normal((len(xs), len(xs)))
         W += W.T
         assert np.array_equal(K_g, K)
