@@ -44,11 +44,14 @@ from .invariance import (
     invariant_kernel_exact,
 )
 from .kernels import (
+    Heat,
     IsotropicKernel,
+    KernelSpec,
     LinearKernel,
     evaluate,
     kernel_profile,
     level_log_weights,
+    matern_spec,
     spec_from_json,
     spec_to_json,
 )
@@ -256,10 +259,11 @@ def _cmd_data_split(args) -> int:
 # -- fit / predict ---------------------------------------------------------------
 
 
-def _build_model_kernel(spec, space, projected_blocks, mc_samples, mc_seed):
-    if projected_blocks is None:
+def _build_model_kernel(spec, space, H: PermSubgroup | None, mc_samples, mc_seed):
+    """The isotropic kernel when H is None, else H's projected kernel: Monte Carlo with
+    ``mc_samples`` elements drawn from ``mc_seed``, or exact when ``mc_samples`` is None."""
+    if H is None:
         return IsotropicKernel(spec, space)
-    H = _parse_subgroup(projected_blocks, space.n)
     if mc_samples is not None:
         return ProjectedKernel.monte_carlo(spec, H, space, mc_samples, mc_seed)
     return ProjectedKernel(spec, H, space)
@@ -271,7 +275,8 @@ def _cmd_fit(args) -> int:
         raise ValueError(f"dataset {args.dataset} is empty")
     space = codes[0].space
     spec = spec_from_json(_json_arg(args.kernel), d=space.d)
-    kernel = _build_model_kernel(spec, space, args.projected, args.mc_samples, args.mc_seed)
+    H = None if args.projected is None else _parse_subgroup(args.projected, space.n)
+    kernel = _build_model_kernel(spec, space, H, args.mc_samples, args.mc_seed)
     noise = args.noise
     if args.optimize:
         result = gp.optimize_hyperparameters(
@@ -311,7 +316,7 @@ def load_model(path: str | Path) -> gp.GPModel:
     kernel = _build_model_kernel(
         spec,
         space,
-        None if projected is None else projected["blocks"],
+        None if projected is None else _parse_subgroup(projected["blocks"], space.n),
         None if projected is None else projected.get("mc_samples"),
         0 if projected is None else (projected.get("mc_seed") or 0),
     )
@@ -391,8 +396,6 @@ EXPERIMENT_METHODS = (
 
 
 def _method_kernel(method: str, config: dict, seq_space, aligned_space, aligned_layout, root_seed):
-    from .kernels import Heat, KernelSpec, matern_spec
-
     nu_base = float(config.get("nu_base_init", 2.5))
     family, encoding = method.split("_", 1)
     space = seq_space if encoding == "arbitrary" else aligned_space
@@ -406,15 +409,11 @@ def _method_kernel(method: str, config: dict, seq_space, aligned_space, aligned_
         spec = KernelSpec(Heat(kappa))
     else:
         spec = matern_spec(space.d, nu_base=nu_base, kappa=kappa)
-    if encoding == "projected":
-        H = datasets.subgroup_from_layout(aligned_layout)
-        mc_samples = config.get("mc_samples")
-        if mc_samples is not None:
-            return ProjectedKernel.monte_carlo(
-                spec, H, space, int(mc_samples), named_seed(root_seed, "mc-kernel")
-            )
-        return ProjectedKernel(spec, H, space)
-    return IsotropicKernel(spec, space)
+    H = datasets.subgroup_from_layout(aligned_layout) if encoding == "projected" else None
+    mc_samples = config.get("mc_samples")
+    return _build_model_kernel(
+        spec, space, H, None if mc_samples is None else int(mc_samples), named_seed(root_seed, "mc-kernel")
+    )
 
 
 def run_experiment(config: dict) -> dict:

@@ -26,10 +26,11 @@ stabilizer chain (below), so exact cost follows the size of its orbit, not
 the exact ones are cached per (H, xs, ys) and a tuning run fetches them
 once, so each of its objective evaluations costs one product of the tensor
 with the profile and one with the gradient's weight matrix. Exact
-evaluation visits whole orbits, and H is still refused above
-``ENUMERATION_CAP``; deciding whether two graphs share an orbit
-reduces to three such kernel values, so no shortcut exists in general (for
-H the full symmetric group this is exactly graph-isomorphism testing).
+evaluation visits whole orbits: a chain step that would gather more than
+``ENUMERATION_CAP`` image rows is refused, whatever |H|. Deciding whether two
+graphs share an orbit reduces to three such kernel values, so no shortcut
+exists in general (for H the full symmetric group this is exactly
+graph-isomorphism testing).
 
 The same orbits, viewed as vertices of a weighted quotient graph, carry the
 spectral kernel directly: the group-averaged kernel equals the quotient
@@ -72,8 +73,10 @@ from .spaces import (
     word_distances,
 )
 
-#: Refuse to enumerate permutation groups larger than this.
-ENUMERATION_CAP = 5_000_000
+#: Image rows one gather may produce: a chain step's orbit rows times the step's rows, or a
+#: sample's |S|^2 node maps s_b^-1 s_a. Refusing a dense U11 code under S11 takes 0.1 s and a
+#: 46 MB tracemalloc peak at this cap, against 1.4 s and 464 MB at 5,000,000 rows (2-vCPU host).
+ENUMERATION_CAP = 2**21
 
 #: Refuse to enumerate graph spaces with more than 2^QUOTIENT_MAX_DIM codes.
 QUOTIENT_MAX_DIM = 16
@@ -103,26 +106,16 @@ ORBIT_IMAGE_CACHE_SIZE = 512
 #: under S6).
 QUOTIENT_KERNEL_CACHE_SIZE = 16
 
-#: Largest residual group :func:`orbit_representative` searches; the orbit it
-#: grows along the residual's chain holds at most that many word rows.
-REPRESENTATIVE_CAP = 40_320
-
 #: Orbit representatives kept for reuse, one code per (group, code).
 REPRESENTATIVE_CACHE_SIZE = 65_536
 
+#: Single-pair distance histograms kept for reuse, (d + 1) float64 values each: 2.2 MB at d = 66.
+PAIR_HISTOGRAM_CACHE_SIZE = 4_096
+
 
 class GroupTooLargeError(ValueError):
-    """Raised when an exact computation would need to enumerate too large a group."""
-
-
-def _require_enumerable(H: PermSubgroup, cap: int = ENUMERATION_CAP) -> None:
-    if H.order() > cap:
-        raise GroupTooLargeError(
-            f"group order {H.order()} exceeds the enumeration cap {cap}; exact computation "
-            f"over equivalence classes scales with the group order (deciding orbit "
-            f"equivalence this way is as hard as the underlying matching problem) - "
-            f"use the Monte Carlo estimator instead"
-        )
+    """Raised when a gather would produce more than ``ENUMERATION_CAP`` image rows: an orbit
+    step too large to grow exactly, or a sample too large for its |S|^2 node maps."""
 
 
 def _require_sample_size(size: int) -> None:
@@ -238,7 +231,6 @@ def _distinct_images(source: Source, x: GraphCode) -> tuple[np.ndarray, np.ndarr
     uint64 word matrix, and how many node maps give each: (words, multiplicities). Over H, x's
     orbit grown along H's chain, |Stab(x)| = |H| / |orbit| each; over S^-1 S, one gather."""
     if isinstance(source, PermSubgroup):
-        _require_enumerable(source)
         words = _orbit_words(source, code_words([x]), x.space)
         mult = np.full(len(words), source.order() // len(words))
     else:
@@ -251,7 +243,7 @@ def _distinct_images(source: Source, x: GraphCode) -> tuple[np.ndarray, np.ndarr
     return words, mult
 
 
-@lru_cache(maxsize=200_000)
+@lru_cache(maxsize=PAIR_HISTOGRAM_CACHE_SIZE)
 def pair_histogram(H: PermSubgroup, x: GraphCode, y: GraphCode) -> np.ndarray:
     """Counts, over sigma in H, of the Hamming distance between sigma(x) and y.
 
@@ -301,8 +293,18 @@ def _chain(H: PermSubgroup, space: GraphSpace) -> tuple[np.ndarray, ...]:
 
 def _orbit_words(H: PermSubgroup, words: np.ndarray, space: GraphSpace) -> np.ndarray:
     """The distinct images under H of a (1, ceil(d/64)) word row, sorted (the last word is the
-    most significant key): grown along H's chain, duplicates dropped after each step."""
+    most significant key): grown along H's chain, duplicates dropped after each step. A step
+    that would gather more than ``ENUMERATION_CAP`` image rows is refused before it runs."""
     for step in _chain(H, space):
+        if len(words) * len(step) > ENUMERATION_CAP:
+            raise GroupTooLargeError(
+                f"growing an orbit under a group of order {H.order()} would gather "
+                f"{len(words) * len(step)} image rows in one step, above the enumeration cap "
+                f"{ENUMERATION_CAP}; exact computation over equivalence classes scales with the "
+                f"orbit size (deciding orbit equivalence this way is as hard as the underlying "
+                f"matching problem) - use the Monte Carlo estimator instead, which meets this "
+                f"only where colour refinement leaves an orbit this large (as for regular graphs)"
+            )
         words = _pack_words(_unpack_words(words, space.d)[:, step].reshape(-1, space.d))
         words = words[np.lexsort(words.T)]
         words = words[np.r_[True, (words[1:] != words[:-1]).any(axis=1)]]
@@ -322,14 +324,9 @@ def _fold(steps: Sequence[np.ndarray], values: np.ndarray, combine: np.ufunc) ->
     return values
 
 
-def enumerate_orbit(
-    H: PermSubgroup,
-    x: GraphCode,
-    cap: int = ENUMERATION_CAP,
-    keep_members: bool = True,
-) -> OrbitClass:
-    """The orbit of a graph under H, grown along H's chain, with its lexicographically minimal member."""
-    _require_enumerable(H, cap)
+def enumerate_orbit(H: PermSubgroup, x: GraphCode, keep_members: bool = True) -> OrbitClass:
+    """The orbit of a graph under H, grown along H's chain, with its lexicographically minimal
+    member; ``GroupTooLargeError`` if a chain step would gather more than ``ENUMERATION_CAP`` rows."""
     space = x.space
     words = _orbit_words(H, code_words([x]), space)
     raw, width = words.astype("<u8").tobytes(), 8 * words.shape[1]
@@ -380,9 +377,9 @@ def orbit_representative(H: PermSubgroup, x: GraphCode) -> GraphCode:
     Colour refinement orders each block's nodes by colour (ties in node
     order); two members of one orbit, so ordered, differ by a permutation
     within colour classes, and the least code over those permutations is
-    the representative. Above ``REPRESENTATIVE_CAP`` such permutations the
-    ordered code itself is returned: still in the orbit, but no longer
-    shared by all of it.
+    the representative: the first row of the ordered code's orbit under them,
+    grown along their chain under ``ENUMERATION_CAP`` like any orbit. So it is
+    shared by the whole orbit, or refused with ``GroupTooLargeError``.
     """
     if H.n != x.space.n:
         raise ValueError(f"subgroup on {H.n} nodes does not act on n={x.space.n}")
@@ -395,8 +392,6 @@ def orbit_representative(H: PermSubgroup, x: GraphCode) -> GraphCode:
         for _color, run in itertools.groupby(enumerate(ranked), key=lambda kv: colors[kv[1]]):
             classes.append(tuple(block[k] for k, _v in run))
     residual = PermSubgroup(H.n, tuple(classes))
-    if residual.order() > REPRESENTATIVE_CAP:
-        residual = PermSubgroup.trivial(H.n)
     ordered = permuted_words(x, slot_permutations(np.argsort(order)[None], x.space))
     least = _orbit_words(residual, ordered, x.space)[0]
     return GraphCode(x.space, sum(int(w) << 64 * k for k, w in enumerate(least)))
@@ -579,14 +574,19 @@ class QuotientGraph:
         return np.array([c.size for c in self.classes], dtype=float)
 
 
-def build_quotient(H: PermSubgroup, space: GraphSpace, max_dim: int = QUOTIENT_MAX_DIM) -> QuotientGraph:
-    """Enumerate all orbits and the inter-class edge counts of the hypercube."""
-    d = space.d
-    if d > max_dim:
+def _require_small_space(space: GraphSpace) -> None:
+    """Refuse a space of more than 2^QUOTIENT_MAX_DIM codes: quotients and projections visit every code."""
+    if space.d > QUOTIENT_MAX_DIM:
         raise ValueError(
-            f"space has 2^{d} codes, above the enumeration limit 2^{max_dim}; "
-            f"quotient construction requires visiting every code"
+            f"space has 2^{space.d} codes, above the enumeration limit 2^{QUOTIENT_MAX_DIM}; "
+            f"quotient construction and function projection visit every code"
         )
+
+
+def build_quotient(H: PermSubgroup, space: GraphSpace) -> QuotientGraph:
+    """Enumerate all orbits and the inter-class edge counts of the hypercube."""
+    _require_small_space(space)
+    d = space.d
     codes = np.arange(1 << d, dtype=np.int64)
     least = _fold(_chain(H, space), codes, np.minimum)  # each code's orbit minimum
     canonical, class_of, sizes = np.unique(least, return_inverse=True, return_counts=True)
@@ -696,23 +696,19 @@ def project_function(
     values: np.ndarray,
     sample_size: int | None = None,
     seed: int | None = None,
-    cap: int = ENUMERATION_CAP,
 ) -> np.ndarray:
     """Average a function over the group: out(x) = mean over sigma of f(sigma(x)).
 
     ``values`` holds f over all 2^d codes, indexed by code integer. The exact
     average is constant on orbits and idempotent, and sums along H's chain: it
     matches the per-element average within 1e-13 * max|values|. Passing
-    ``sample_size`` averages over an i.i.d. sample of H instead (above the cap).
+    ``sample_size`` averages over an i.i.d. sample of H instead.
     """
-    d = space.d
-    if d > QUOTIENT_MAX_DIM:
-        raise ValueError(f"space has 2^{d} codes, above the enumeration limit 2^{QUOTIENT_MAX_DIM}")
+    _require_small_space(space)
     values = np.asarray(values, dtype=float)
-    if values.shape[0] != (1 << d):
-        raise ValueError(f"expected one value per code (2^{d}), got {values.shape[0]}")
+    if values.shape[0] != (1 << space.d):
+        raise ValueError(f"expected one value per code (2^{space.d}), got {values.shape[0]}")
     if sample_size is None:
-        _require_enumerable(H, cap)
         return _fold(_chain(H, space), values, np.add) / H.order()
     if seed is None:
         raise ValueError("sample-based averaging requires a seed")
@@ -733,8 +729,11 @@ class ProjectedKernel:
     estimator at :func:`orbit_representative` of each code, so
     its values, like the exact ones, do not change when a graph is
     relabelled by H; it is biased toward the unprojected kernel with weight
-    1/|S| (see :func:`invariant_kernel_sampled`). A group, or |S|^2, above
-    ``ENUMERATION_CAP`` is refused at construction (``GroupTooLargeError``).
+    1/|S| (see :func:`invariant_kernel_sampled`). ``GroupTooLargeError``
+    refuses |S|^2 above ``ENUMERATION_CAP`` at construction, and a code
+    whose orbit (for Monte Carlo, its representative's search) needs a
+    chain step of more image rows than that when the code is first met;
+    |H| itself is never capped.
     """
 
     def __init__(
@@ -747,7 +746,6 @@ class ProjectedKernel:
         if subgroup.n != space.n:
             raise ValueError(f"subgroup on {subgroup.n} nodes does not act on n={space.n}")
         if sample is None:
-            _require_enumerable(subgroup)
             self._source, self._counts = subgroup, partial(_group_counts, subgroup)
         else:
             sample = _checked_sample(sample)

@@ -7,6 +7,7 @@ code paths under test.
 
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -16,7 +17,7 @@ import numpy as np
 from graphgp import gp
 from graphgp.kernels import KernelSpec, LaplacianVariant, kernel_profile, level_log_weights
 from graphgp.kravchuk import KravchukTable, build_table
-from graphgp.spaces import GraphCode, apply_permutation
+from graphgp.spaces import GraphCode, NodePermutation, apply_permutation
 
 
 def hypercube_laplacian(d: int, variant: LaplacianVariant) -> np.ndarray:
@@ -262,6 +263,26 @@ def sample_counts_by_enumeration(sample, xs, ys, top: int) -> np.ndarray:
             dists = [(a ^ b).bit_count() for a in images_x for b in images_y]
             out[i, j] = np.bincount(dists, minlength=top) / len(sample) ** 2
     return out
+
+
+def orbit_by_closure(H, x) -> set[GraphCode]:
+    """x's orbit under H: the closure of {x} under each block's adjacent transpositions, which
+    generate the block's symmetric group, found breadth first one apply_permutation at a time."""
+    swaps = []
+    for block in H.blocks:
+        for a, b in zip(block, block[1:]):
+            mapping = list(range(H.n))
+            mapping[a], mapping[b] = b, a
+            swaps.append(NodePermutation(tuple(mapping)))
+    seen, queue = {x}, deque([x])
+    while queue:
+        code = queue.popleft()
+        for s in swaps:
+            image = apply_permutation(s, code)
+            if image not in seen:
+                seen.add(image)
+                queue.append(image)
+    return seen
 
 
 def exact_gram_by_pairs(spec: KernelSpec, H, xs, ys=None) -> np.ndarray:

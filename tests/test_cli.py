@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 
 from synthetic import molecules_from_prior, molecules_like_demo05, molecules_mixed_elements
 
-from graphgp import datasets, gp, invariance
+from graphgp import datasets, gp
 from graphgp.cli import EXPERIMENT_METHODS, load_model, main, named_seed, run_experiment
 from graphgp.invariance import (
     ENUMERATION_CAP,
@@ -33,6 +34,12 @@ from graphgp.spaces import GraphSpace, GraphSpaceKind, graph_to_json
 HEAT_PLAIN = '{"family": "heat", "kappa": 1.0, "laplacian": "plain"}'
 U4_SPACE = '{"kind": "U", "n": 4}'
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def dense_u11_codes(count):
+    """G(11, 1/2) graphs: with no symmetry to speak of, each has 11! images under S_11."""
+    rng, space = np.random.default_rng(0), GraphSpace(GraphSpaceKind.UNDIRECTED, 11)
+    return [space.code_from_int(int(rng.integers(1 << space.d))) for _ in range(count)]
 
 
 #: (rmse, log_lik) of the one-split, budget-20 demo-05 experiment on 24 molecules.
@@ -146,29 +153,34 @@ class TestKernelCommands:
         assert main(args) == 2
         assert "enumeration cap" in capsys.readouterr().err
 
-    def test_exact_group_above_the_cap_refused_before_any_build(self, capsys, monkeypatch):
+    def test_exact_orbit_above_the_cap_refused_in_bounded_memory(self, capsys, monkeypatch):
         def refuse(*args):
-            raise AssertionError("built the group's chain or elements before the cap refused it")
+            raise AssertionError("enumerated the group's elements")
 
-        monkeypatch.setattr(invariance, "_chain", refuse)
         monkeypatch.setattr(PermSubgroup, "elements", refuse)
         space, H = GraphSpace(GraphSpaceKind.UNDIRECTED, 11), PermSubgroup.full(11)
         assert H.order() > ENUMERATION_CAP
-        x, y = space.code_from_edges([[0, 1]]), space.code_from_edges([[2, 3], [3, 4]])
+        x, y = dense_u11_codes(2)
         spec = KernelSpec(Heat(1.0))
-        with pytest.raises(GroupTooLargeError, match="enumeration cap"):
-            invariant_gram_exact(spec, H, [x, y])
-        with pytest.raises(GroupTooLargeError, match="enumeration cap"):
-            invariant_kernel_exact(spec, H, x, y)
-        with pytest.raises(GroupTooLargeError, match="enumeration cap"):
-            pair_histogram(H, x, y)
         args = [
             "kernel", "invariant", "--space", '{"kind": "U", "n": 11}', "--blocks", ",".join(map(str, range(11))),
             "--spec", HEAT_PLAIN, "--x", json.dumps(graph_to_json(x)), "--y", json.dumps(graph_to_json(y)),
             "--mode", "exact",
         ]
-        assert main(args) == 2
+        tracemalloc.start()
+        try:
+            with pytest.raises(GroupTooLargeError, match="enumeration cap"):
+                invariant_gram_exact(spec, H, [x, y])
+            with pytest.raises(GroupTooLargeError, match="enumeration cap"):
+                invariant_kernel_exact(spec, H, x, y)
+            with pytest.raises(GroupTooLargeError, match="enumeration cap"):
+                pair_histogram(H, x, y)
+            assert main(args) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert "enumeration cap" in capsys.readouterr().err
+        assert peak < 64e6  # about 46 MB, the last gather under the cap; 464 MB at a 5,000,000-row cap
 
 
 class TestTableDump:
@@ -294,11 +306,10 @@ class TestFitPredict:
         assert isinstance(model.kernel, ProjectedKernel)
 
     def test_fit_refuses_group_above_enumeration_cap(self, tmp_path, capsys, monkeypatch):
-        U11 = GraphSpace(GraphSpaceKind.UNDIRECTED, 11)
         H = PermSubgroup.full(11)
         assert H.order() == 39_916_800 > ENUMERATION_CAP
         data_path = tmp_path / "codes.jsonl"
-        codes = [U11.code_from_edges([[0, 1]]), U11.code_from_edges([[2, 3], [3, 4]])]
+        codes = dense_u11_codes(2)
         datasets.write_codes(data_path, codes, [0.5, 1.5])
 
         def enumerate_nothing(self):

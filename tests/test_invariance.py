@@ -7,6 +7,7 @@ import pytest
 from oracles import (
     exact_gram_by_pairs,
     group_counts_by_enumeration,
+    orbit_by_closure,
     orbit_labels_by_enumeration,
     projection_by_enumeration,
     sample_counts_by_enumeration,
@@ -127,13 +128,29 @@ class TestOrbits:
             assert apply_permutation(s, x) in members
 
     def test_cap_refusal_mentions_monte_carlo(self):
-        H = PermSubgroup.full(8)  # order 40320
+        H, dense = PermSubgroup.full(11), sparse_codes(U11, np.random.default_rng(0), 1, density=0.5)[0]
         with pytest.raises(GroupTooLargeError, match="Monte Carlo"):
-            enumerate_orbit(H, GraphSpace(GraphSpaceKind.UNDIRECTED, 8).empty_code(), cap=1000)
-        U11 = GraphSpace(GraphSpaceKind.UNDIRECTED, 11)
+            enumerate_orbit(H, dense)  # 11! members: a chain step past the cap
+        exact = ProjectedKernel(KernelSpec(Heat(1.0)), H, U11)
         with pytest.raises(GroupTooLargeError, match="Monte Carlo"):
-            ProjectedKernel(KernelSpec(Heat(1.0)), PermSubgroup.full(11), U11)
-        assert ProjectedKernel.monte_carlo(KernelSpec(Heat(1.0)), PermSubgroup.full(11), U11, 4, 0).sample
+            exact.gram([dense])
+        assert ProjectedKernel.monte_carlo(KernelSpec(Heat(1.0)), H, U11, 4, 0).gram([dense]).shape == (1, 1)
+
+    def test_small_orbits_under_a_large_group_match_closure(self):
+        H = PermSubgroup.full(11)  # |H| = 39,916,800, above the old group-order cap
+        xs = [U11.code_from_edges(edges) for edges in SPARSE_U11_EDGES]
+        orbits = [orbit_by_closure(H, x) for x in xs]
+        for x, members in zip(xs, orbits):
+            assert set(enumerate_orbit(H, x).members) == members
+        spec = KernelSpec(Heat(3.0), variance=1.3)
+        profile = kernel_profile(spec, U11.d)
+        want = np.array(
+            [[profile[[(a.bits ^ y.bits).bit_count() for a in members]].mean() for y in xs] for members in orbits]
+        )
+        kernel = ProjectedKernel(spec, H, U11)
+        np.testing.assert_allclose(kernel.gram(xs), want, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(kernel.gram(xs[:3], xs[3:]), want[:3, 3:], rtol=1e-13, atol=0)
+        np.testing.assert_allclose(kernel.diag(xs), np.diag(want), rtol=1e-13, atol=0)
 
 
 class TestPairHistogram:
@@ -494,7 +511,7 @@ class TestProjectFunction:
         H = PermSubgroup.full(8)
         space = GraphSpace(GraphSpaceKind.UNDIRECTED, 8)  # d = 28 > cap as well
         with pytest.raises(ValueError):
-            project_function(H, space, np.zeros(4), cap=10)
+            project_function(H, space, np.zeros(4))
 
 
 #: The exact projection sums |H| values per code in another order than one element at a time.
@@ -576,7 +593,18 @@ class TestProjectedKernelObject:
         assert np.allclose(kernel2.gram(xs), 2.0 * K1)
 
 
-U11 = GraphSpace(GraphSpaceKind.UNDIRECTED, 11)  # S_11 is above the enumeration cap
+U11 = GraphSpace(GraphSpaceKind.UNDIRECTED, 11)  # |S_11| is above 2^21; its sparse codes' orbits are not
+#: Graphs of at most three edges on U11, with orbits of 1 to 6,930 members under S_11.
+SPARSE_U11_EDGES = (
+    [],
+    [[0, 1]],
+    [[0, 1], [2, 3]],
+    [[0, 1], [1, 2]],
+    [[0, 1], [1, 2], [0, 2]],
+    [[0, 1], [1, 2], [2, 3]],
+    [[0, 1], [0, 2], [0, 3]],
+    [[0, 1], [2, 3], [4, 5]],
+)
 U12 = GraphSpace(GraphSpaceKind.UNDIRECTED, 12)
 BLOCKS_12 = PermSubgroup(12, ((0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11)))  # d = 66 > 64, |H| = 1296
 DL8 = GraphSpace(GraphSpaceKind.DIRECTED_LOOPS, 8)
@@ -879,14 +907,12 @@ class TestOrbitRepresentative:
         assert len(set(reps.values())) == build_quotient(H, space).num_classes
         assert all(in_orbit(H, x, rep) for x, rep in reps.items())
 
-    def test_above_the_residual_cap_stays_in_the_orbit(self, rng, monkeypatch):
-        monkeypatch.setattr(invariance, "REPRESENTATIVE_CAP", 1)
-        orbit_representative.cache_clear()
-        try:
-            for x in sparse_codes(U12, rng, 10, density=0.3):
-                assert in_orbit(BLOCKS_12, x, orbit_representative(BLOCKS_12, x))
-        finally:
-            orbit_representative.cache_clear()
+    def test_shared_when_refinement_leaves_a_large_residual(self, rng):
+        # colour refinement splits {0, 1, 2, 3} from the rest, leaving |S_4 x S_7| = 120,960
+        H, x = PermSubgroup.full(11), U11.code_from_edges([[0, 1], [2, 3]])
+        reps = {orbit_representative(H, y) for y in relabelled(H, [x] * 20, rng)}
+        assert reps == {orbit_representative(H, x)}
+        assert reps <= orbit_by_closure(H, x)
 
     def test_rejects_a_group_on_other_nodes(self):
         with pytest.raises(ValueError, match="does not act"):
@@ -895,7 +921,9 @@ class TestOrbitRepresentative:
     @pytest.mark.parametrize("space,H", [(U12, BLOCKS_12), (U11, PermSubgroup.full(11))])
     def test_monte_carlo_kernel_ignores_relabelling(self, rng, space, H):
         kernel = ProjectedKernel.monte_carlo(KernelSpec(Heat(4.0), variance=1.3), H, space, sample_size=5, seed=2)
-        xs, ys = sparse_codes(space, rng, 8, density=0.3), sparse_codes(space, rng, 4, density=0.3)
+        # two-edge codes leave a residual S_4 x S_7 or S_2 x S_8 under S_11; each copy is relabelled apart
+        two_edges = [space.code_from_edges(edges) for edges in SPARSE_U11_EDGES[2:4]] * 3
+        xs, ys = sparse_codes(space, rng, 8, density=0.3) + two_edges, sparse_codes(space, rng, 4, density=0.3)
         gxs, gys = relabelled(H, xs, rng), relabelled(H, ys, rng)
         assert np.array_equal(kernel.gram(gxs), kernel.gram(xs))
         assert np.array_equal(kernel.gram(gxs, gys), kernel.gram(xs, ys))
@@ -925,6 +953,7 @@ class TestOrbitRepresentative:
         (invariance._distinct_images, invariance.ORBIT_IMAGE_CACHE_SIZE),
         pytest.param(invariance._group_counts, invariance.COUNT_CACHE_SIZE, id="_group_counts"),
         (invariance.orbit_representative, invariance.REPRESENTATIVE_CACHE_SIZE),
+        (invariance.pair_histogram, invariance.PAIR_HISTOGRAM_CACHE_SIZE),
         (kravchuk.build_table, kravchuk.TABLE_CACHE_SIZE),
     ],
 )
