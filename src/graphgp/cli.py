@@ -32,17 +32,13 @@ import math
 import sys
 import zlib
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, datasets, gp
-from .invariance import (
-    PermSubgroup,
-    ProjectedKernel,
-    build_quotient,
-    invariant_kernel_exact,
-)
+from .invariance import PermSubgroup, ProjectedKernel, build_quotient
 from .kernels import (
     Heat,
     IsotropicKernel,
@@ -56,7 +52,12 @@ from .kernels import (
     spec_to_json,
 )
 from .kravchuk import build_table
-from .spaces import graph_from_json, graph_to_json, space_from_json
+from .spaces import GraphCode, graph_from_json, graph_to_json, space_from_json
+
+#: Bytes of the dense matrix ``graphgp sample`` may build in exact mode (the float64 Gram of its
+#: points) or walsh mode (the float64 feature matrix). Peaks run about 5 and 2.1 times that matrix
+#: (tracemalloc, whole D4 space: 672 and 286 MB for a 128 MiB matrix), so about 1.3 GB at the cap.
+SAMPLE_MATRIX_CAP = 2**28
 
 
 def named_seed(root: int, name: str) -> int:
@@ -127,10 +128,6 @@ def _write_svg(path: Path, x: list[float], series: dict[str, list[float]], title
     path.write_text("\n".join(parts) + "\n")
 
 
-def _parse_subgroup(blocks: str, n: int) -> PermSubgroup:
-    return PermSubgroup.from_string(blocks, n)
-
-
 # -- kernel ------------------------------------------------------------------
 
 
@@ -169,18 +166,14 @@ def _cmd_kernel_profile(args) -> int:
 def _cmd_kernel_invariant(args) -> int:
     space = space_from_json(_json_arg(args.space))
     spec = spec_from_json(_json_arg(args.spec), d=space.d)
-    H = _parse_subgroup(args.blocks, space.n)
+    H = PermSubgroup.from_string(args.blocks, space.n)
     x = graph_from_json(_json_arg(args.x))
     y = graph_from_json(_json_arg(args.y))
     if x.space != space or y.space != space:
         raise ValueError("graphs do not belong to the declared space")
-    if args.mode == "exact":
-        print(invariant_kernel_exact(spec, H, x, y))
-    else:
-        if args.samples < 1:
-            raise ValueError("--samples must be >= 1 in mc mode")
-        kernel = ProjectedKernel.monte_carlo(spec, H, space, args.samples, args.seed)  # refuses |S| before drawing
-        print(float(kernel.gram([x], [y])[0, 0]))
+    # a Monte Carlo kernel refuses |S| before drawing
+    kernel = _build_model_kernel(spec, space, H, args.samples if args.mode == "mc" else None, args.seed)
+    print(float(kernel.gram([x], [y])[0, 0]))
     return 0
 
 
@@ -204,7 +197,7 @@ def _cmd_table_dump(args) -> int:
 
 def _cmd_quotient_build(args) -> int:
     space = space_from_json(_json_arg(args.space))
-    H = _parse_subgroup(args.blocks, space.n)
+    H = PermSubgroup.from_string(args.blocks, space.n)
     quotient = build_quotient(H, space)
     payload = {
         "space": {"kind": space.kind.value, "n": space.n, "d": space.d},
@@ -275,7 +268,7 @@ def _cmd_fit(args) -> int:
         raise ValueError(f"dataset {args.dataset} is empty")
     space = codes[0].space
     spec = spec_from_json(_json_arg(args.kernel), d=space.d)
-    H = None if args.projected is None else _parse_subgroup(args.projected, space.n)
+    H = None if args.projected is None else PermSubgroup.from_string(args.projected, space.n)
     kernel = _build_model_kernel(spec, space, H, args.mc_samples, args.mc_seed)
     noise = args.noise
     if args.optimize:
@@ -312,27 +305,23 @@ def load_model(path: str | Path) -> gp.GPModel:
     obj = json.loads(Path(path).read_text())
     space = space_from_json(obj["space"])
     spec = spec_from_json(obj["kernel"], d=space.d)
-    projected = obj.get("projected")
-    kernel = _build_model_kernel(
-        spec,
-        space,
-        None if projected is None else _parse_subgroup(projected["blocks"], space.n),
-        None if projected is None else projected.get("mc_samples"),
-        0 if projected is None else (projected.get("mc_seed") or 0),
-    )
+    projected = obj.get("projected") or {}
+    H = PermSubgroup.from_string(projected["blocks"], space.n) if projected else None
+    kernel = _build_model_kernel(spec, space, H, projected.get("mc_samples"), projected.get("mc_seed") or 0)
     codes = [graph_from_json(entry) for entry in obj["train"]]
     targets = [entry["target"] for entry in obj["train"]]
     return gp.fit(kernel, codes, targets, obj["noise"], normalize_y=obj.get("normalize_y", False))
 
 
+def _read_graphs(path: str) -> list[GraphCode]:
+    """The graphs of a JSONL file, one per nonblank line."""
+    with open(path) as fh:
+        return [graph_from_json(json.loads(line)) for line in fh if line.strip()]
+
+
 def _cmd_predict(args) -> int:
     model = load_model(args.model)
-    points = []
-    with open(args.points) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                points.append(graph_from_json(json.loads(line)))
+    points = _read_graphs(args.points)
     mean, var = gp.predict(model, points)
     out = Path(args.out)
     with open(out, "w", newline="") as fh:
@@ -347,30 +336,37 @@ def _cmd_predict(args) -> int:
 # -- sample ----------------------------------------------------------------------
 
 
+def _require_sample_matrix(rows: int, columns: int, name: str) -> None:
+    """Refuse a dense float64 sampling matrix of more than ``SAMPLE_MATRIX_CAP`` bytes."""
+    size = 8 * rows * columns
+    if size > SAMPLE_MATRIX_CAP:
+        raise ValueError(
+            f"sampling would build a {rows} x {columns} float64 {name} ({size / 2**30:.1f} GiB), above the "
+            f"{SAMPLE_MATRIX_CAP // 2**20} MiB cap; pass --points with fewer graphs, lower --level-cap "
+            f"in walsh mode, or use --mode phase"
+        )
+
+
 def _cmd_sample(args) -> int:
     space = space_from_json(_json_arg(args.space))
     spec = spec_from_json(_json_arg(args.spec), d=space.d)
-    if args.points:
-        points = []
-        with open(args.points) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    points.append(graph_from_json(json.loads(line)))
-    else:
-        points = list(space.all_codes())
-    kernel = IsotropicKernel(spec, space)
+    points = _read_graphs(args.points) if args.points else None
+    count = len(points) if points is not None else 1 << space.d
     if args.mode == "exact":
-        draws = gp.sample_prior_exact(kernel, points, args.n, args.seed)
+        _require_sample_matrix(count, count, "Gram")
+        draw = partial(gp.sample_prior_exact, IsotropicKernel(spec, space))
     elif args.mode == "walsh":
         sampler = gp.TruncatedWalshSampler(spec, space, level_cap=args.level_cap)
-        draws = sampler.draw(points, args.n, args.seed)
+        _require_sample_matrix(sampler.n_features, count, "Walsh feature matrix")
+        draw = sampler.draw
     else:
-        sampler = gp.RandomPhaseSampler(
+        draw = gp.RandomPhaseSampler(
             spec, space, num_anchors=args.anchors, seed=named_seed(args.seed, "anchors"),
             level_cap=args.level_cap,
-        )
-        draws = sampler.draw(points, args.n, args.seed)
+        ).draw
+    if points is None:
+        points = list(space.all_codes())
+    draws = draw(points, args.n, args.seed)
     out = Path(args.out)
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)

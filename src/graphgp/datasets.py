@@ -25,7 +25,7 @@ import numpy as np
 
 from . import gp
 from .invariance import PermSubgroup
-from .spaces import GraphCode, GraphSpace, GraphSpaceKind
+from .spaces import GraphCode, GraphSpace, GraphSpaceKind, graph_from_json, graph_to_json
 
 HYDROGEN = "H"
 
@@ -301,20 +301,13 @@ def write_codes(
         raise ValueError("need equally many codes and targets")
     with open(path, "w") as fh:
         for i, (code, target) in enumerate(zip(codes, targets)):
-            obj = {
-                "kind": code.space.kind.value,
-                "n": code.space.n,
-                "edges": [list(e) for e in code.edges()],
-                "target": float(target),
-            }
+            obj = dict(graph_to_json(code), target=float(target))
             if ids is not None and ids[i] is not None:
                 obj["id"] = ids[i]
             fh.write(json.dumps(obj) + "\n")
 
 
 def read_codes(path: str | Path) -> tuple[list[GraphCode], np.ndarray, list[str | None]]:
-    from .spaces import graph_from_json
-
     codes: list[GraphCode] = []
     targets: list[float] = []
     ids: list[str | None] = []

@@ -57,7 +57,7 @@ def _cholesky_with_jitter(K: np.ndarray, noise_var: float, eye: np.ndarray | Non
     """
     if eye is None:
         eye = np.eye(K.shape[0])
-    scale = max(float(np.abs(np.diag(K)).max()), 1e-12)
+    scale = max(float(np.abs(np.diag(K)).max(initial=0.0)), 1e-12)
     jitters = [0.0] + [_JITTER_FACTOR * scale * _JITTER_GROWTH**k for k in range(_JITTER_RETRIES)]
     for jit in jitters:
         try:
@@ -773,14 +773,20 @@ def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
 # -- sampling ----------------------------------------------------------------
 
 
+#: Most Walsh features a :class:`TruncatedWalshSampler` builds: index subsets up to its level cap.
+FEATURE_BUDGET = 1 << 20
+
+
+def _draw(factor: np.ndarray, n_samples: int, rng: np.random.Generator) -> np.ndarray:
+    """(n_samples, factor columns) zero-mean draws z @ factor, z standard normal from rng, so of
+    covariance factor.T @ factor: np.zeros((n_samples, 0)) for a factor of no rows or columns."""
+    return rng.standard_normal((n_samples, factor.shape[0])) @ factor
+
+
 def sample_prior_exact(kernel, xs: Sequence[GraphCode], n_samples: int, seed: int) -> np.ndarray:
     """(n_samples, len(xs)) i.i.d. zero-mean draws with covariance K(xs, xs)."""
-    xs = tuple(xs)
-    if n_samples == 0:
-        return np.zeros((0, len(xs)))
-    L, _ = _cholesky_with_jitter(kernel.gram(xs), 0.0)
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal((n_samples, len(xs))) @ L.T
+    L, _ = _cholesky_with_jitter(kernel.gram(tuple(xs)), 0.0)
+    return _draw(L.T, n_samples, np.random.default_rng(seed))
 
 
 def _level_cap(spec: KernelSpec, d: int, level_cap: int | None) -> int:
@@ -797,17 +803,17 @@ class TruncatedWalshSampler:
     With ``level_cap`` equal to d the draws follow the exact prior law; with
     a smaller cap they follow the correspondingly truncated kernel. The
     feature count is the number of index subsets up to the cap and is
-    refused above ``feature_budget``.
+    refused above ``FEATURE_BUDGET``.
     """
 
-    def __init__(self, spec: KernelSpec, space, level_cap: int | None = None, feature_budget: int = 1 << 20):
+    def __init__(self, spec: KernelSpec, space, level_cap: int | None = None):
         d = space.d
         J = _level_cap(spec, d, level_cap)
         sizes = [math.comb(d, j) for j in range(J + 1)]
         count = sum(sizes)
-        if count > feature_budget:
+        if count > FEATURE_BUDGET:
             raise ValueError(
-                f"feature count {count} (levels 0..{J} in dimension {d}) exceeds the budget {feature_budget}"
+                f"feature count {count} (levels 0..{J} in dimension {d}) exceeds the budget {FEATURE_BUDGET}"
             )
         self.spec = replace(spec, truncation=J)
         self.space = space
@@ -830,9 +836,7 @@ class TruncatedWalshSampler:
         return self._sqrt_amp[:, None] * (1.0 - 2.0 * parity)
 
     def draw(self, xs: Sequence[GraphCode], n_samples: int, seed: int) -> np.ndarray:
-        W = self.feature_matrix(xs)
-        rng = np.random.default_rng(seed)
-        return rng.standard_normal((n_samples, self.n_features)) @ W
+        return _draw(self.feature_matrix(xs), n_samples, np.random.default_rng(seed))
 
 
 class RandomPhaseSampler:
@@ -873,9 +877,7 @@ class RandomPhaseSampler:
         return self._coef[:, None] * feats
 
     def draw(self, xs: Sequence[GraphCode], n_samples: int, seed: int) -> np.ndarray:
-        W = self.feature_matrix(xs)
-        rng = np.random.default_rng(seed)
-        return rng.standard_normal((n_samples, self.n_features)) @ W
+        return _draw(self.feature_matrix(xs), n_samples, np.random.default_rng(seed))
 
     def analytic_gram(self, xs: Sequence[GraphCode]) -> np.ndarray:
         """Exact covariance of this sampler's draws, given its fixed anchors."""
@@ -891,12 +893,10 @@ def posterior_sample(model: GPModel, xs: Sequence[GraphCode], n_samples: int, se
     fresh noise draw eps, which reproduces the exact posterior moments.
     """
     xs = tuple(xs)
-    if n_samples == 0:
-        return np.zeros((0, len(xs)))
     joint = tuple(model.train_x) + xs
     L, _ = _cholesky_with_jitter(model.kernel.gram(joint), 0.0)
     rng = np.random.default_rng(seed)
-    draws = rng.standard_normal((n_samples, len(joint))) @ L.T
+    draws = _draw(L.T, n_samples, rng)  # noise eps comes next from the same stream
     n = model.n
     f_train, f_test = draws[:, :n], draws[:, n:]
     eps = rng.standard_normal((n_samples, n)) * math.sqrt(model.noise)

@@ -68,6 +68,7 @@ from .spaces import (
     _pack_words,
     _unpack_words,
     code_words,
+    decode_words,
     permuted_words,
     slot_permutations,
     word_distances,
@@ -234,13 +235,18 @@ def _distinct_images(source: Source, x: GraphCode) -> tuple[np.ndarray, np.ndarr
         words = _orbit_words(source, code_words([x]), x.space)
         mult = np.full(len(words), source.order() // len(words))
     else:
-        words = permuted_words(x, _slot_perms(source, x.space))
-        words = words[np.lexsort(words.T)]
-        first = np.flatnonzero(np.r_[True, (words[1:] != words[:-1]).any(axis=1)])
-        words, mult = words[first], np.diff(np.r_[first, len(words)])
+        words, mult = _distinct_rows(permuted_words(x, _slot_perms(source, x.space)))
     words.setflags(write=False)
     mult.setflags(write=False)
     return words, mult
+
+
+def _distinct_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a word matrix, sorted with the last word as the most significant key
+    (row 0 is the least code), and how many times each occurs."""
+    words = words[np.lexsort(words.T)]
+    first = np.flatnonzero(np.r_[True, (words[1:] != words[:-1]).any(axis=1)])
+    return words[first], np.diff(np.r_[first, len(words)])
 
 
 @lru_cache(maxsize=PAIR_HISTOGRAM_CACHE_SIZE)
@@ -305,9 +311,7 @@ def _orbit_words(H: PermSubgroup, words: np.ndarray, space: GraphSpace) -> np.nd
                 f"matching problem) - use the Monte Carlo estimator instead, which meets this "
                 f"only where colour refinement leaves an orbit this large (as for regular graphs)"
             )
-        words = _pack_words(_unpack_words(words, space.d)[:, step].reshape(-1, space.d))
-        words = words[np.lexsort(words.T)]
-        words = words[np.r_[True, (words[1:] != words[:-1]).any(axis=1)]]
+        words, _ = _distinct_rows(_pack_words(_unpack_words(words, space.d)[:, step].reshape(-1, space.d)))
     return words
 
 
@@ -328,9 +332,7 @@ def enumerate_orbit(H: PermSubgroup, x: GraphCode, keep_members: bool = True) ->
     """The orbit of a graph under H, grown along H's chain, with its lexicographically minimal
     member; ``GroupTooLargeError`` if a chain step would gather more than ``ENUMERATION_CAP`` rows."""
     space = x.space
-    words = _orbit_words(H, code_words([x]), space)
-    raw, width = words.astype("<u8").tobytes(), 8 * words.shape[1]
-    bits = [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
+    bits = decode_words(_orbit_words(H, code_words([x]), space))
     members = tuple(GraphCode(space, b) for b in bits) if keep_members else None
     return OrbitClass(canonical=GraphCode(space, bits[0]), size=len(bits), members=members)
 
@@ -393,8 +395,7 @@ def orbit_representative(H: PermSubgroup, x: GraphCode) -> GraphCode:
             classes.append(tuple(block[k] for k, _v in run))
     residual = PermSubgroup(H.n, tuple(classes))
     ordered = permuted_words(x, slot_permutations(np.argsort(order)[None], x.space))
-    least = _orbit_words(residual, ordered, x.space)[0]
-    return GraphCode(x.space, sum(int(w) << 64 * k for k, w in enumerate(least)))
+    return GraphCode(x.space, decode_words(_orbit_words(residual, ordered, x.space)[:1])[0])
 
 
 # -- exact and Monte Carlo group-averaged kernels ---------------------------
@@ -591,9 +592,10 @@ def build_quotient(H: PermSubgroup, space: GraphSpace) -> QuotientGraph:
     least = _fold(_chain(H, space), codes, np.minimum)  # each code's orbit minimum
     canonical, class_of, sizes = np.unique(least, return_inverse=True, return_counts=True)
     classes = tuple(OrbitClass(GraphCode(space, int(c)), int(n)) for c, n in zip(canonical, sizes))
-    weights = np.zeros((len(classes), len(classes)))
-    for t in range(d):
-        np.add.at(weights, (class_of[codes], class_of[codes ^ (1 << t)]), 1.0)
+    # one count per (class of x, class of x with one bit flipped), over every code x and bit; unit
+    # weights count straight into float64, with no integer copy of the num_classes^2 matrix
+    pairs = (class_of[:, None] * len(classes) + class_of[codes[:, None] ^ (1 << np.arange(d))]).ravel()
+    weights = np.bincount(pairs, np.ones(len(pairs)), len(classes) ** 2).reshape(len(classes), len(classes))
     return QuotientGraph(space, H, classes, weights, class_of)
 
 

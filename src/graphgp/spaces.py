@@ -10,6 +10,8 @@ function of.
 Bulk paths see code lists as (count, ceil(d/64)) uint64 word matrices, slot
 s at bit s % 64 of word s // 64, and k node relabelings as one (k, d)
 slot-permutation array; a code's k images are one gather of its bits.
+:func:`code_words` encodes codes as words and :func:`decode_words` turns word
+rows back into code integers, so only this module knows the word layout.
 
 All types here are immutable after construction and safe to share across
 threads.
@@ -357,6 +359,12 @@ def code_words(xs: Sequence[GraphCode]) -> np.ndarray:
     # int(): codes built from numpy integers carry numpy bits
     raw = b"".join(int(x.bits).to_bytes(8 * n_words, "little") for x in xs)
     return np.frombuffer(raw, dtype="<u8").reshape(len(xs), n_words).astype(np.uint64)
+
+
+def decode_words(words: np.ndarray) -> list[int]:
+    """The code integers of a (k, ceil(d/64)) uint64 word matrix, row by row: the inverse of :func:`code_words`."""
+    raw, width = words.astype("<u8", copy=False).tobytes(), 8 * words.shape[1]
+    return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
 
 
 def _pack_words(bits: np.ndarray) -> np.ndarray:

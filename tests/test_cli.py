@@ -14,7 +14,7 @@ import pytest
 from synthetic import molecules_from_prior, molecules_like_demo05, molecules_mixed_elements
 
 from graphgp import datasets, gp
-from graphgp.cli import EXPERIMENT_METHODS, load_model, main, named_seed, run_experiment
+from graphgp.cli import EXPERIMENT_METHODS, SAMPLE_MATRIX_CAP, load_model, main, named_seed, run_experiment
 from graphgp.invariance import (
     ENUMERATION_CAP,
     GroupTooLargeError,
@@ -344,6 +344,39 @@ class TestSampleCommand:
             "--mode", mode, "--n", "3", "--seed", "2", "--out", str(out),
         ]) == 0
         assert len(read_csv(out)) == 4
+
+    @pytest.mark.parametrize("mode", ["exact", "walsh"])
+    def test_whole_space_too_large_to_hold_refused_before_enumerating(self, tmp_path, capsys, monkeypatch, mode):
+        def refuse(self):
+            raise AssertionError("enumerated the space")
+
+        monkeypatch.setattr(GraphSpace, "all_codes", refuse)
+        out = tmp_path / f"{mode}.csv"
+        argv = ["sample", "--space", '{"kind": "U", "n": 6}', "--spec", HEAT_PLAIN, "--mode", mode, "--out", str(out)]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        # the Gram, or at the default level cap d = 15 all 2^15 features, of 2^15 codes
+        matrix = {"exact": "Gram", "walsh": "Walsh feature matrix"}[mode]
+        cap = f"{SAMPLE_MATRIX_CAP // 2**20} MiB cap"
+        assert f"32768 x 32768 float64 {matrix} (8.0 GiB), above the {cap}" in capsys.readouterr().err
+        assert not out.exists()
+        assert peak < 16e6  # 0.3 MB in exact mode, 1.0 MB in walsh mode
+
+    @pytest.mark.parametrize("mode", ["exact", "walsh", "phase"])
+    def test_whole_u5_space_still_drawn(self, tmp_path, mode):
+        out = tmp_path / f"{mode}.csv"
+        assert main([
+            "sample", "--space", '{"kind": "U", "n": 5}', "--spec", HEAT_PLAIN,
+            "--mode", mode, "--n", "2", "--seed", "1", "--out", str(out),
+        ]) == 0
+        rows = read_csv(out)
+        assert len(rows) == 3
+        assert len(rows[0]) == 1024
 
     @pytest.mark.parametrize("mode", ["walsh", "phase"])
     def test_level_cap_above_d_is_a_validation_error(self, tmp_path, capsys, mode):

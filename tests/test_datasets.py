@@ -26,7 +26,7 @@ from graphgp.datasets import (
 )
 from graphgp.invariance import invariant_kernel_exact
 from graphgp.kernels import Heat, IsotropicKernel, KernelSpec
-from graphgp.spaces import GraphSpace, GraphSpaceKind
+from graphgp.spaces import GraphSpace, GraphSpaceKind, graph_to_json
 
 CNOCL_LAYOUT = TypeAlignedLayout((("C", 3), ("N", 3), ("O", 3), ("Cl", 3)))
 
@@ -273,6 +273,25 @@ class TestCodeFiles:
         assert back_codes == codes
         assert np.allclose(back_targets, targets)
         assert back_ids == [f"m{i}" for i in range(10)]
+
+    def test_lines_are_the_graph_json_with_target_and_id(self, tmp_path, rng):
+        space = GraphSpace(GraphSpaceKind.UNDIRECTED, 5)
+        codes = [space.random_code(rng) for _ in range(6)]
+        targets = rng.standard_normal(6)
+        ids = ["m0", None, "m2", None, "m4", "m5"]
+        path = tmp_path / "codes.jsonl"
+        write_codes(path, codes, targets, ids)
+        want = []
+        for code, target, mol_id in zip(codes, targets, ids):
+            obj = dict(graph_to_json(code), target=float(target))
+            if mol_id is not None:
+                obj["id"] = mol_id
+            want.append(json.dumps(obj))
+        assert path.read_text().splitlines() == want
+        write_codes(path, codes, targets)
+        assert path.read_text().splitlines() == [
+            json.dumps(dict(graph_to_json(c), target=float(t))) for c, t in zip(codes, targets)
+        ]
 
     def test_mixed_spaces_rejected(self, tmp_path):
         path = tmp_path / "mixed.jsonl"

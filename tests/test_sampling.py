@@ -6,11 +6,12 @@ import pytest
 from graphgp import gp
 from graphgp.invariance import (
     PermSubgroup,
+    ProjectedKernel,
     draw_sample,
     invariant_gram_exact,
     invariant_gram_sampled,
 )
-from graphgp.kernels import Heat, IsotropicKernel, KernelSpec
+from graphgp.kernels import Heat, IsotropicKernel, KernelSpec, LinearKernel
 from graphgp.spaces import GraphSpace, GraphSpaceKind
 
 U3 = GraphSpace(GraphSpaceKind.UNDIRECTED, 3)
@@ -101,9 +102,11 @@ class TestTruncatedWalshSampler:
         assert_within_4se(C, K, se)
 
     def test_feature_budget_refusal_reports_count(self):
-        spec = KernelSpec(Heat(1.0))
-        with pytest.raises(ValueError, match="64"):
-            gp.TruncatedWalshSampler(spec, U4, feature_budget=10)
+        # all 2^21 index subsets of U7 (d = 21) are twice the budget; refused before any is built
+        spec, U7 = KernelSpec(Heat(1.0)), GraphSpace(GraphSpaceKind.UNDIRECTED, 7)
+        assert gp.FEATURE_BUDGET == 1 << 20
+        with pytest.raises(ValueError, match="feature count 2097152 .* exceeds the budget 1048576"):
+            gp.TruncatedWalshSampler(spec, U7)
 
     def test_draws_deterministic_by_seed(self):
         sampler = gp.TruncatedWalshSampler(KernelSpec(Heat(1.0)), U4)
@@ -123,6 +126,53 @@ class TestTruncatedWalshSampler:
 def test_level_cap_outside_the_levels_rejected(make, cap):
     with pytest.raises(ValueError, match=f"level cap {cap} out of range for d={U4.d}"):
         make(cap)
+
+
+#: The four kernel flavours, built on U4.
+EMPTY_INPUT_KERNELS = {
+    "isotropic": lambda: IsotropicKernel(KernelSpec(Heat(1.0)), U4),
+    "exact": lambda: ProjectedKernel(KernelSpec(Heat(1.0)), PermSubgroup.full(4), U4),
+    "monte_carlo": lambda: ProjectedKernel.monte_carlo(KernelSpec(Heat(1.0)), PermSubgroup.full(4), U4, 4, 0),
+    "linear": LinearKernel,
+}
+
+#: A call of (kernel, model fitted on three codes xs, xs) on an empty code list, and its shape.
+EMPTY_INPUT_CALLS = {
+    "gram_square": (lambda kernel, model, xs: kernel.gram([]), (0, 0)),
+    "gram_cross_rows": (lambda kernel, model, xs: kernel.gram([], xs), (0, 3)),
+    "gram_cross_columns": (lambda kernel, model, xs: kernel.gram(xs, []), (3, 0)),
+    "diag": (lambda kernel, model, xs: kernel.diag([]), (0,)),
+    "predict_mean": (lambda kernel, model, xs: gp.predict(model, [])[0], (0,)),
+    "predict_var": (lambda kernel, model, xs: gp.predict(model, [])[1], (0,)),
+    "predict_cov": (lambda kernel, model, xs: gp.predict(model, [], full_cov=True)[1], (0, 0)),
+    "posterior_sample": (lambda kernel, model, xs: gp.posterior_sample(model, [], 3, 0), (3, 0)),
+    "sample_prior_exact": (lambda kernel, model, xs: gp.sample_prior_exact(kernel, [], 3, 0), (3, 0)),
+}
+
+
+@pytest.mark.parametrize("call", EMPTY_INPUT_CALLS)
+@pytest.mark.parametrize("flavour", EMPTY_INPUT_KERNELS)
+def test_empty_code_list_gives_empty_arrays(flavour, call):
+    kernel = EMPTY_INPUT_KERNELS[flavour]()
+    xs = [U4.empty_code(), U4.code_from_int(5), U4.code_from_int(63)]
+    model = gp.fit(kernel, xs, [0.0, 1.0, -1.0], 0.1)
+    make, shape = EMPTY_INPUT_CALLS[call]
+    out = make(kernel, model, xs)
+    assert out.shape == shape
+    assert out.dtype == np.float64
+
+
+@pytest.mark.parametrize(
+    "sampler",
+    [
+        gp.TruncatedWalshSampler(KernelSpec(Heat(1.0)), U4),
+        gp.RandomPhaseSampler(KernelSpec(Heat(1.0)), U4, num_anchors=4, seed=0),
+    ],
+    ids=["walsh", "phase"],
+)
+def test_feature_samplers_draw_nothing_for_no_codes(sampler):
+    assert sampler.feature_matrix([]).shape == (sampler.n_features, 0)
+    assert sampler.draw([], 3, 0).shape == (3, 0)
 
 
 class TestRandomPhaseSampler:
