@@ -52,11 +52,11 @@ from .kernels import (
     spec_to_json,
 )
 from .kravchuk import build_table
-from .spaces import GraphCode, graph_from_json, graph_to_json, space_from_json
+from .spaces import common_space, graph_from_json, graph_to_json, space_from_json
 
 #: Bytes of the dense matrix ``graphgp sample`` may build in exact mode (the float64 Gram of its
-#: points) or walsh mode (the float64 feature matrix). Peaks run about 5 and 2.1 times that matrix
-#: (tracemalloc, whole D4 space: 672 and 286 MB for a 128 MiB matrix), so about 1.3 GB at the cap.
+#: points) or walsh mode (the float64 feature matrix). Peaks run about 4 and 2.1 times that matrix
+#: (tracemalloc, whole D4 space: 537 and 285 MB for a 128 MiB matrix), so about 1.1 GB at the cap.
 SAMPLE_MATRIX_CAP = 2**28
 
 
@@ -169,8 +169,7 @@ def _cmd_kernel_invariant(args) -> int:
     H = PermSubgroup.from_string(args.blocks, space.n)
     x = graph_from_json(_json_arg(args.x))
     y = graph_from_json(_json_arg(args.y))
-    if x.space != space or y.space != space:
-        raise ValueError("graphs do not belong to the declared space")
+    common_space((x, y), space)
     # a Monte Carlo kernel refuses |S| before drawing
     kernel = _build_model_kernel(spec, space, H, args.samples if args.mode == "mc" else None, args.seed)
     print(float(kernel.gram([x], [y])[0, 0]))
@@ -313,15 +312,9 @@ def load_model(path: str | Path) -> gp.GPModel:
     return gp.fit(kernel, codes, targets, obj["noise"], normalize_y=obj.get("normalize_y", False))
 
 
-def _read_graphs(path: str) -> list[GraphCode]:
-    """The graphs of a JSONL file, one per nonblank line."""
-    with open(path) as fh:
-        return [graph_from_json(json.loads(line)) for line in fh if line.strip()]
-
-
 def _cmd_predict(args) -> int:
     model = load_model(args.model)
-    points = _read_graphs(args.points)
+    points = datasets.read_json_lines(args.points, graph_from_json)
     mean, var = gp.predict(model, points)
     out = Path(args.out)
     with open(out, "w", newline="") as fh:
@@ -350,7 +343,7 @@ def _require_sample_matrix(rows: int, columns: int, name: str) -> None:
 def _cmd_sample(args) -> int:
     space = space_from_json(_json_arg(args.space))
     spec = spec_from_json(_json_arg(args.spec), d=space.d)
-    points = _read_graphs(args.points) if args.points else None
+    points = datasets.read_json_lines(args.points, graph_from_json) if args.points else None
     count = len(points) if points is not None else 1 << space.d
     if args.mode == "exact":
         _require_sample_matrix(count, count, "Gram")

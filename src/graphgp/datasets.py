@@ -19,13 +19,13 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import gp
 from .invariance import PermSubgroup
-from .spaces import GraphCode, GraphSpace, GraphSpaceKind, graph_from_json, graph_to_json
+from .spaces import GraphCode, GraphSpace, GraphSpaceKind, common_space, graph_from_json, graph_to_json
 
 HYDROGEN = "H"
 
@@ -78,18 +78,25 @@ def molecule_to_json(mol: Molecule) -> dict:
     return out
 
 
-def load_molecules(path: str | Path) -> list[Molecule]:
-    mols = []
+def read_json_lines(path: str | Path, parse: Callable[[dict], object]) -> list:
+    """``parse`` of each nonblank line's JSON object, in order; any fault, a missing key included,
+    is a ValueError that starts with ``path:line``."""
+    out = []
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
-                mols.append(molecule_from_json(json.loads(line)))
-            except (ValueError, KeyError) as exc:
+                out.append(parse(json.loads(line)))
+            except KeyError as exc:
+                raise ValueError(f"{path}:{line_no}: missing key {exc}") from exc
+            except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{line_no}: {exc}") from exc
-    return mols
+    return out
+
+
+def load_molecules(path: str | Path) -> list[Molecule]:
+    return read_json_lines(path, molecule_from_json)
 
 
 def save_molecules(path: str | Path, mols: Iterable[Molecule]) -> None:
@@ -308,24 +315,14 @@ def write_codes(
 
 
 def read_codes(path: str | Path) -> tuple[list[GraphCode], np.ndarray, list[str | None]]:
+    """The codes, targets and ids of a :func:`write_codes` file; a code from another space than the
+    first line's is refused with its line."""
     codes: list[GraphCode] = []
-    targets: list[float] = []
-    ids: list[str | None] = []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                codes.append(graph_from_json(obj))
-                targets.append(float(obj["target"]))
-                ids.append(obj.get("id"))
-            except (ValueError, KeyError) as exc:
-                raise ValueError(f"{path}:{line_no}: {exc}") from exc
-    if codes:
-        space = codes[0].space
-        for c in codes[1:]:
-            if c.space != space:
-                raise ValueError(f"{path}: codes mix different graph spaces")
-    return codes, np.asarray(targets, dtype=float), ids
+
+    def parse(obj: dict) -> tuple[float, str | None]:
+        codes.append(graph_from_json(obj))
+        common_space(codes[-1:], codes[0].space)
+        return float(obj["target"]), obj.get("id")
+
+    rows = read_json_lines(path, parse)
+    return codes, np.array([t for t, _ in rows], dtype=float), [i for _, i in rows]

@@ -50,18 +50,19 @@ _JITTER_GROWTH = 10.0
 _JITTER_RETRIES = 3
 
 
-def _cholesky_with_jitter(K: np.ndarray, noise_var: float, eye: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+def _cholesky_with_jitter(K: np.ndarray, noise_var: float) -> tuple[np.ndarray, float]:
     """Lower Cholesky of K + noise_var I, adding jitter relative to K's largest diagonal if needed.
 
-    ``eye`` is the identity of K's size, for callers that factor many Grams of one size.
+    The shifts go onto the diagonal of one copy of K, which is left as it is.
     """
-    if eye is None:
-        eye = np.eye(K.shape[0])
-    scale = max(float(np.abs(np.diag(K)).max(initial=0.0)), 1e-12)
+    diag = K.diagonal()
+    scale = max(float(np.abs(diag).max(initial=0.0)), 1e-12)
     jitters = [0.0] + [_JITTER_FACTOR * scale * _JITTER_GROWTH**k for k in range(_JITTER_RETRIES)]
+    shifted = K.copy()
     for jit in jitters:
+        np.fill_diagonal(shifted, diag + (noise_var + jit))
         try:
-            return np.linalg.cholesky(K + (noise_var + jit) * eye), jit
+            return np.linalg.cholesky(shifted), jit
         except np.linalg.LinAlgError:
             continue
     raise np.linalg.LinAlgError(
@@ -109,20 +110,16 @@ def fit(kernel, xs: Sequence[GraphCode], ys: Sequence[float], noise: float, norm
     xs, ys = _training_data(xs, ys)
     noise = max(float(noise), NOISE_FLOOR)
     y_mean, y_std, z = _normalized(ys, normalize_y)
-    L, jitter, L_inv, alpha = _factor(kernel.gram(xs), noise, z, np.eye(len(xs)))
+    L, jitter, L_inv, alpha = _factor(kernel.gram(xs), noise, z)
     return GPModel(kernel, xs, ys, noise, y_mean, y_std, L, L_inv, alpha, jitter)
 
 
 def _training_data(xs: Sequence[GraphCode], ys: Sequence[float]) -> tuple[tuple[GraphCode, ...], np.ndarray]:
-    """Checked training data, targets copied: as many codes as targets, at least one, all in one space."""
+    """Checked training data, targets copied: as many codes as targets, at least one."""
     xs = tuple(xs)
     ys = np.array(ys, dtype=float)
     if len(xs) == 0 or len(xs) != len(ys):
         raise ValueError(f"need equally many codes and targets, got {len(xs)} and {len(ys)}")
-    space = xs[0].space
-    for x in xs[1:]:
-        if x.space != space:
-            raise ValueError("training codes live in different spaces")
     return xs, ys
 
 
@@ -138,12 +135,12 @@ def _normalized(ys: np.ndarray, normalize_y: bool) -> tuple[float, float, np.nda
     return y_mean, y_std, (ys - y_mean) / y_std
 
 
-def _factor(K: np.ndarray, noise: float, z: np.ndarray, eye: np.ndarray) -> tuple:
+def _factor(K: np.ndarray, noise: float, z: np.ndarray) -> tuple:
     """(L, jitter, L^-1, alpha): factor K + noise I (with jitter), invert L, solve against z.
 
     Shared by ``fit`` and the tuner's objective, so their likelihoods are bit-equal.
     """
-    L, jitter = _cholesky_with_jitter(K, noise, eye)
+    L, jitter = _cholesky_with_jitter(K, noise)
     L_inv = np.linalg.inv(L)
     return L, jitter, L_inv, L_inv.T @ (L_inv @ z)
 
@@ -161,8 +158,6 @@ def predict(model: GPModel, xs: Sequence[GraphCode], full_cov: bool = False) -> 
     ``(mean, cov)`` when ``full_cov`` is set.
     """
     xs = tuple(xs)
-    if xs and xs[0].space != model.train_x[0].space:
-        raise ValueError("prediction codes live in a different space than the training codes")
     Ks = model.kernel.gram(xs, model.train_x)
     mean = Ks @ model.alpha * model.y_std + model.y_mean
     V = model.chol_inv @ Ks.T
@@ -291,7 +286,7 @@ def _tuning_objective(kernel, names: tuple[str, ...], xs: tuple[GraphCode, ...],
     """
     _, _, z = _normalized(ys, normalize_y)
     n = len(xs)
-    eye, const = np.eye(n), 0.5 * n * math.log(2.0 * math.pi)
+    const = 0.5 * n * math.log(2.0 * math.pi)
     gram_at = kernel.tuning_counts(xs)
     d = xs[0].space.d
 
@@ -305,7 +300,7 @@ def _tuning_objective(kernel, names: tuple[str, ...], xs: tuple[GraphCode, ...],
         profile, rates = spectrum(params)
         K, pullback = gram_at(profile)
         noise = max(noise, NOISE_FLOOR)
-        L, _, L_inv, alpha = _factor(K, noise, z, eye)
+        L, _, L_inv, alpha = _factor(K, noise, z)
         W = np.outer(alpha, alpha) - L_inv.T @ L_inv
         g = pullback(W)
         grad = [q @ g for q in rates] + [noise * np.trace(W)]
@@ -336,13 +331,13 @@ def optimize_hyperparameters(
     or whose likelihood or gradient is not finite, scores as a wall and is
     counted in ``failed``; any other error propagates.
 
-    The objective is built once per run: the normalized targets, the
-    identity and the kernel's distance counts (the Hamming matrix, the
-    cached exact count tensor, or the linear kernel's bit Gram) are fixed at
-    entry, so an evaluation only maps theta to a spec and noise, computes
-    the profile and its rates, and contracts, factors, inverts and pulls
-    back. A Monte Carlo kernel's counts are the exception: the package
-    caches no sample counts, so each evaluation builds them again.
+    The objective is built once per run: the normalized targets and the
+    kernel's distance counts (the Hamming matrix, the cached exact count
+    tensor, or the linear kernel's bit Gram) are fixed at entry, so an
+    evaluation only maps theta to a spec and noise, computes the profile
+    and its rates, and contracts, factors, inverts and pulls back. A Monte
+    Carlo kernel's counts are the exception: the package caches no sample
+    counts, so each evaluation builds them again.
     """
     xs, ys = _training_data(xs, ys)
     names, theta0, unpack, rebuild = _theta_layout(kernel, noise, xs[0].space.d)
@@ -818,11 +813,11 @@ class TruncatedWalshSampler:
         self.spec = replace(spec, truncation=J)
         self.space = space
         self.level_cap = J
-        # one 0/1 row per index subset T, levels 0..J in order
+        # one 0/1 row per index subset T, levels 0..J in order, subsets of a level in combinations order
         self._subsets = np.zeros((count, d), dtype=np.uint8)
-        subsets = (combo for j in range(J + 1) for combo in itertools.combinations(range(d), j))
-        for f, combo in enumerate(subsets):
-            self._subsets[f, list(combo)] = 1
+        for j, start, size in zip(range(J + 1), np.cumsum([0] + sizes), sizes):
+            slots = itertools.chain.from_iterable(itertools.combinations(range(d), j))
+            self._subsets[np.arange(start, start + size).repeat(j), np.fromiter(slots, np.intp, j * size)] = 1
         self._sqrt_amp = np.repeat(np.sqrt(level_amplitudes(self.spec, d)[: J + 1]), sizes)
 
     @property
@@ -831,7 +826,7 @@ class TruncatedWalshSampler:
 
     def feature_matrix(self, xs: Sequence[GraphCode]) -> np.ndarray:
         """(n_features, len(xs)) matrix of weighted Walsh values (-1)^|x within T|."""
-        bits = bit_matrix(xs).reshape(len(xs), self.space.d).astype(np.uint8)  # (0, 0) if empty
+        bits = bit_matrix(xs, self.space).astype(np.uint8)
         parity = (self._subsets @ bits.T) & 1  # uint8 sums wrap modulo 256, keeping their parity
         return self._sqrt_amp[:, None] * (1.0 - 2.0 * parity)
 
@@ -871,7 +866,7 @@ class RandomPhaseSampler:
 
     def feature_matrix(self, xs: Sequence[GraphCode]) -> np.ndarray:
         """(n_features, len(xs)) weighted level-sum features; rows ordered (j, l)."""
-        M = pairwise_hamming(list(xs), list(self.anchors))  # (P, L)
+        M = pairwise_hamming(list(xs), list(self.anchors), self.space)  # (P, L)
         feats = self._raw_levels[:, M]  # (J+1, P, L)
         feats = np.moveaxis(feats, 2, 1).reshape(self.n_features, len(xs))
         return self._coef[:, None] * feats

@@ -68,6 +68,7 @@ from .spaces import (
     _pack_words,
     _unpack_words,
     code_words,
+    common_space,
     decode_words,
     permuted_words,
     slot_permutations,
@@ -257,12 +258,11 @@ def pair_histogram(H: PermSubgroup, x: GraphCode, y: GraphCode) -> np.ndarray:
     group-averaged kernel value reduces to; Gram matrices take the same
     counts for all pairs at once from the count tensor instead.
     """
-    if x.space != y.space:
-        raise ValueError("codes live in different spaces")
     if y.bits < x.bits:
         x, y = y, x
+    target = code_words([y], x.space)
     words, mult = _distinct_images(H, x)
-    hist = np.bincount(word_distances(words, code_words([y]))[:, 0], weights=mult, minlength=x.space.d + 1)
+    hist = np.bincount(word_distances(words, target)[:, 0], weights=mult, minlength=x.space.d + 1)
     hist.setflags(write=False)
     return hist
 
@@ -414,15 +414,8 @@ def invariant_kernel_exact(spec: KernelSpec, H: PermSubgroup, x: GraphCode, y: G
 
 
 def _distance_top(xs: Sequence[GraphCode], ys: Sequence[GraphCode]) -> int:
-    """Length of the distance axis: |a XOR b| <= |x| + |y| for images a of x and b of y.
-
-    Raises if the codes do not all live in one space.
-    """
-    space = xs[0].space
-    for c in itertools.chain(xs, ys):
-        if c.space != space:
-            raise ValueError("codes live in different spaces")
-    return min(space.d, max(x.weight for x in xs) + max(y.weight for y in ys)) + 1
+    """Length of the distance axis: |a XOR b| <= |x| + |y| for images a of x and b of y."""
+    return min(xs[0].space.d, max(x.weight for x in xs) + max(y.weight for y in ys)) + 1
 
 
 def _distance_counts(
@@ -447,8 +440,9 @@ def _distance_counts(
 def _counts(source: Source, xs: tuple[GraphCode, ...], ys: tuple[GraphCode, ...] | None) -> np.ndarray:
     """Counts over a source's node maps: the images of each x against y itself; ys=None means xs."""
     targets = xs if ys is None else ys
+    words = code_words(targets, common_space(xs))  # both lists checked before any image is built
     top = _distance_top(xs, targets)
-    out = _distance_counts([_distinct_images(source, x) for x in xs], code_words(targets), top, upper=ys is None)
+    out = _distance_counts([_distinct_images(source, x) for x in xs], words, top, upper=ys is None)
     out.setflags(write=False)
     return out
 
@@ -567,8 +561,7 @@ class QuotientGraph:
         return len(self.classes)
 
     def class_index(self, x: GraphCode) -> int:
-        if x.space != self.space:
-            raise ValueError("code belongs to a different space")
+        common_space((x,), self.space)
         return int(self.class_of[x.bits])
 
     def sizes(self) -> np.ndarray:
@@ -770,10 +763,10 @@ class ProjectedKernel:
         return cls(spec, subgroup, space, sample=draw_sample(subgroup, sample_size, seed))
 
     def gram(self, xs: Sequence[GraphCode], ys: Sequence[GraphCode] | None = None) -> np.ndarray:
+        xs, ys = self._points(xs), None if ys is None else self._points(ys)
         if self.sample is None:
             return invariant_gram_exact(self.spec, self.subgroup, xs, ys)
-        ys = None if ys is None else self._points(ys)
-        return invariant_gram_sampled(self.spec, self.sample, self._points(xs), ys)
+        return invariant_gram_sampled(self.spec, self.sample, xs, ys)
 
     def tuning_counts(self, xs: Sequence[GraphCode]) -> Callable:
         """Once per tuning run, a function of a (d + 1) profile that gives the square Gram of
@@ -795,6 +788,8 @@ class ProjectedKernel:
         return counts @ kernel_profile(self.spec, self.space.d)[:top]
 
     def _points(self, xs: Sequence[GraphCode]) -> Sequence[GraphCode]:
+        """The codes, all in the kernel's space, that counts are built at (for Monte Carlo, their representatives)."""
+        common_space(xs, self.space)
         if self.sample is None:
             return xs
         return [orbit_representative(self.subgroup, x) for x in xs]

@@ -32,6 +32,7 @@ evaluation's profile, gives the square Gram and this pullback W -> g.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -41,7 +42,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .kravchuk import KravchukTable, build_table
-from .spaces import GraphCode, GraphSpace, bit_matrix, pairwise_hamming
+from .spaces import GraphCode, GraphSpace, bit_matrix, common_space, pairwise_hamming
 
 
 class LaplacianVariant(Enum):
@@ -266,8 +267,8 @@ HAMMING_CACHE_SIZE = 8
 
 
 @lru_cache(maxsize=HAMMING_CACHE_SIZE)
-def _hamming_matrix(xs: tuple[GraphCode, ...], ys: tuple[GraphCode, ...] | None) -> np.ndarray:
-    out = pairwise_hamming(xs, ys)
+def _hamming_matrix(xs: tuple[GraphCode, ...], ys: tuple[GraphCode, ...] | None, space: GraphSpace) -> np.ndarray:
+    out = pairwise_hamming(xs, ys, space)
     out.setflags(write=False)
     return out
 
@@ -275,10 +276,10 @@ def _hamming_matrix(xs: tuple[GraphCode, ...], ys: tuple[GraphCode, ...] | None)
 def gram(
     spec: KernelSpec, xs: Sequence[GraphCode], ys: Sequence[GraphCode] | None = None
 ) -> np.ndarray:
-    """Gram matrix of kernel values at pairwise Hamming distances."""
+    """Gram matrix of kernel values at pairwise Hamming distances, in the first code's space."""
     if len(xs) == 0:
         return np.zeros((0, 0 if ys is None else len(ys)))
-    return kernel_profile(spec, xs[0].space.d)[_hamming_matrix(tuple(xs), None if ys is None else tuple(ys))]
+    return IsotropicKernel(spec, xs[0].space).gram(xs, ys)
 
 
 class IsotropicKernel:
@@ -289,13 +290,13 @@ class IsotropicKernel:
         self.space = space
 
     def gram(self, xs: Sequence[GraphCode], ys: Sequence[GraphCode] | None = None) -> np.ndarray:
-        return gram(self.spec, xs, ys)
+        return self.profile()[_hamming_matrix(tuple(xs), None if ys is None else tuple(ys), self.space)]
 
     def tuning_counts(self, xs: Sequence[GraphCode]) -> Callable:
         """Once per tuning run, the Hamming matrix of nonempty xs, as a function of a (d + 1)
         profile that gives the square Gram and its pullback W -> g: the Hamming-distance counts
         weighted by W, so g @ q == <W, Gram at q> for symmetric W."""
-        D = _hamming_matrix(tuple(xs), None)
+        D = _hamming_matrix(tuple(xs), None, self.space)
         flat, size = D.ravel(), self.space.d + 1
         return lambda profile: (profile[D], lambda W: np.bincount(flat, weights=W.ravel(), minlength=size))
 
@@ -322,10 +323,9 @@ class LinearKernel:
         self.variance = variance
 
     def gram(self, xs: Sequence[GraphCode], ys: Sequence[GraphCode] | None = None) -> np.ndarray:
-        if len(xs) == 0 or (ys is not None and len(ys) == 0):
-            return np.zeros((len(xs), len(xs) if ys is None else len(ys)))
-        bx = bit_matrix(xs)
-        by = bx if ys is None else bit_matrix(ys)
+        space = common_space(xs if ys is None else itertools.chain(xs, ys))
+        bx = bit_matrix(xs, space)
+        by = bx if ys is None else bit_matrix(ys, space)
         return self.variance * (bx @ by.T + 1.0)
 
     def tuning_counts(self, xs: Sequence[GraphCode]) -> Callable:

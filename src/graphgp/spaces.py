@@ -11,7 +11,9 @@ Bulk paths see code lists as (count, ceil(d/64)) uint64 word matrices, slot
 s at bit s % 64 of word s // 64, and k node relabelings as one (k, d)
 slot-permutation array; a code's k images are one gather of its bits.
 :func:`code_words` encodes codes as words and :func:`decode_words` turns word
-rows back into code integers, so only this module knows the word layout.
+rows back into code integers, so only this module knows the word layout. It
+also owns the one check that codes share a space, :func:`common_space`, made
+wherever codes become words; callers bound to a space pass it.
 
 All types here are immutable after construction and safe to share across
 threads.
@@ -211,8 +213,7 @@ class GraphCode:
         return hash(self.bits)
 
     def __xor__(self, other: "GraphCode") -> "GraphCode":
-        _check_same_space(self, other)
-        return GraphCode(self.space, self.bits ^ other.bits)
+        return GraphCode(common_space((self, other)), self.bits ^ other.bits)
 
     @property
     def weight(self) -> int:
@@ -232,18 +233,24 @@ class GraphCode:
         return f"GraphCode({kind}_{self.space.n}, {self.bits:#x})"
 
 
-def _check_same_space(x: GraphCode, y: GraphCode) -> None:
-    if x.space != y.space:
-        raise ValueError(
-            f"codes live in different spaces: "
-            f"{x.space.kind.value}_{x.space.n} vs {y.space.kind.value}_{y.space.n}"
-        )
+def common_space(codes: Iterable[GraphCode], space: GraphSpace | None = None) -> GraphSpace | None:
+    """The space every code lives in: ``space`` if given, else the first code's (None for neither).
+
+    A code from any other space raises ValueError naming both spaces.
+    """
+    for x in codes:
+        if space is None:
+            space = x.space
+        elif x.space is not space and x.space != space:
+            raise ValueError(
+                f"codes live in different spaces: {space.kind.value}_{space.n} vs {x.space.kind.value}_{x.space.n}"
+            )
+    return space
 
 
 def hamming(x: GraphCode, y: GraphCode) -> int:
     """Hamming distance |x XOR y|: the number of differing edge slots."""
-    _check_same_space(x, y)
-    return (x.bits ^ y.bits).bit_count()
+    return (x ^ y).weight
 
 
 @dataclass(frozen=True)
@@ -353,9 +360,11 @@ def _word_count(d: int) -> int:
     return (d + 63) // 64 or 1
 
 
-def code_words(xs: Sequence[GraphCode]) -> np.ndarray:
-    """(len(xs), ceil(d/64)) uint64 word matrix of a list of codes from one space."""
-    n_words = _word_count(xs[0].space.d) if len(xs) else 1
+def code_words(xs: Sequence[GraphCode], space: GraphSpace | None = None) -> np.ndarray:
+    """(len(xs), ceil(d/64)) uint64 word matrix of codes all in ``space`` if given, else in one
+    space (:func:`common_space`)."""
+    space = common_space(xs, space)
+    n_words = 1 if space is None else _word_count(space.d)
     # int(): codes built from numpy integers carry numpy bits
     raw = b"".join(int(x.bits).to_bytes(8 * n_words, "little") for x in xs)
     return np.frombuffer(raw, dtype="<u8").reshape(len(xs), n_words).astype(np.uint64)
@@ -395,22 +404,21 @@ def word_distances(words: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return acc
 
 
-def pairwise_hamming(xs: Sequence[GraphCode], ys: Sequence[GraphCode] | None = None) -> np.ndarray:
-    """Matrix of Hamming distances between two code lists."""
-    if ys is None:
-        ys = xs
-    if len(xs) == 0 or len(ys) == 0:
-        return np.zeros((len(xs), len(ys)), dtype=np.int64)
-    for c in itertools.chain(xs, ys):
-        _check_same_space(xs[0], c)
-    return word_distances(code_words(xs), code_words(ys))
+def pairwise_hamming(
+    xs: Sequence[GraphCode], ys: Sequence[GraphCode] | None = None, space: GraphSpace | None = None
+) -> np.ndarray:
+    """Matrix of Hamming distances between two code lists (ys=None means xs), all in ``space``
+    if given, else in one space."""
+    space = common_space(xs if ys is None else itertools.chain(xs, ys), space)
+    words = code_words(xs, space)
+    return word_distances(words, words if ys is None else code_words(ys, space))
 
 
-def bit_matrix(xs: Sequence[GraphCode]) -> np.ndarray:
-    """(len(xs), d) 0/1 float matrix of code bits."""
-    if not xs:
-        return np.zeros((0, 0))
-    return _unpack_words(code_words(xs), xs[0].space.d).astype(float)
+def bit_matrix(xs: Sequence[GraphCode], space: GraphSpace | None = None) -> np.ndarray:
+    """(len(xs), d) 0/1 float matrix of the bits of codes all in ``space`` if given, else in one
+    space; (0, 0) for no codes and no space."""
+    space = common_space(xs, space)
+    return _unpack_words(code_words(xs, space), 0 if space is None else space.d).astype(float)
 
 
 # -- JSON graph format ----------------------------------------------------
@@ -424,6 +432,8 @@ def space_from_json(obj: dict, max_nodes: int = DEFAULT_MAX_NODES) -> GraphSpace
         kind = _KIND_BY_CODE[obj["kind"]]
     except KeyError:
         raise ValueError(f"unknown graph kind {obj.get('kind')!r}; expected one of U, UL, D, DL")
+    if "n" not in obj:
+        raise ValueError('graph space needs a node count "n"')
     return GraphSpace(kind, int(obj["n"]), max_nodes=max_nodes)
 
 

@@ -413,6 +413,63 @@ class TestExitCodes:
         assert "unknown methods" in capsys.readouterr().err
 
 
+class TestGraphFileErrors:
+    """A fault in a graph file or a space is a validation error (exit 2) naming the file and line."""
+
+    BAD_LINES = {
+        "missing_n": ('{"kind": "U", "edges": []}', 'graph space needs a node count "n"'),
+        "bad_json": ('{"kind": "U", "n": 4', "Expecting"),
+        "not_an_object": ("[0, 1]", "list indices must be integers"),
+        "bad_edge": ('{"kind": "U", "n": 4, "edges": [1]}', "cannot unpack"),
+    }
+
+    def _points(self, tmp_path, bad):
+        # the bad graph sits on line 3, after a good one and a blank line
+        path = tmp_path / "points.jsonl"
+        path.write_text(json.dumps({"kind": "U", "n": 4, "edges": [[0, 1]]}) + "\n\n" + bad + "\n")
+        return path
+
+    @pytest.mark.parametrize("case", sorted(BAD_LINES))
+    @pytest.mark.parametrize("command", ["predict", "sample"])
+    def test_bad_points_line_named(self, tmp_path, capsys, command, case):
+        bad, message = self.BAD_LINES[case]
+        points, out = self._points(tmp_path, bad), tmp_path / "out.csv"
+        if command == "predict":
+            data = tmp_path / "codes.jsonl"
+            space = GraphSpace(GraphSpaceKind.UNDIRECTED, 4)
+            datasets.write_codes(data, [space.code_from_int(v) for v in (1, 6, 40)], [0.0, 1.0, 2.0])
+            model = tmp_path / "model.json"
+            assert main(["fit", "--dataset", str(data), "--kernel", HEAT_PLAIN, "--out", str(model)]) == 0
+            argv = ["predict", "--model", str(model), "--points", str(points), "--out", str(out)]
+        else:
+            argv = ["sample", "--space", U4_SPACE, "--spec", HEAT_PLAIN, "--points", str(points), "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: {points}:3: " in err and message in err
+        assert not out.exists()
+
+    def test_space_without_node_count(self, tmp_path, capsys):
+        argv = ["sample", "--space", '{"kind": "U"}', "--spec", HEAT_PLAIN, "--out", str(tmp_path / "s.csv")]
+        assert main(argv) == 2
+        assert 'graph space needs a node count "n"' in capsys.readouterr().err
+
+    def test_codes_file_names_the_line_of_another_space(self, tmp_path, capsys):
+        path = tmp_path / "codes.jsonl"
+        lines = [{"kind": "U", "n": 4, "edges": [], "target": float(t)} for t in range(3)]
+        lines[2]["n"] = 5
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+        argv = ["data", "split", "--in", str(path), "--seed", "0", "--out", str(tmp_path / "split.json")]
+        assert main(argv) == 2
+        assert f"{path}:3: codes live in different spaces: U_4 vs U_5" in capsys.readouterr().err
+
+    def test_invariant_graph_outside_the_declared_space(self, capsys):
+        x = json.dumps({"kind": "U", "n": 4, "edges": [[0, 1]]})
+        y = json.dumps({"kind": "D", "n": 4, "edges": [[0, 1]]})
+        argv = ["kernel", "invariant", "--space", U4_SPACE, "--blocks", "0,1,2,3", "--spec", HEAT_PLAIN]
+        assert main(argv + ["--x", x, "--y", y]) == 2
+        assert "codes live in different spaces: U_4 vs D_4" in capsys.readouterr().err
+
+
 class TestManifests:
     def test_replaying_manifest_reproduces_output_bytes(self, tmp_path):
         out = tmp_path / "profile.csv"

@@ -300,5 +300,5 @@ class TestCodeFiles:
             {"kind": "U", "n": 5, "edges": [], "target": 1.0},
         ]
         path.write_text("\n".join(json.dumps(obj) for obj in lines) + "\n")
-        with pytest.raises(ValueError, match="mix"):
+        with pytest.raises(ValueError, match="mixed.jsonl:2: codes live in different spaces: U_4 vs U_5"):
             read_codes(path)

@@ -621,6 +621,15 @@ class TestJitter:
         mean, _ = gp.predict(model, [x])
         assert mean[0] == pytest.approx(1.0, abs=1e-3)
 
+    def test_shift_goes_onto_a_copy(self, rng):
+        # off the diagonal x + 0.0 == x, so the factor is the one of K + noise I, bit for bit
+        A = rng.standard_normal((6, 6))
+        K = A @ A.T
+        K.setflags(write=False)
+        L, jitter = gp._cholesky_with_jitter(K, 0.3)
+        assert jitter == 0.0
+        assert np.array_equal(L, np.linalg.cholesky(K + 0.3 * np.eye(6)))
+
     def test_hopeless_matrix_raises_after_escalation(self):
         class BrokenKernel:
             def gram(self, xs, ys=None):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -107,6 +108,12 @@ class TestTruncatedWalshSampler:
         assert gp.FEATURE_BUDGET == 1 << 20
         with pytest.raises(ValueError, match="feature count 2097152 .* exceeds the budget 1048576"):
             gp.TruncatedWalshSampler(spec, U7)
+
+    @pytest.mark.parametrize("cap", range(U4.d + 1))
+    def test_subset_rows_in_combinations_order(self, cap):
+        sampler = gp.TruncatedWalshSampler(KernelSpec(Heat(1.0)), U4, level_cap=cap)
+        want = [combo for j in range(cap + 1) for combo in itertools.combinations(range(U4.d), j)]
+        assert [tuple(np.flatnonzero(row)) for row in sampler._subsets] == want
 
     def test_draws_deterministic_by_seed(self):
         sampler = gp.TruncatedWalshSampler(KernelSpec(Heat(1.0)), U4)

@@ -3,7 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphgp import spaces
+from graphgp import gp, spaces
+from graphgp.invariance import (
+    PermSubgroup,
+    ProjectedKernel,
+    build_quotient,
+    invariant_gram_exact,
+    invariant_gram_sampled,
+    invariant_kernel_exact,
+    pair_histogram,
+)
+from graphgp.kernels import Heat, IsotropicKernel, KernelSpec, LinearKernel
 from graphgp.spaces import (
     GraphCode,
     GraphSpace,
@@ -302,3 +312,71 @@ class TestJsonFormat:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
             graph_from_json({"kind": "X", "n": 3, "edges": []})
+
+
+
+HOME = GraphSpace(GraphSpaceKind.UNDIRECTED, 4)
+#: Spaces with U4's d (D3) or U4's n (D4): codes a missing check would read as U4 codes.
+FOREIGN = {"D3": GraphSpace(GraphSpaceKind.DIRECTED, 3), "D4": GraphSpace(GraphSpaceKind.DIRECTED, 4)}
+SPEC, S4 = KernelSpec(Heat(1.0)), PermSubgroup.full(4)
+BOUND_KERNELS = {
+    "isotropic": lambda: IsotropicKernel(SPEC, HOME),
+    "projected_exact": lambda: ProjectedKernel(SPEC, S4, HOME),
+    "projected_mc": lambda: ProjectedKernel.monte_carlo(SPEC, S4, HOME, 4, seed=0),
+}
+
+
+def linear_model():
+    return gp.fit(LinearKernel(), [HOME.code_from_int(1), HOME.code_from_int(6)], [0.0, 1.0], 0.1)
+
+
+#: Every public entry that takes codes, as a call on (home codes, mixed codes, foreign codes): unbound
+#: entries get U4 codes with one foreign code in second place, entries bound to U4 foreign codes only.
+CODE_ENTRIES = {
+    "hamming": lambda h, m, f: hamming(m[0], m[1]),
+    "xor": lambda h, m, f: m[0] ^ m[1],
+    "pairwise_hamming_square": lambda h, m, f: pairwise_hamming(m),
+    "pairwise_hamming_cross": lambda h, m, f: pairwise_hamming(h, m),
+    "bit_matrix": lambda h, m, f: bit_matrix(m),
+    "linear_gram_square": lambda h, m, f: LinearKernel().gram(m),
+    "linear_gram_cross": lambda h, m, f: LinearKernel().gram(h, m),
+    "linear_tuning_counts": lambda h, m, f: LinearKernel().tuning_counts(m),
+    "fit": lambda h, m, f: gp.fit(LinearKernel(), m, np.arange(len(m)), 0.1),
+    "predict": lambda h, m, f: gp.predict(linear_model(), m),
+    "optimize_hyperparameters": lambda h, m, f: gp.optimize_hyperparameters(
+        LinearKernel(), m, np.arange(len(m)), budget=3
+    ),
+    "sample_prior_exact": lambda h, m, f: gp.sample_prior_exact(LinearKernel(), m, 1, 0),
+    "posterior_sample": lambda h, m, f: gp.posterior_sample(linear_model(), m, 1, 0),
+    "walsh_feature_matrix": lambda h, m, f: gp.TruncatedWalshSampler(SPEC, HOME).feature_matrix(f),
+    "phase_feature_matrix": lambda h, m, f: gp.RandomPhaseSampler(SPEC, HOME, 4, 0).feature_matrix(f),
+    "pair_histogram": lambda h, m, f: pair_histogram(S4, m[0], m[1]),
+    "invariant_kernel_exact": lambda h, m, f: invariant_kernel_exact(SPEC, S4, m[0], m[1]),
+    "invariant_gram_exact_square": lambda h, m, f: invariant_gram_exact(SPEC, S4, m),
+    "invariant_gram_exact_cross": lambda h, m, f: invariant_gram_exact(SPEC, S4, h, m),
+    "invariant_gram_sampled_square": lambda h, m, f: invariant_gram_sampled(SPEC, tuple(S4.elements()), m),
+    "invariant_gram_sampled_cross": lambda h, m, f: invariant_gram_sampled(SPEC, tuple(S4.elements()), h, m),
+    "class_index": lambda h, m, f: build_quotient(S4, HOME).class_index(f[0]),
+}
+for _name, _make in BOUND_KERNELS.items():
+    CODE_ENTRIES[f"{_name}_gram_square"] = lambda h, m, f, make=_make: make().gram(f)
+    CODE_ENTRIES[f"{_name}_gram_cross"] = lambda h, m, f, make=_make: make().gram(f, f[::-1])
+    CODE_ENTRIES[f"{_name}_tuning_counts"] = lambda h, m, f, make=_make: make().tuning_counts(f)
+
+
+class TestOneSpaceCheck:
+    @pytest.mark.parametrize("foreign", sorted(FOREIGN))
+    @pytest.mark.parametrize("entry", sorted(CODE_ENTRIES))
+    def test_foreign_codes_refused(self, entry, foreign):
+        home = [HOME.code_from_int(v) for v in (3, 12, 33)]
+        alien = [FOREIGN[foreign].code_from_int(v) for v in (3, 12, 33)]
+        mixed = [home[0], alien[0], *home[1:]]
+        with pytest.raises(ValueError, match="codes live in different spaces"):
+            CODE_ENTRIES[entry](home, mixed, alien)
+
+    def test_message_names_the_expected_space_first(self):
+        U5 = GraphSpace(GraphSpaceKind.UNDIRECTED, 5)
+        with pytest.raises(ValueError, match="^codes live in different spaces: U_4 vs U_5$"):
+            spaces.common_space([U5.empty_code()], HOME)
+        assert spaces.common_space([]) is None
+        assert spaces.common_space([], HOME) == HOME
