@@ -31,7 +31,6 @@ import json
 import math
 import sys
 import zlib
-from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -384,25 +383,33 @@ EXPERIMENT_METHODS = (
 )
 
 
-def _method_kernel(method: str, config: dict, seq_space, aligned_space, aligned_layout, root_seed):
-    nu_base = float(config.get("nu_base_init", 2.5))
+def _method_starts(method: str, config: dict, seq_codes, aligned_codes, aligned_layout, restarts, root_seed):
+    """(codes, starts) of a GP method: the codes it is fitted on and the kernels it is tuned from,
+    one per restart multiplier of the initial kappa (one linear kernel). Built once per run, so a
+    Monte Carlo sample is drawn once and every split and restart shares it."""
+    if method == "linear":
+        return seq_codes, [LinearKernel()]
     family, encoding = method.split("_", 1)
-    space = seq_space if encoding == "arbitrary" else aligned_space
-    if space is None:
+    codes = seq_codes if encoding == "arbitrary" else aligned_codes
+    if codes is None:
         raise ValueError(f"method {method!r} needs an aligned layout in the config")
+    if not restarts:
+        raise ValueError(f"method {method!r} needs at least one restart multiplier")
+    d = codes[0].space.d
+    nu_base = float(config.get("nu_base_init", 2.5))
     # under the normalized Laplacian (eigenvalues 2j/d), kappa = sqrt(d) is
     # unit diffusion time; a fixed default like 1.0 would start the search at
     # an almost diagonal kernel for larger spaces
-    kappa = float(config.get("kappa_init", math.sqrt(space.d)))
-    if family == "heat":
-        spec = KernelSpec(Heat(kappa))
-    else:
-        spec = matern_spec(space.d, nu_base=nu_base, kappa=kappa)
+    kappa = float(config.get("kappa_init", math.sqrt(d)))
+
+    def spec(start: float) -> KernelSpec:
+        return KernelSpec(Heat(start)) if family == "heat" else matern_spec(d, nu_base=nu_base, kappa=start)
+
     H = datasets.subgroup_from_layout(aligned_layout) if encoding == "projected" else None
     mc_samples = config.get("mc_samples")
-    return _build_model_kernel(
-        spec, space, H, None if mc_samples is None else int(mc_samples), named_seed(root_seed, "mc-kernel")
-    )
+    mc_samples = None if mc_samples is None else int(mc_samples)
+    kernel = _build_model_kernel(spec(kappa), codes[0].space, H, mc_samples, named_seed(root_seed, "mc-kernel"))
+    return codes, [kernel.with_spec(spec(kappa * mult)) for mult in restarts]
 
 
 def run_experiment(config: dict) -> dict:
@@ -432,15 +439,13 @@ def run_experiment(config: dict) -> dict:
         else datasets.infer_sequential_layout(mols)
     )
     seq_codes = [datasets.encode(m, seq_layout) for m in mols]
-    seq_space = seq_codes[0].space
-
-    aligned_layout = None
-    aligned_codes = None
-    aligned_space = None
-    if "aligned_layout" in config:
-        aligned_layout = datasets.layout_from_json(config["aligned_layout"])
-        aligned_codes = [datasets.encode(m, aligned_layout) for m in mols]
-        aligned_space = aligned_codes[0].space
+    aligned_layout = datasets.layout_from_json(config["aligned_layout"]) if "aligned_layout" in config else None
+    aligned_codes = None if aligned_layout is None else [datasets.encode(m, aligned_layout) for m in mols]
+    plans = {
+        method: _method_starts(method, config, seq_codes, aligned_codes, aligned_layout, restarts, root_seed)
+        for method in methods
+        if method != "naive"
+    }
 
     targets = np.array([m.target for m in mols])
     splits = []
@@ -457,31 +462,14 @@ def run_experiment(config: dict) -> dict:
                     "log_lik": None,
                 }
                 continue
-            if method == "linear":
-                kernel = LinearKernel()
-                codes = seq_codes
-                starts = [kernel]
-            else:
-                kernel = _method_kernel(
-                    method, config, seq_space, aligned_space, aligned_layout, root_seed
-                )
-                codes = seq_codes if method.endswith("arbitrary") else aligned_codes
-                base = kernel.spec
-                starts = [
-                    kernel.with_spec(
-                        replace(base, family=replace(base.family, kappa=base.family.kappa * mult))
-                    )
-                    for mult in restarts
-                ]
+            codes, starts = plans[method]
             x_train = [codes[i] for i in train_idx]
             x_test = [codes[i] for i in test_idx]
-            result = None
-            for start in starts:
-                candidate = gp.optimize_hyperparameters(
-                    start, x_train, y_train, noise=noise_init, budget=budget, normalize_y=True
-                )
-                if result is None or candidate.objective > result.objective:
-                    result = candidate
+            tuned = (
+                gp.optimize_hyperparameters(s, x_train, y_train, noise=noise_init, budget=budget, normalize_y=True)
+                for s in starts
+            )
+            result = max(tuned, key=lambda r: r.objective)  # the first best, as restarts run in order
             model = gp.fit(result.kernel, x_train, y_train, result.noise, normalize_y=True)
             mean, var = gp.predict(model, x_test)
             entry["methods"][method] = {

@@ -42,7 +42,7 @@ from .kernels import (
     truncation_level,
 )
 from .kravchuk import build_table
-from .spaces import GraphCode, NodePermutation, apply_permutation, bit_matrix, pairwise_hamming
+from .spaces import GraphCode, NodePermutation, apply_permutation, bit_matrix, common_space, pairwise_hamming
 
 NOISE_FLOOR = 1e-8
 _JITTER_FACTOR = 1e-8
@@ -889,14 +889,15 @@ def posterior_sample(model: GPModel, xs: Sequence[GraphCode], n_samples: int, se
     """
     xs = tuple(xs)
     joint = tuple(model.train_x) + xs
-    L, _ = _cholesky_with_jitter(model.kernel.gram(joint), 0.0)
+    K = model.kernel.gram(joint)
+    L, _ = _cholesky_with_jitter(K, 0.0)
     rng = np.random.default_rng(seed)
     draws = _draw(L.T, n_samples, rng)  # noise eps comes next from the same stream
     n = model.n
     f_train, f_test = draws[:, :n], draws[:, n:]
     eps = rng.standard_normal((n_samples, n)) * math.sqrt(model.noise)
     resid = model.normalized_targets()[None, :] - f_train - eps
-    Ks = model.kernel.gram(xs, model.train_x)  # (n*, n)
+    Ks = K[n:, :n]  # the test-by-training block, K(xs, train_x)
     update = (resid @ model.chol_inv.T) @ (model.chol_inv @ Ks.T)
     return (f_test + update) * model.y_std + model.y_mean
 
@@ -912,10 +913,11 @@ def project_sample(
     ``draws`` has one column per code in ``eval_codes``; the result has one
     column per target x holding the mean of f(sigma(x)) over ``perms``. Every
     permuted input must be present in ``eval_codes``; missing ones are
-    reported.
+    reported. All codes must live in one space.
     """
     if len(perms) == 0:
         raise ValueError("need at least one permutation to average over")
+    common_space(itertools.chain(eval_codes, targets))
     index = {c.bits: i for i, c in enumerate(eval_codes)}
     columns = np.empty((len(targets), len(perms)), dtype=np.int64)
     missing: list[GraphCode] = []

@@ -254,15 +254,15 @@ def _distinct_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def pair_histogram(H: PermSubgroup, x: GraphCode, y: GraphCode) -> np.ndarray:
     """Counts, over sigma in H, of the Hamming distance between sigma(x) and y.
 
-    The histogram is symmetric in (x, y) and is what a single exact
-    group-averaged kernel value reduces to; Gram matrices take the same
-    counts for all pairs at once from the count tensor instead.
+    The histogram is symmetric in (x, y); it is |H| times the counts that a
+    single exact group-averaged kernel value contracts with the profile
+    (:func:`invariant_kernel_exact` builds those as a 1x1 Gram). Nothing in
+    the package reads it; it stays cached for outside readers of its
+    ``cache_info()``.
     """
     if y.bits < x.bits:
         x, y = y, x
-    target = code_words([y], x.space)
-    words, mult = _distinct_images(H, x)
-    hist = np.bincount(word_distances(words, target)[:, 0], weights=mult, minlength=x.space.d + 1)
+    hist = _bins(_distinct_images(H, x), code_words([y], x.space), x.space.d + 1)[0]
     hist.setflags(write=False)
     return hist
 
@@ -402,20 +402,27 @@ def orbit_representative(H: PermSubgroup, x: GraphCode) -> GraphCode:
 
 
 def invariant_kernel_exact(spec: KernelSpec, H: PermSubgroup, x: GraphCode, y: GraphCode) -> float:
-    """Exact group-averaged kernel value.
+    """Exact group-averaged kernel value: the 1x1 Gram of uncached counts over H.
 
     The double average over H x H equals the single average
     (1/|H|) sum over sigma of k(sigma(x), y) because k is isotropic and the
     sum runs over the full group.
     """
-    hist = pair_histogram(H, x, y)
-    profile = kernel_profile(spec, x.space.d)
-    return float(hist @ profile) / H.order()
+    return float(_gram(spec, partial(_counts, H), [x], [y])[0, 0])
 
 
 def _distance_top(xs: Sequence[GraphCode], ys: Sequence[GraphCode]) -> int:
     """Length of the distance axis: |a XOR b| <= |x| + |y| for images a of x and b of y."""
     return min(xs[0].space.d, max(x.weight for x in xs) + max(y.weight for y in ys)) + 1
+
+
+def _bins(images: tuple[np.ndarray, np.ndarray], targets: np.ndarray, top: int) -> np.ndarray:
+    """(len(targets), top) histograms: how many node maps, by multiplicity, take x to distance m
+    of each target, from one :func:`_distinct_images` pair of x and one word row per target."""
+    words, mult = images
+    n = len(targets)
+    dist = word_distances(words, targets) + top * np.arange(n)
+    return np.bincount(dist.ravel(), weights=np.repeat(mult, n), minlength=n * top).reshape(n, top)
 
 
 def _distance_counts(
@@ -430,10 +437,7 @@ def _distance_counts(
     out = np.zeros((len(images), len(targets), top))
     for i, (words, mult) in enumerate(images):
         first = i if upper else 0
-        n = len(targets) - first
-        dist = word_distances(words, targets[first:]) + top * np.arange(n)
-        hist = np.bincount(dist.ravel(), weights=np.repeat(mult, n), minlength=n * top)
-        out[i, first:] = hist.reshape(n, top) / mult.sum()
+        out[i, first:] = _bins((words, mult), targets[first:], top) / mult.sum()
     return out
 
 
@@ -670,16 +674,14 @@ def orbit_equivalence_test(
     y: GraphCode,
     tol: float = 1e-9,
 ) -> bool:
-    """Decide x ~ y under H from three exact group-averaged kernel values.
+    """Decide x ~ y under H from three exact group-averaged kernel values: one 2x2 Gram.
 
     For a strictly positive spectral density, k_H(x, y) equals the mean of
     k_H(x, x) and k_H(y, y) exactly when x and y share an orbit.
     """
     _require_strictly_positive(spec, x.space.d)
-    kxy = invariant_kernel_exact(spec, H, x, y)
-    kxx = invariant_kernel_exact(spec, H, x, x)
-    kyy = invariant_kernel_exact(spec, H, y, y)
-    return abs(kxy - 0.5 * (kxx + kyy)) <= tol * spec.variance
+    K = _gram(spec, partial(_counts, H), [x, y], None)
+    return abs(K[0, 1] - 0.5 * (K[0, 0] + K[1, 1])) <= tol * spec.variance
 
 
 # -- averaging arbitrary functions -------------------------------------------
@@ -784,7 +786,7 @@ class ProjectedKernel:
         xs = self._points(xs)
         top = _distance_top(xs, xs)
         sides = zip((_distinct_images(self._source, x) for x in xs), code_words(xs)[:, None])
-        counts = np.stack([_distance_counts([images], target, top)[0, 0] for images, target in sides])
+        counts = np.stack([_bins(images, target, top)[0] / images[1].sum() for images, target in sides])
         return counts @ kernel_profile(self.spec, self.space.d)[:top]
 
     def _points(self, xs: Sequence[GraphCode]) -> Sequence[GraphCode]:

@@ -302,6 +302,7 @@ class IsotropicKernel:
 
     def diag(self, xs: Sequence[GraphCode]) -> np.ndarray:
         """Prior variances k(x, x), without the square Gram."""
+        common_space(xs, self.space)
         return np.full(len(xs), self.spec.variance)
 
     def profile(self) -> np.ndarray:
@@ -342,6 +343,7 @@ class LinearKernel:
 
     def diag(self, xs: Sequence[GraphCode]) -> np.ndarray:
         """Prior variances sigma^2 (|x| + 1), without the square Gram."""
+        common_space(xs)
         return self.variance * (np.array([x.weight for x in xs], dtype=float) + 1.0)
 
     def with_variance(self, variance: float) -> "LinearKernel":

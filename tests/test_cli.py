@@ -13,7 +13,7 @@ import pytest
 
 from synthetic import molecules_from_prior, molecules_like_demo05, molecules_mixed_elements
 
-from graphgp import datasets, gp
+from graphgp import datasets, gp, invariance
 from graphgp.cli import EXPERIMENT_METHODS, SAMPLE_MATRIX_CAP, load_model, main, named_seed, run_experiment
 from graphgp.invariance import (
     ENUMERATION_CAP,
@@ -27,7 +27,7 @@ from graphgp.invariance import (
     orbit_representative,
     pair_histogram,
 )
-from graphgp.kernels import Heat, IsotropicKernel, KernelSpec, LaplacianVariant, evaluate
+from graphgp.kernels import Heat, IsotropicKernel, KernelSpec, LaplacianVariant, LinearKernel, evaluate
 from graphgp.kravchuk import build_table
 from graphgp.spaces import GraphSpace, GraphSpaceKind, graph_to_json
 
@@ -574,11 +574,59 @@ class TestExperiment:
             assert summary[method]["rmse_mean"] == pytest.approx(rmse, rel=STORED_EXPERIMENT_RTOL)
             assert summary[method]["log_lik_mean"] == pytest.approx(log_lik, rel=STORED_EXPERIMENT_RTOL)
 
+    def test_methods_planned_once_and_tuned_split_by_split(self, tmp_path, monkeypatch):
+        mols_path = tmp_path / "mols.jsonl"
+        datasets.save_molecules(mols_path, molecules_like_demo05(16))
+        config = {
+            "dataset": str(mols_path),
+            "aligned_layout": {"type_slots": {"C": 3, "N": 3, "O": 3, "Cl": 3}},
+            "methods": ["heat_projected", "naive", "linear", "matern_projected"],
+            "restart_multipliers": [0.5, 2.0],
+            "mc_samples": 4,
+            "n_splits": 2,
+            "budget": 2,
+            "seed": 0,
+        }
+        draws, calls = [], []
+        original_draw, original_tune = invariance.draw_sample, gp.optimize_hyperparameters
+
+        def counted_draw(*args):
+            draws.append(original_draw(*args))
+            return draws[-1]
+
+        def recorded(kernel, *args, **kwargs):
+            calls.append(kernel)
+            return original_tune(kernel, *args, **kwargs)
+
+        monkeypatch.setattr(invariance, "draw_sample", counted_draw)
+        monkeypatch.setattr(gp, "optimize_hyperparameters", recorded)
+        run_experiment(config)
+        assert len(draws) == 2  # one Monte Carlo sample per projected method, not per split
+        kappa = math.sqrt(66)
+        order = [
+            None if isinstance(k, LinearKernel) else (type(k.spec.family).__name__, k.spec.family.kappa / kappa)
+            for k in calls
+        ]
+        per_split = [("Heat", 0.5), ("Heat", 2.0), None, ("Matern", 0.5), ("Matern", 2.0)]
+        assert order == per_split * 2  # split, then method, then restart
+        assert [k.sample for k in calls[:2] + calls[5:7]] == [draws[0]] * 4
+        assert [k.sample for k in calls[3:5] + calls[8:10]] == [draws[1]] * 4
+
     def test_aligned_method_requires_layout(self, tmp_path, capsys):
         mols_path = tmp_path / "m.jsonl"
         datasets.save_molecules(mols_path, molecules_from_prior(8, 4, seed=6))
         config = {"dataset": str(mols_path), "methods": ["heat_aligned"], "n_splits": 1}
         assert main(["experiment", "--config", json.dumps(config)]) == 2
+
+    def test_tuned_method_requires_a_restart(self, tmp_path, capsys):
+        mols_path = tmp_path / "m.jsonl"
+        datasets.save_molecules(mols_path, molecules_from_prior(8, 4, seed=6))
+        config = {"dataset": str(mols_path), "methods": ["linear", "heat_arbitrary"], "restart_multipliers": [],
+                  "n_splits": 1, "budget": 2, "out_dir": str(tmp_path / "out")}
+        assert main(["experiment", "--config", json.dumps(config)]) == 2
+        assert "method 'heat_arbitrary' needs at least one restart multiplier" in capsys.readouterr().err
+        config["methods"] = ["linear"]  # the linear kernel starts once, whatever the multipliers
+        assert main(["experiment", "--config", json.dumps(config)]) == 0
 
 
 class TestNamedSeed:

@@ -16,6 +16,7 @@ from oracles import (
 from graphgp import gp, invariance, kernels
 from graphgp.invariance import PermSubgroup, ProjectedKernel
 from graphgp.kernels import (
+    CustomPhi,
     Heat,
     IsotropicKernel,
     KernelSpec,
@@ -478,6 +479,14 @@ class TestOptimize:
         kernel0 = IsotropicKernel(KernelSpec(Matern(nu=1.0, kappa=1.0)), U4)
         with pytest.raises(ValueError, match="nu_base"):
             gp.optimize_hyperparameters(kernel0, xs, ys, budget=5)
+
+    def test_custom_family_rejected(self):
+        xs, ys = self._recovery_problem()
+        spec = KernelSpec(CustomPhi(lambda lam: 1.0 / (1.0 + lam)))
+        with pytest.raises(ValueError, match="^cannot tune hyperparameters of family CustomPhi$"):
+            gp.optimize_hyperparameters(IsotropicKernel(spec, U4), xs, ys, budget=5)
+        with pytest.raises(ValueError, match="^no parameter derivatives for family CustomPhi$"):
+            profile_derivatives(spec, U4.d)
 
     def test_linear_kernel_tunable(self):
         xs, ys = self._recovery_problem()

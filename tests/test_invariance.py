@@ -945,6 +945,20 @@ class TestOrbitRepresentative:
 
 
 @pytest.mark.parametrize(
+    "call",
+    [
+        lambda H: ProjectedKernel(KernelSpec(Heat(1.0)), H, U4),
+        lambda H: build_quotient(H, U4),
+        lambda H: enumerate_orbit(H, U4.code_from_int(3)),
+    ],
+    ids=["projected_kernel", "build_quotient", "enumerate_orbit"],
+)
+def test_a_group_on_other_nodes_is_refused(call):
+    with pytest.raises(ValueError, match="^subgroup on 5 nodes does not act on n=4$"):
+        call(PermSubgroup.full(5))
+
+
+@pytest.mark.parametrize(
     "cached,size",
     [
         (spaces.edge_permutation, spaces.EDGE_PERMUTATION_CACHE_SIZE),

@@ -357,6 +357,12 @@ CODE_ENTRIES = {
     "invariant_gram_sampled_square": lambda h, m, f: invariant_gram_sampled(SPEC, tuple(S4.elements()), m),
     "invariant_gram_sampled_cross": lambda h, m, f: invariant_gram_sampled(SPEC, tuple(S4.elements()), h, m),
     "class_index": lambda h, m, f: build_quotient(S4, HOME).class_index(f[0]),
+    "isotropic_diag": lambda h, m, f: IsotropicKernel(SPEC, HOME).diag(f),
+    "linear_diag": lambda h, m, f: LinearKernel().diag(m),
+    "prior_moments": lambda h, m, f: gp.prior_moments(LinearKernel(), m),
+    "project_sample": lambda h, m, f: gp.project_sample(
+        np.arange(64.0)[None], list(HOME.all_codes()), m, list(S4.elements())
+    ),
 }
 for _name, _make in BOUND_KERNELS.items():
     CODE_ENTRIES[f"{_name}_gram_square"] = lambda h, m, f, make=_make: make().gram(f)
