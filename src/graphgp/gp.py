@@ -53,21 +53,18 @@ _JITTER_RETRIES = 3
 def _cholesky_with_jitter(K: np.ndarray, noise_var: float) -> tuple[np.ndarray, float]:
     """Lower Cholesky of K + noise_var I, adding jitter relative to K's largest diagonal if needed.
 
-    The shifts go onto the diagonal of one copy of K, which is left as it is.
+    The shifts go onto the diagonal of one copy of K, which is left as it is; the ladder of
+    jitters, and K's largest diagonal that scales it, are worked out only if a factor fails.
     """
-    diag = K.diagonal()
-    scale = max(float(np.abs(diag).max(initial=0.0)), 1e-12)
-    jitters = [0.0] + [_JITTER_FACTOR * scale * _JITTER_GROWTH**k for k in range(_JITTER_RETRIES)]
-    shifted = K.copy()
-    for jit in jitters:
+    diag, shifted = K.diagonal(), K.copy()
+    for k in range(-1, _JITTER_RETRIES):
+        jit = 0.0 if k < 0 else _JITTER_FACTOR * max(float(np.abs(diag).max(initial=0.0)), 1e-12) * _JITTER_GROWTH**k
         np.fill_diagonal(shifted, diag + (noise_var + jit))
         try:
             return np.linalg.cholesky(shifted), jit
         except np.linalg.LinAlgError:
             continue
-    raise np.linalg.LinAlgError(
-        f"covariance matrix is not positive definite even after jitter {jitters[-1]:.3e}"
-    )
+    raise np.linalg.LinAlgError(f"covariance matrix is not positive definite even after jitter {jit:.3e}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,7 +173,7 @@ def log_marginal_likelihood(model: GPModel) -> float:
 
 def _log_evidence(z: np.ndarray, alpha: np.ndarray, L: np.ndarray, const: float) -> float:
     """-z^T alpha / 2 - log det L - const, const being n log(2 pi) / 2; shared with the tuner's objective."""
-    return float(-0.5 * z @ alpha - np.sum(np.log(np.diag(L))) - const)
+    return float(-0.5 * z @ alpha - np.log(L.diagonal()).sum() - const)
 
 
 # -- hyperparameter optimization --------------------------------------------
@@ -301,9 +298,9 @@ def _tuning_objective(kernel, names: tuple[str, ...], xs: tuple[GraphCode, ...],
         K, pullback = gram_at(profile)
         noise = max(noise, NOISE_FLOOR)
         L, _, L_inv, alpha = _factor(K, noise, z)
-        W = np.outer(alpha, alpha) - L_inv.T @ L_inv
+        W = alpha[:, None] * alpha - L_inv.T @ L_inv
         g = pullback(W)
-        grad = [q @ g for q in rates] + [noise * np.trace(W)]
+        grad = [q @ g for q in rates] + [noise * W.trace()]
         return _log_evidence(z, alpha, L, const), 0.5 * np.array(grad)
 
     return lml_and_gradient

@@ -426,18 +426,22 @@ def _bins(images: tuple[np.ndarray, np.ndarray], targets: np.ndarray, top: int) 
 
 
 def _distance_counts(
-    images: Sequence[tuple[np.ndarray, np.ndarray]], targets: np.ndarray, top: int, upper: bool = False
+    images: Sequence[tuple[np.ndarray, np.ndarray]], targets: np.ndarray, top: int, square: bool
 ) -> np.ndarray:
     """C[i, j, m]: the share of x_i's images, by multiplicity, at distance m from target j.
 
     ``images`` holds one :func:`_distinct_images` pair per x and ``targets``
     one word row per y; each share is an integer sum over an integer total,
-    rounded once. ``upper`` (square builds) fills j >= i only.
+    rounded once. A ``square`` build (targets = the xs) bins j >= i only and
+    copies row i into column i: the shares are symmetric in (i, j) bit for
+    bit, so the tensor is too.
     """
     out = np.zeros((len(images), len(targets), top))
     for i, (words, mult) in enumerate(images):
-        first = i if upper else 0
+        first = i if square else 0
         out[i, first:] = _bins((words, mult), targets[first:], top) / mult.sum()
+        if square:
+            out[i + 1 :, i] = out[i, i + 1 :]
     return out
 
 
@@ -446,7 +450,7 @@ def _counts(source: Source, xs: tuple[GraphCode, ...], ys: tuple[GraphCode, ...]
     targets = xs if ys is None else ys
     words = code_words(targets, common_space(xs))  # both lists checked before any image is built
     top = _distance_top(xs, targets)
-    out = _distance_counts([_distinct_images(source, x) for x in xs], words, top, upper=ys is None)
+    out = _distance_counts([_distinct_images(source, x) for x in xs], words, top, square=ys is None)
     out.setflags(write=False)
     return out
 
@@ -456,27 +460,25 @@ def _counts(source: Source, xs: tuple[GraphCode, ...], ys: tuple[GraphCode, ...]
 _group_counts = lru_cache(maxsize=COUNT_CACHE_SIZE)(_counts)
 
 
-def _contract(profile: np.ndarray, c: np.ndarray, square: bool) -> np.ndarray:
-    """The Gram of a (d + 1) profile from count tensor c; square counts fill j >= i only, and
-    their Gram is mirrored exactly symmetric."""
-    out = c @ profile[: c.shape[2]]
-    if square:
-        out += np.triu(out, 1).T  # square counts leave the lower triangle at 0.0
-    return out
+def _contract_counts(c: np.ndarray, profile: np.ndarray) -> np.ndarray:
+    """sum over m of c[..., m] profile[m], one fresh sum per entry: equal count rows give equal
+    values wherever they lie, so a symmetric c gives an exactly symmetric Gram and own counts its
+    diagonal bit for bit (a BLAS matrix-vector product rounds a block's tail rows apart)."""
+    return np.einsum("...m,m->...", c, profile[: c.shape[-1]])
 
 
 def _square_tuning(c: np.ndarray, size: int) -> Callable:
     """A function of a profile that gives the square Gram of square counts c and its pullback
-    W -> g, of ``size`` entries: W's upper-triangle weights (2 W_ij off the diagonal, W_ii on it)
-    times the counts, so g @ q == <W, Gram at q> for every profile q and symmetric W."""
+    W -> g, of ``size`` entries: W's weights times the counts, so g @ q == <W, Gram at q> for
+    every profile q."""
     rows = c.reshape(-1, c.shape[2])
 
     def pullback(W: np.ndarray) -> np.ndarray:
         g = np.zeros(size)
-        g[: c.shape[2]] = (W + np.triu(W, 1)).ravel() @ rows
+        g[: c.shape[2]] = W.ravel() @ rows
         return g
 
-    return lambda profile: (_contract(profile, c, True), pullback)
+    return lambda profile: (_contract_counts(c, profile), pullback)
 
 
 def _gram(
@@ -486,7 +488,7 @@ def _gram(
     if len(xs) == 0 or (ys is not None and len(ys) == 0):
         return np.zeros((len(xs), len(xs) if ys is None else len(ys)))
     c = counts(tuple(xs), None if ys is None else tuple(ys))
-    return _contract(kernel_profile(spec, xs[0].space.d), c, ys is None)
+    return _contract_counts(c, kernel_profile(spec, xs[0].space.d))
 
 
 def invariant_gram_exact(
@@ -787,7 +789,7 @@ class ProjectedKernel:
         top = _distance_top(xs, xs)
         sides = zip((_distinct_images(self._source, x) for x in xs), code_words(xs)[:, None])
         counts = np.stack([_bins(images, target, top)[0] / images[1].sum() for images, target in sides])
-        return counts @ kernel_profile(self.spec, self.space.d)[:top]
+        return _contract_counts(counts, kernel_profile(self.spec, self.space.d))
 
     def _points(self, xs: Sequence[GraphCode]) -> Sequence[GraphCode]:
         """The codes, all in the kernel's space, that counts are built at (for Monte Carlo, their representatives)."""

@@ -196,7 +196,7 @@ class GraphSpace:
             yield GraphCode(self, v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GraphCode:
     """A graph as a d-bit vector, element of Z_2^d under XOR."""
 
@@ -253,7 +253,7 @@ def hamming(x: GraphCode, y: GraphCode) -> int:
     return (x ^ y).weight
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodePermutation:
     """A permutation of the node labels {0..n-1}."""
 

@@ -640,9 +640,8 @@ class TestTuningGram:
                 kernel = ProjectedKernel.monte_carlo(spec, BLOCKS_12, U12, sample_size=5, seed=2)
                 reps = tuple(orbit_representative(BLOCKS_12, x) for x in xs)
                 counts = invariance._counts(kernel.sample, reps, None)
-            mirrored = counts + counts.transpose(1, 0, 2)  # square counts fill j >= i only
-            mirrored[np.diag_indices(len(xs))] /= 2
-            gram_q = mirrored @ q[: counts.shape[2]]
+            assert np.array_equal(counts, counts.transpose(1, 0, 2))  # square counts are stored whole
+            gram_q = counts @ q[: counts.shape[2]]
         W = rng.standard_normal((len(xs), len(xs)))
         W += W.T
         K, pullback = kernel.tuning_counts(xs)(kernel_profile(spec, U12.d))
@@ -650,6 +649,38 @@ class TestTuningGram:
         g = pullback(W)
         assert g.shape == (U12.d + 1,)
         assert abs(q @ g - np.vdot(W, gram_q)) <= 1e-12 * abs(np.vdot(W, gram_q))
+
+
+class TestSquareCounts:
+    """Square count tensors are stored whole, so a square Gram is one contraction of them."""
+
+    @pytest.mark.parametrize("flavour", ["exact", "monte_carlo"])
+    def test_square_gram_is_symmetric_and_equals_the_cross_build(self, rng, flavour):
+        # the cross build bins every ordered pair; the square one bins j >= i and copies row i into column i
+        spec = KernelSpec(Heat(4.0), variance=1.3)
+        if flavour == "exact":
+            kernel = ProjectedKernel(spec, BLOCKS_12, U12)
+        else:
+            kernel = ProjectedKernel.monte_carlo(spec, BLOCKS_12, U12, sample_size=16, seed=2)
+        codes = sparse_codes(U12, rng, 97)
+        for xs in (codes[:96], codes):  # 97: a BLAS matrix-vector product rounds its tail rows apart
+            K = kernel.gram(xs)
+            assert np.array_equal(K, K.T)
+            assert np.array_equal(K, kernel.gram(xs, xs))
+
+    def test_tuning_builds_no_triangle(self, rng, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("square counts are symmetric; nothing mirrors a triangle")
+
+        monkeypatch.setattr(np, "triu", refuse)
+        xs = sparse_codes(U12, rng, 12, density=0.3)
+        ys = rng.standard_normal(len(xs))
+        spec = KernelSpec(Heat(4.0))
+        for kernel in (
+            ProjectedKernel(spec, BLOCKS_12, U12),
+            ProjectedKernel.monte_carlo(spec, BLOCKS_12, U12, sample_size=4, seed=1),
+        ):
+            assert gp.optimize_hyperparameters(kernel, xs, ys, budget=10).evaluations > 1
 
 
 class TestCountTensorGram:
@@ -764,16 +795,15 @@ class TestDistinctImages:
         profile = kernel_profile(spec, space.d)
         top = space.d + 1  # the complete graph lies at distance d from the empty one
         square = group_counts_by_enumeration(H, xs, xs, top)
-        upper = np.where(np.triu(np.ones((len(xs), len(xs)), dtype=bool))[:, :, None], square, 0.0)
         cross = group_counts_by_enumeration(H, xs, ys, top)
-        assert np.array_equal(_group_counts(H, tuple(xs), None), upper)
+        assert np.array_equal(_group_counts(H, tuple(xs), None), square)
         assert np.array_equal(_group_counts(H, tuple(xs), tuple(ys)), cross)
 
-        for ys_, counts in ((None, upper), (ys, cross)):
-            expect = invariance._contract(profile, counts, ys_ is None)
+        for ys_, counts in ((None, square), (ys, cross)):
+            expect = invariance._contract_counts(counts, profile)
             assert np.array_equal(invariant_gram_exact(spec, H, xs, ys_), expect)
         own = np.stack([square[i, i] for i in range(len(xs))])
-        assert np.array_equal(ProjectedKernel(spec, H, space).diag(xs), own @ profile)
+        assert np.array_equal(ProjectedKernel(spec, H, space).diag(xs), invariance._contract_counts(own, profile))
 
     @pytest.mark.parametrize("space,H", [(U12, BLOCKS_12), (DL8, BLOCKS_8)])
     def test_counts_over_sample_pairs_equal_those_over_s_times_s(self, rng, space, H):
@@ -784,14 +814,13 @@ class TestDistinctImages:
         assert any((invariance._distinct_images(sample, x)[1] > 1).any() for x in xs)
         top = space.d + 1
         square = sample_counts_by_enumeration(sample, xs, xs, top)
-        upper = np.where(np.triu(np.ones((len(xs), len(xs)), dtype=bool))[:, :, None], square, 0.0)
-        assert np.array_equal(invariance._counts(sample, tuple(xs), None), upper)
+        assert np.array_equal(invariance._counts(sample, tuple(xs), None), square)
         cross = sample_counts_by_enumeration(sample, xs, ys, top)
         assert np.array_equal(invariance._counts(sample, tuple(xs), tuple(ys)), cross)
         spec = KernelSpec(Heat(2.0), variance=1.3)
         own = np.stack([square[i, i] for i in range(len(xs))])
         kernel = ProjectedKernel(spec, H, space, sample=sample)
-        assert np.array_equal(kernel.diag(xs), own @ kernel_profile(spec, space.d))
+        assert np.array_equal(kernel.diag(xs), invariance._contract_counts(own, kernel_profile(spec, space.d)))
 
     @pytest.mark.parametrize("space,H", [(U12, BLOCKS_12), (DL8, BLOCKS_8)])
     def test_pair_histogram_counts_over_the_whole_group(self, space, H):

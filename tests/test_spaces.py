@@ -11,6 +11,7 @@ from graphgp.invariance import (
     invariant_gram_exact,
     invariant_gram_sampled,
     invariant_kernel_exact,
+    orbit_representative,
     pair_histogram,
 )
 from graphgp.kernels import Heat, IsotropicKernel, KernelSpec, LinearKernel
@@ -125,6 +126,18 @@ class TestGraphCode:
         assert a == b and hash(a) == hash(b)
         assert a != other
         assert len({a, b, other}) == 2
+
+    def test_slotted_codes_keep_their_hash_and_cache_entries(self):
+        # slotted value types carry no per-instance __dict__
+        U12 = GraphSpace(GraphSpaceKind.UNDIRECTED, 12)
+        a, b = U12.code_from_int((1 << 65) | 7), U12.code_from_int((1 << 65) | 7)
+        perm = NodePermutation.identity(12)
+        assert not hasattr(a, "__dict__") and not hasattr(perm, "__dict__")
+        assert a is not b and a == b and hash(a) == hash(b)
+        H = PermSubgroup.full(12)
+        orbit_representative.cache_clear()
+        assert orbit_representative(H, a) is orbit_representative(H, b)
+        assert orbit_representative.cache_info().hits == 1
 
     def test_bits_length_checked(self):
         space = GraphSpace(GraphSpaceKind.UNDIRECTED, 3)
