@@ -42,7 +42,16 @@ from .kernels import (
     truncation_level,
 )
 from .kravchuk import build_table
-from .spaces import GraphCode, NodePermutation, apply_permutation, bit_matrix, common_space, pairwise_hamming
+from .spaces import (
+    GraphCode,
+    NodePermutation,
+    bit_matrix,
+    common_space,
+    decode_words,
+    image_sources,
+    pairwise_hamming,
+    permuted_words,
+)
 
 NOISE_FLOOR = 1e-8
 _JITTER_FACTOR = 1e-8
@@ -908,31 +917,40 @@ def project_sample(
     """Average sampled function values over permuted inputs.
 
     ``draws`` has one column per code in ``eval_codes``; the result has one
-    column per target x holding the mean of f(sigma(x)) over ``perms``. Every
-    permuted input must be present in ``eval_codes``; missing ones are
-    reported. All codes must live in one space.
+    column per target x holding the mean of f(sigma(x)) over ``perms``, summed
+    in their order. Every permuted input must be present in ``eval_codes`` (a
+    code listed twice reads its last column); missing ones are reported. All
+    codes must live in one space. Each target's images are one gather of its
+    bits, looked up once each; the mean is one gather of len(targets) rows per
+    permutation, len(perms) * len(targets) * len(draws) additions. Its extra
+    memory is one transposed copy of ``draws``, whose rows the gathers read
+    whole, one accumulator the size of the result and one column index per
+    image.
     """
     if len(perms) == 0:
         raise ValueError("need at least one permutation to average over")
-    common_space(itertools.chain(eval_codes, targets))
+    space = common_space(itertools.chain(eval_codes, targets))
+    draws = np.asarray(draws, dtype=float)
+    if draws.ndim != 2 or draws.shape[1] != len(eval_codes):
+        raise ValueError(f"draws of shape {draws.shape} need one column per eval code ({len(eval_codes)})")
+    if len(targets) == 0:
+        return np.empty((len(draws), 0))
+    sources = image_sources([sigma.mapping for sigma in perms], space)
     index = {c.bits: i for i, c in enumerate(eval_codes)}
-    columns = np.empty((len(targets), len(perms)), dtype=np.int64)
-    missing: list[GraphCode] = []
-    for t, x in enumerate(targets):
-        for p, sigma in enumerate(perms):
-            img = apply_permutation(sigma, x)
-            col = index.get(img.bits)
-            if col is None:
-                missing.append(img)
-            else:
-                columns[t, p] = col
-    if missing:
-        shown = ", ".join(str(sorted(m.edges())) for m in missing[:5])
+    images = (bits for x in targets for bits in decode_words(permuted_words(x, sources)))
+    columns = np.fromiter((index.get(bits, -1) for bits in images), np.intp, len(targets) * len(perms))
+    missing = np.flatnonzero(columns < 0)  # in (target, permutation) order
+    if len(missing):
+        first = (permuted_words(targets[r // len(perms)], sources[r % len(perms)][None]) for r in missing[:5])
+        shown = ", ".join(str(sorted(GraphCode(space, decode_words(w)[0]).edges())) for w in first)
         raise ValueError(
             f"{len(missing)} permuted inputs are not covered by the sample; "
             f"first missing edge lists: {shown}"
         )
-    out = np.empty((draws.shape[0], len(targets)))
-    for t in range(len(targets)):
-        out[:, t] = draws[:, columns[t]].mean(axis=1)
-    return out
+    columns = columns.reshape(len(targets), len(perms))
+    rows = draws.T.copy()
+    total = rows[columns[:, 0]]
+    for p in range(1, len(perms)):
+        total += rows[columns[:, p]]
+    total /= len(perms)
+    return total.T.copy()

@@ -70,6 +70,7 @@ from .spaces import (
     code_words,
     common_space,
     decode_words,
+    image_sources,
     permuted_words,
     slot_permutations,
     word_distances,
@@ -118,6 +119,12 @@ PAIR_HISTOGRAM_CACHE_SIZE = 4_096
 class GroupTooLargeError(ValueError):
     """Raised when a gather would produce more than ``ENUMERATION_CAP`` image rows: an orbit
     step too large to grow exactly, or a sample too large for its |S|^2 node maps."""
+
+
+def _require_acts_on(H: PermSubgroup, space: GraphSpace) -> None:
+    """Refuse a subgroup on another node count than the space's; cheap, so check before drawing."""
+    if H.n != space.n:
+        raise ValueError(f"subgroup on {H.n} nodes does not act on n={space.n}")
 
 
 def _require_sample_size(size: int) -> None:
@@ -221,8 +228,8 @@ def _slot_perms(sample: tuple[NodePermutation, ...], space: GraphSpace) -> np.nd
     """(|S|^2, d) gather index of the images under the node maps s_b^-1 s_a over the
     ordered pairs (a, b) of a sample S."""
     maps = np.array([s.mapping for s in sample], dtype=np.intp)
-    # row (a, b) is the inverse node map of s_b^-1 s_a: s_a^-1 s_b (see ``permuted_words``)
-    perms = slot_permutations(np.argsort(maps, axis=1)[:, maps].reshape(-1, maps.shape[1]), space)
+    # entry [b, a] of the inverses taken at the maps is s_b^-1 s_a: row (a, b) after the swap
+    perms = image_sources(np.argsort(maps, axis=1)[:, maps].swapaxes(0, 1).reshape(-1, maps.shape[1]), space)
     perms.setflags(write=False)
     return perms
 
@@ -284,8 +291,7 @@ def _chain(H: PermSubgroup, space: GraphSpace) -> tuple[np.ndarray, ...]:
     """H's stabilizer chain: per step k of a block b, the (k + 1, d) slot permutations of {id} and
     (b_j b_k), j < k. Each element of H is one product of one row per step, so a minimum, sum or
     orbit over H runs step by step; the rows, of involutions, are gather indices too."""
-    if H.n != space.n:
-        raise ValueError(f"subgroup on {H.n} nodes does not act on n={space.n}")
+    _require_acts_on(H, space)
     steps = []
     for block in H.blocks:
         for k in range(1, len(block)):
@@ -383,8 +389,7 @@ def orbit_representative(H: PermSubgroup, x: GraphCode) -> GraphCode:
     grown along their chain under ``ENUMERATION_CAP`` like any orbit. So it is
     shared by the whole orbit, or refused with ``GroupTooLargeError``.
     """
-    if H.n != x.space.n:
-        raise ValueError(f"subgroup on {H.n} nodes does not act on n={x.space.n}")
+    _require_acts_on(H, x.space)
     colors = _refined_colors(H, x)
     order = np.zeros(H.n, dtype=np.intp)  # node v moves to order[v]
     classes = []
@@ -394,7 +399,7 @@ def orbit_representative(H: PermSubgroup, x: GraphCode) -> GraphCode:
         for _color, run in itertools.groupby(enumerate(ranked), key=lambda kv: colors[kv[1]]):
             classes.append(tuple(block[k] for k, _v in run))
     residual = PermSubgroup(H.n, tuple(classes))
-    ordered = permuted_words(x, slot_permutations(np.argsort(order)[None], x.space))
+    ordered = permuted_words(x, image_sources(order[None], x.space))
     return GraphCode(x.space, decode_words(_orbit_words(residual, ordered, x.space)[:1])[0])
 
 
@@ -704,6 +709,7 @@ def project_function(
     ``sample_size`` averages over an i.i.d. sample of H instead.
     """
     _require_small_space(space)
+    _require_acts_on(H, space)
     values = np.asarray(values, dtype=float)
     if values.shape[0] != (1 << space.d):
         raise ValueError(f"expected one value per code (2^{space.d}), got {values.shape[0]}")
@@ -712,7 +718,7 @@ def project_function(
     if seed is None:
         raise ValueError("sample-based averaging requires a seed")
     maps = [sigma.mapping for sigma in draw_sample(H, sample_size, seed)]
-    return _fold([slot_permutations(np.argsort(maps, axis=1), space)], values, np.add) / sample_size
+    return _fold([image_sources(maps, space)], values, np.add) / sample_size
 
 
 class ProjectedKernel:
@@ -742,8 +748,7 @@ class ProjectedKernel:
         space: GraphSpace,
         sample: tuple[NodePermutation, ...] | None = None,
     ):
-        if subgroup.n != space.n:
-            raise ValueError(f"subgroup on {subgroup.n} nodes does not act on n={space.n}")
+        _require_acts_on(subgroup, space)
         if sample is None:
             self._source, self._counts = subgroup, partial(_group_counts, subgroup)
         else:

@@ -8,12 +8,14 @@ two codes is the Hamming distance that every kernel in this package is a
 function of.
 
 Bulk paths see code lists as (count, ceil(d/64)) uint64 word matrices, slot
-s at bit s % 64 of word s // 64, and k node relabelings as one (k, d)
-slot-permutation array; a code's k images are one gather of its bits.
-:func:`code_words` encodes codes as words and :func:`decode_words` turns word
-rows back into code integers, so only this module knows the word layout. It
-also owns the one check that codes share a space, :func:`common_space`, made
-wherever codes become words; callers bound to a space pass it.
+s at bit s % 64 of word s // 64, and k node relabelings as one (k, d) gather
+index; a code's k images are one gather of its bits (:func:`permuted_words`).
+:func:`image_sources` is the one function that turns node maps into that
+index, so every relabelling, :func:`apply_permutation` included, goes through
+it. :func:`code_words` encodes codes as words and :func:`decode_words` turns
+word rows back into code integers, so only this module knows the word layout.
+It also owns the one check that codes share a space, :func:`common_space`,
+made wherever codes become words; callers bound to a space pass it.
 
 All types here are immutable after construction and safe to share across
 threads.
@@ -32,9 +34,11 @@ import numpy as np
 #: Largest node count accepted by default (d up to 256 for directed+loops).
 DEFAULT_MAX_NODES = 16
 
-#: Slot permutations kept for reuse, one per (node permutation, space), each
-#: a d-tuple (about 0.6 KB at d = 66), for :func:`apply_permutation`: the
-#: bulk paths gather through slot-permutation arrays instead.
+#: Slot permutations :func:`edge_permutation` keeps, one d-tuple per (node
+#: permutation, space), about 0.6 KB at d = 66. Nothing in the package
+#: relabels through them (:func:`image_sources` does); the cache stays for the
+#: function's export and for the benchmark tracer, which reads its
+#: ``cache_info()``.
 EDGE_PERMUTATION_CACHE_SIZE = 2048
 
 
@@ -315,25 +319,14 @@ def edge_permutation(sigma: NodePermutation, space: GraphSpace) -> tuple[int, ..
     return perm
 
 
-def permute_slots(bits: int, slot_perm: Sequence[int]) -> int:
-    """Move each set bit ``s`` of a code's bits to slot ``slot_perm[s]``."""
-    out = 0
-    while bits:
-        s = (bits & -bits).bit_length() - 1
-        out |= 1 << slot_perm[s]
-        bits &= bits - 1
-    return out
-
-
-def permute_bits(x: GraphCode, slot_perm: Sequence[int]) -> GraphCode:
-    """Apply an arbitrary permutation of edge slots (bit s moves to slot_perm[s])."""
-    # int(): a fixed-width numpy shift drops bits at slots past 62
-    return GraphCode(x.space, permute_slots(x.bits, [int(s) for s in slot_perm]))
-
-
-def apply_permutation(sigma: NodePermutation, x: GraphCode) -> GraphCode:
-    """Relabel the nodes of a graph: edge {i,j} becomes {sigma(i), sigma(j)}."""
-    return GraphCode(x.space, permute_slots(x.bits, edge_permutation(sigma, x.space)))
+def image_sources(node_maps: np.ndarray, space: GraphSpace) -> np.ndarray:
+    """(k, d) gather index of the images sigma(x) under k forward node maps, one per row, for
+    :func:`permuted_words`: bit t of sigma(x) is bit sigma^-1(t) of x, so row r is the slot
+    permutation of the inverse of map r."""
+    maps = np.asarray(node_maps, dtype=np.intp)
+    if maps.ndim != 2 or maps.shape[1] != space.n:
+        raise ValueError(f"permutation of {maps.shape[-1]} nodes does not act on n={space.n}")
+    return slot_permutations(np.argsort(maps, axis=1), space)
 
 
 # -- bulk bit utilities ---------------------------------------------------
@@ -392,8 +385,13 @@ def _unpack_words(words: np.ndarray, d: int) -> np.ndarray:
 
 def permuted_words(x: GraphCode, sources: np.ndarray) -> np.ndarray:
     """Word matrix of k images of x: image r holds in slot t the bit x holds in
-    slot ``sources[r, t]`` (the slot permutations of inverse node maps give sigma(x))."""
+    slot ``sources[r, t]`` (:func:`image_sources` gives the sources of sigma(x))."""
     return _pack_words(_unpack_words(code_words([x]), x.space.d)[0][sources])
+
+
+def apply_permutation(sigma: NodePermutation, x: GraphCode) -> GraphCode:
+    """Relabel the nodes of a graph: edge {i,j} becomes {sigma(i), sigma(j)}."""
+    return GraphCode(x.space, decode_words(permuted_words(x, image_sources([sigma.mapping], x.space)))[0])
 
 
 def word_distances(words: np.ndarray, targets: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 from graphgp import gp
 from graphgp.kernels import KernelSpec, LaplacianVariant, kernel_profile, level_log_weights
 from graphgp.kravchuk import KravchukTable, build_table
-from graphgp.spaces import GraphCode, NodePermutation, apply_permutation
+from graphgp.spaces import GraphCode, GraphSpace, NodePermutation
 
 
 def hypercube_laplacian(d: int, variant: LaplacianVariant) -> np.ndarray:
@@ -229,27 +229,62 @@ def log_sign_profile(spec: KernelSpec, d: int) -> np.ndarray:
     return np.array([log_sign_evaluate(spec, table, m) for m in range(d + 1)])
 
 
+def permute_bits(x: GraphCode, slot_perm: Sequence[int]) -> GraphCode:
+    """x with each set bit s moved to slot ``slot_perm[s]``, one set bit at a time."""
+    bits, out = x.bits, 0
+    while bits:
+        s = (bits & -bits).bit_length() - 1
+        out |= 1 << int(slot_perm[s])  # int(): a numpy shift drops bits at slots past 62
+        bits &= bits - 1
+    return GraphCode(x.space, out)
+
+
+@lru_cache(maxsize=4096)
+def _relabelled_slots(sigma: NodePermutation, space: GraphSpace) -> tuple[int, ...]:
+    """The slot each slot's node pair (i, j) moves to under sigma, found by searching space.slots
+    for (sigma(i), sigma(j)), or for (sigma(j), sigma(i)) in an undirected space."""
+    where = {pair: s for s, pair in enumerate(space.slots)}
+    return tuple(where.get((sigma(i), sigma(j)), where.get((sigma(j), sigma(i)))) for i, j in space.slots)
+
+
+def relabel(sigma: NodePermutation, x: GraphCode) -> GraphCode:
+    """x with its nodes relabelled by sigma: edge (i, j) becomes (sigma(i), sigma(j))."""
+    assert sigma.n == x.space.n
+    return permute_bits(x, _relabelled_slots(sigma, x.space))
+
+
+def project_sample_by_mean(draws, eval_codes, targets, perms) -> np.ndarray:
+    """Column t: the mean over perms, summed in their order, of the draws' column at
+    relabel(sigma, targets[t]), the last column of that code in ``eval_codes``; one target and
+    one permutation at a time."""
+    column = {c.bits: i for i, c in enumerate(eval_codes)}
+    out = np.empty((draws.shape[0], len(targets)))
+    for t, x in enumerate(targets):
+        out[:, t] = np.mean([draws[:, column[relabel(s, x).bits]] for s in perms], axis=0)
+    return out
+
+
 def group_counts_by_enumeration(H, xs, ys, top: int) -> np.ndarray:
     """C[i, j, m]: the share of all |H| images sigma(x_i), enumerated one by one, at distance m from y_j."""
     elements = list(H.elements())
     out = np.zeros((len(xs), len(ys), top))
     for i, x in enumerate(xs):
-        images = [apply_permutation(s, x).bits for s in elements]
+        images = [relabel(s, x).bits for s in elements]
         for j, y in enumerate(ys):
             out[i, j] = np.bincount([(a ^ int(y.bits)).bit_count() for a in images], minlength=top) / len(elements)
     return out
 
 
 def orbit_labels_by_enumeration(H, space) -> np.ndarray:
-    """Each code's least image apply_permutation(s, x).bits over all of H.elements(), indexed by code."""
+    """Each code's least image relabel(s, x).bits over all of H.elements(), indexed by code."""
     elements = list(H.elements())
-    return np.array([min(apply_permutation(s, x).bits for s in elements) for x in space.all_codes()])
+    return np.array([min(relabel(s, x).bits for s in elements) for x in space.all_codes()])
 
 
 def projection_by_enumeration(H, space, values) -> np.ndarray:
     """out(x) = the mean of values[s(x)] over all of H.elements(), one element at a time."""
     elements = list(H.elements())
-    sums = [sum(values[apply_permutation(s, x).bits] for s in elements) for x in space.all_codes()]
+    sums = [sum(values[relabel(s, x).bits] for s in elements) for x in space.all_codes()]
     return np.array(sums) / len(elements)
 
 
@@ -257,9 +292,9 @@ def sample_counts_by_enumeration(sample, xs, ys, top: int) -> np.ndarray:
     """C[i, j, m]: the share of the |S| x |S| pairs (s_a(x_i), s_b(y_j)), enumerated one by one, at distance m."""
     out = np.zeros((len(xs), len(ys), top))
     for i, x in enumerate(xs):
-        images_x = [apply_permutation(s, x).bits for s in sample]
+        images_x = [relabel(s, x).bits for s in sample]
         for j, y in enumerate(ys):
-            images_y = [apply_permutation(s, y).bits for s in sample]
+            images_y = [relabel(s, y).bits for s in sample]
             dists = [(a ^ b).bit_count() for a in images_x for b in images_y]
             out[i, j] = np.bincount(dists, minlength=top) / len(sample) ** 2
     return out
@@ -267,7 +302,7 @@ def sample_counts_by_enumeration(sample, xs, ys, top: int) -> np.ndarray:
 
 def orbit_by_closure(H, x) -> set[GraphCode]:
     """x's orbit under H: the closure of {x} under each block's adjacent transpositions, which
-    generate the block's symmetric group, found breadth first one apply_permutation at a time."""
+    generate the block's symmetric group, found breadth first one relabel at a time."""
     swaps = []
     for block in H.blocks:
         for a, b in zip(block, block[1:]):
@@ -278,7 +313,7 @@ def orbit_by_closure(H, x) -> set[GraphCode]:
     while queue:
         code = queue.popleft()
         for s in swaps:
-            image = apply_permutation(s, code)
+            image = relabel(s, code)
             if image not in seen:
                 seen.add(image)
                 queue.append(image)
@@ -297,7 +332,7 @@ def sampled_gram_by_pairs(spec: KernelSpec, sample, xs, ys=None) -> np.ndarray:
     ys = xs if ys is None else ys
 
     def images(x):
-        return [apply_permutation(s, x).bits for s in sample]
+        return [relabel(s, x).bits for s in sample]
 
     images_x, images_y = [images(x) for x in xs], [images(y) for y in ys]
     out = np.empty((len(xs), len(ys)))

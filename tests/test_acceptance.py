@@ -10,7 +10,13 @@ import time
 
 import numpy as np
 
-from oracles import brute_force_level_sum_at, dense_gp_posterior, dense_spectral_profile, kravchuk_closed_form
+from oracles import (
+    brute_force_level_sum_at,
+    dense_gp_posterior,
+    dense_spectral_profile,
+    kravchuk_closed_form,
+    permute_bits,
+)
 from synthetic import molecules_from_prior, molecules_mixed_elements
 
 from graphgp import datasets, gp
@@ -37,7 +43,7 @@ from graphgp.kernels import (
     matern_spec,
 )
 from graphgp.kravchuk import build_table
-from graphgp.spaces import GraphSpace, GraphSpaceKind, hamming, permute_bits
+from graphgp.spaces import GraphSpace, GraphSpaceKind, hamming
 
 U4 = GraphSpace(GraphSpaceKind.UNDIRECTED, 4)
 

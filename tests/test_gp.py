@@ -9,6 +9,7 @@ from oracles import (
     dense_log_marginal_likelihood,
     dense_posterior_sample,
     lml_gradient,
+    permute_bits,
     scipy_box_minimize,
     scipy_lbfgsb,
 )
@@ -25,7 +26,7 @@ from graphgp.kernels import (
     matern_spec,
     profile_derivatives,
 )
-from graphgp.spaces import GraphSpace, GraphSpaceKind, pairwise_hamming, permute_bits
+from graphgp.spaces import GraphSpace, GraphSpaceKind, pairwise_hamming
 
 U4 = GraphSpace(GraphSpaceKind.UNDIRECTED, 4)
 DL3 = GraphSpace(GraphSpaceKind.DIRECTED_LOOPS, 3)

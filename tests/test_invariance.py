@@ -979,8 +979,10 @@ class TestOrbitRepresentative:
         lambda H: ProjectedKernel(KernelSpec(Heat(1.0)), H, U4),
         lambda H: build_quotient(H, U4),
         lambda H: enumerate_orbit(H, U4.code_from_int(3)),
+        lambda H: project_function(H, U4, np.zeros(64)),
+        lambda H: project_function(H, U4, np.zeros(64), sample_size=3, seed=0),
     ],
-    ids=["projected_kernel", "build_quotient", "enumerate_orbit"],
+    ids=["projected_kernel", "build_quotient", "enumerate_orbit", "project_function", "project_function_sampled"],
 )
 def test_a_group_on_other_nodes_is_refused(call):
     with pytest.raises(ValueError, match="^subgroup on 5 nodes does not act on n=4$"):

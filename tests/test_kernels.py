@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import brute_force_level_sum, dense_spectral_profile, log_sign_profile
+from oracles import brute_force_level_sum, dense_spectral_profile, log_sign_profile, permute_bits
 
 from graphgp.kernels import (
     HAMMING_CACHE_SIZE,
@@ -26,7 +26,7 @@ from graphgp.kernels import (
     spec_to_json,
 )
 from graphgp.kravchuk import build_table
-from graphgp.spaces import GraphSpace, GraphSpaceKind, hamming, permute_bits
+from graphgp.spaces import GraphSpace, GraphSpaceKind, hamming
 
 PLAIN = LaplacianVariant.PLAIN
 SYM = LaplacianVariant.SYMMETRIC

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from oracles import project_sample_by_mean, relabel
+
 from graphgp import gp
 from graphgp.invariance import (
     PermSubgroup,
@@ -13,7 +15,7 @@ from graphgp.invariance import (
     invariant_gram_sampled,
 )
 from graphgp.kernels import Heat, IsotropicKernel, KernelSpec, LinearKernel
-from graphgp.spaces import GraphSpace, GraphSpaceKind
+from graphgp.spaces import GraphSpace, GraphSpaceKind, NodePermutation
 
 U3 = GraphSpace(GraphSpaceKind.UNDIRECTED, 3)
 U4 = GraphSpace(GraphSpaceKind.UNDIRECTED, 4)
@@ -308,3 +310,57 @@ class TestProjectSample:
     def test_empty_permutation_list_rejected(self):
         with pytest.raises(ValueError):
             gp.project_sample(np.zeros((1, 1)), [U3.empty_code()], [U3.empty_code()], [])
+
+    def test_sample_with_repeated_elements_matches_the_oracle_mean(self, rng):
+        codes = list(U4.all_codes())
+        sample = list(draw_sample(PermSubgroup.full(4), 40, 2))  # 40 draws from 24 elements
+        assert len(set(sample)) < len(sample)
+        draws = rng.standard_normal((30, len(codes)))
+        out = gp.project_sample(draws, codes, codes, sample)
+        np.testing.assert_array_equal(out, project_sample_by_mean(draws, codes, codes, sample))
+
+    def test_reordered_subset_of_targets_matches_the_oracle_mean(self, rng):
+        codes = list(U4.all_codes())
+        targets = [codes[i] for i in rng.permutation(len(codes))[:20]]
+        perms = list(draw_sample(PermSubgroup.full(4), 9, 3))
+        draws = rng.standard_normal((30, len(codes)))
+        out = gp.project_sample(draws, codes, targets, perms)
+        np.testing.assert_array_equal(out, project_sample_by_mean(draws, codes, targets, perms))
+
+    def test_duplicate_eval_codes_read_their_last_column(self, rng):
+        codes = list(U4.all_codes())
+        evals = codes + codes[::3]
+        perms = list(draw_sample(PermSubgroup.full(4), 5, 4))
+        draws = rng.standard_normal((30, len(evals)))
+        out = gp.project_sample(draws, evals, codes, perms)
+        np.testing.assert_array_equal(out, project_sample_by_mean(draws, evals, codes, perms))
+        assert not np.allclose(out, gp.project_sample(draws[:, : len(codes)], codes, codes, perms))
+
+    def test_missing_inputs_message_lists_the_first_five_in_target_order(self, rng):
+        codes = list(U4.all_codes())
+        evals = codes[::2]
+        perms = list(draw_sample(PermSubgroup.full(4), 6, 5))
+        images = [relabel(s, x) for x in codes for s in perms]
+        missing = [y for y in images if y.bits % 2]
+        assert len(missing) > 5
+        shown = ", ".join(str(sorted(y.edges())) for y in missing[:5])
+        want = f"{len(missing)} permuted inputs are not covered by the sample; first missing edge lists: {shown}"
+        with pytest.raises(ValueError) as err:
+            gp.project_sample(rng.standard_normal((3, len(evals))), evals, codes, perms)
+        assert str(err.value) == want
+
+    @pytest.mark.parametrize("columns", [7, 9])
+    def test_draws_need_one_column_per_eval_code(self, columns):
+        codes = list(U3.all_codes())
+        with pytest.raises(ValueError, match=rf"^draws of shape \(4, {columns}\) need one column per eval code \(8\)$"):
+            gp.project_sample(np.zeros((4, columns)), codes, codes, [NodePermutation.identity(3)])
+
+    def test_one_dimensional_draws_refused(self):
+        codes = list(U3.all_codes())
+        with pytest.raises(ValueError, match=r"^draws of shape \(8,\) need one column per eval code \(8\)$"):
+            gp.project_sample(np.zeros(8), codes, codes, [NodePermutation.identity(3)])
+
+    def test_permutations_of_other_node_counts_refused(self):
+        codes = list(U3.all_codes())
+        with pytest.raises(ValueError, match="^permutation of 4 nodes does not act on n=3$"):
+            gp.project_sample(np.zeros((2, 8)), codes, codes, [NodePermutation.identity(4)])

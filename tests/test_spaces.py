@@ -1,7 +1,12 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from oracles import permute_bits, relabel
 
 from graphgp import gp, spaces
 from graphgp.invariance import (
@@ -28,7 +33,6 @@ from graphgp.spaces import (
     graph_to_json,
     hamming,
     pairwise_hamming,
-    permute_bits,
     popcount_u64,
 )
 
@@ -252,9 +256,62 @@ class TestNodePermutation:
             perm = tuple(rng.permutation(d))
             x, y = space.random_code(rng), space.random_code(rng)
             assert hamming(permute_bits(x, perm), permute_bits(y, perm)) == hamming(x, y)
+
+
+#: Every kind at n = 1, 3, 6 and 9; D9 (d = 72) and DL9 (d = 81) span two words.
+RELABEL_SPACES = [GraphSpace(kind, n) for kind in ALL_KINDS for n in (1, 3, 6, 9)]
+
+
+@st.composite
+def relabellings(draw):
+    """A space, a code in it and two node permutations of it."""
+    space = draw(st.sampled_from(RELABEL_SPACES))
+    x = space.code_from_int(draw(st.integers(0, (1 << space.d) - 1)))
+    sigma, tau = (NodePermutation(tuple(draw(st.permutations(range(space.n))))) for _ in range(2))
+    return x, sigma, tau
+
+
+class TestApplyPermutation:
+    @settings(max_examples=200, deadline=None)
+    @given(relabellings())
+    def test_matches_the_oracle_relabelling(self, case):
+        x, sigma, _ = case
+        assert apply_permutation(sigma, x) == relabel(sigma, x)
+
+    @settings(max_examples=200, deadline=None)
+    @given(relabellings())
+    def test_group_action_law(self, case):
+        x, sigma, tau = case
+        assert apply_permutation(sigma.compose(tau), x) == apply_permutation(sigma, apply_permutation(tau, x))
+
+    def test_two_word_codes_keep_their_high_bits(self):
         wide = GraphSpace(GraphSpaceKind.DIRECTED_LOOPS, 9)  # d = 81
-        x = wide.code_from_int((1 << 70) | 1)
-        assert permute_bits(x, np.arange(wide.d)) == x
+        x = wide.code_from_int((1 << 80) | (1 << 70) | 1)
+        sigma = NodePermutation((8, 0, 1, 2, 3, 4, 5, 6, 7))
+        assert apply_permutation(NodePermutation.identity(9), x) == x
+        assert apply_permutation(sigma, x) == relabel(sigma, x) != x
+
+    def test_wrong_node_count_refused(self):
+        U4 = GraphSpace(GraphSpaceKind.UNDIRECTED, 4)
+        with pytest.raises(ValueError, match="^permutation of 3 nodes does not act on n=4$"):
+            apply_permutation(NodePermutation((1, 0, 2)), U4.empty_code())
+        with pytest.raises(ValueError, match="^permutation of 5 nodes does not act on n=4$"):
+            spaces.image_sources([range(5)], U4)
+
+
+def test_oracles_share_no_relabelling_code():
+    """The oracles relabel with their own bit loop over ``space.slots``: they import none of the
+    package's relabelling functions and reach none of them as an attribute."""
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    shared = {"apply_permutation", "edge_permutation", "image_sources", "permuted_words", "slot_permutations"}
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "graphgp"
+        for alias in node.names
+    }
+    reached = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not shared & (imported | reached)
 
 
 class TestBulkBitOps:
