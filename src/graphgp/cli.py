@@ -433,12 +433,14 @@ def run_experiment(config: dict) -> dict:
     # group-averaged kernels; a few octave-spaced kappa starts, best one wins
     restarts = [float(v) for v in config.get("restart_multipliers", (0.5, 1.0, 2.0))]
 
-    seq_layout = (
-        datasets.SequentialLayout(int(config["sequential_n"]))
-        if "sequential_n" in config
-        else datasets.infer_sequential_layout(mols)
-    )
-    seq_codes = [datasets.encode(m, seq_layout) for m in mols]
+    seq_codes = None  # encoded only for the methods that read them
+    if any(m == "linear" or m.endswith("_arbitrary") for m in methods):
+        seq_layout = (
+            datasets.SequentialLayout(int(config["sequential_n"]))
+            if "sequential_n" in config
+            else datasets.infer_sequential_layout(mols)
+        )
+        seq_codes = [datasets.encode(m, seq_layout) for m in mols]
     aligned_layout = datasets.layout_from_json(config["aligned_layout"]) if "aligned_layout" in config else None
     aligned_codes = None if aligned_layout is None else [datasets.encode(m, aligned_layout) for m in mols]
     plans = {

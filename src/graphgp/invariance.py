@@ -18,14 +18,19 @@ profile k(0..d) contracted with distance counts C[i, j, m]: the share of the
 node maps t, of H or of S^-1 S, with |t(x_i) XOR y_j| = m. Each x keeps its
 distinct images with integer multiplicities (|Stab(x)| each over H), so the
 shares, integer sums over an integer total, equal those over all node maps
-bit for bit. One builder makes them all, by one vectorized XOR/popcount of
-each x's images against all the ys. A code's images over H grow along H's
+bit for bit. One builder makes them all, one x at a time, by one vectorized
+XOR/popcount of its images against all the ys. Only 3-6% of C is nonzero on
+molecules, so the builder keeps just those entries, as (pair, distance,
+share) triples with pair = i * len(ys) + j (:class:`Counts`), and never
+allocates the dense tensor. A code's images over H grow along H's
 stabilizer chain (below), so exact cost follows the size of its orbit, not
 |H|; only a sample's images come from one gather of its bits through the
 (|S|^2, d) slot-permutation array. The counts do not depend on the kernel;
 the exact ones are cached per (H, xs, ys) and a tuning run fetches them
-once, so each of its objective evaluations costs one product of the tensor
-with the profile and one with the gradient's weight matrix. Exact
+once, so each of its objective evaluations costs two weighted bincounts
+over the triples: the Gram, by pair, of share * profile[distance], and the
+pullback of the gradient's weight matrix W, by distance, of share * W[pair].
+Exact
 evaluation visits whole orbits: a chain step that would gather more than
 ``ENUMERATION_CAP`` image rows is refused, whatever |H|. Deciding whether two
 graphs share an orbit reduces to three such kernel values, so no shortcut
@@ -50,7 +55,7 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -84,9 +89,11 @@ ENUMERATION_CAP = 2**21
 #: Refuse to enumerate graph spaces with more than 2^QUOTIENT_MAX_DIM codes.
 QUOTIENT_MAX_DIM = 16
 
-#: Distance-count tensors kept for reuse; a tuning run needs two (training
-#: square, test-by-training cross), shared by every restart and projected
-#: kernel on the same split.
+#: Distance counts kept for reuse; a tuning run needs two (training square,
+#: test-by-training cross), shared by every restart and projected kernel on
+#: the same split. Each holds 24 bytes per nonzero (an 8-byte pair index,
+#: distance and share): 2.6 MB for the square counts of 200 demo-05 molecules
+#: under |H| = 1296, where the dense (n, n, top) float64 tensor took 13 MB.
 COUNT_CACHE_SIZE = 8
 
 #: Slot-permutation arrays kept for reuse: a sample's S^-1 S gather index, one
@@ -253,8 +260,10 @@ def _distinct_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of a word matrix, sorted with the last word as the most significant key
     (row 0 is the least code), and how many times each occurs."""
     words = words[np.lexsort(words.T)]
-    first = np.flatnonzero(np.r_[True, (words[1:] != words[:-1]).any(axis=1)])
-    return words[first], np.diff(np.r_[first, len(words)])
+    new = np.ones(len(words), dtype=bool)
+    (words[1:] != words[:-1]).any(axis=1, out=new[1:])
+    first = new.nonzero()[0]
+    return words[first], np.diff(first, append=len(words))
 
 
 @lru_cache(maxsize=PAIR_HISTOGRAM_CACHE_SIZE)
@@ -269,7 +278,7 @@ def pair_histogram(H: PermSubgroup, x: GraphCode, y: GraphCode) -> np.ndarray:
     """
     if y.bits < x.bits:
         x, y = y, x
-    hist = _bins(_distinct_images(H, x), code_words([y], x.space), x.space.d + 1)[0]
+    hist = _bins(_distinct_images(H, x), code_words([y], x.space), x.space.d + 1)
     hist.setflags(write=False)
     return hist
 
@@ -422,41 +431,70 @@ def _distance_top(xs: Sequence[GraphCode], ys: Sequence[GraphCode]) -> int:
 
 
 def _bins(images: tuple[np.ndarray, np.ndarray], targets: np.ndarray, top: int) -> np.ndarray:
-    """(len(targets), top) histograms: how many node maps, by multiplicity, take x to distance m
-    of each target, from one :func:`_distinct_images` pair of x and one word row per target."""
+    """Flat (len(targets) * top) histogram: entry j * top + m counts, by multiplicity, the node
+    maps that take x to distance m of target j, from one :func:`_distinct_images` pair of x and
+    one word row per target."""
     words, mult = images
     n = len(targets)
-    dist = word_distances(words, targets) + top * np.arange(n)
-    return np.bincount(dist.ravel(), weights=np.repeat(mult, n), minlength=n * top).reshape(n, top)
+    dist = word_distances(words, targets)
+    dist += np.arange(0, n * top, top)
+    return np.bincount(dist.ravel(), weights=mult.repeat(n), minlength=n * top)
+
+
+class Counts(NamedTuple):
+    """Distance counts as CSR-style triples: entry k adds ``share[k]`` of the node maps at
+    distance ``dist[k]`` to the flat entry ``pair[k]`` (i * columns + j) of a ``shape`` Gram.
+    Each (pair, dist) occurs once, and a pair's triples run by distance."""
+
+    pair: np.ndarray
+    dist: np.ndarray
+    share: np.ndarray
+    shape: tuple[int, ...]
 
 
 def _distance_counts(
     images: Sequence[tuple[np.ndarray, np.ndarray]], targets: np.ndarray, top: int, square: bool
-) -> np.ndarray:
-    """C[i, j, m]: the share of x_i's images, by multiplicity, at distance m from target j.
+) -> Counts:
+    """C[i, j, m], the share of x_i's images, by multiplicity, at distance m from target j, as
+    the triples of its nonzeros, built row by row.
 
     ``images`` holds one :func:`_distinct_images` pair per x and ``targets``
     one word row per y; each share is an integer sum over an integer total,
     rounded once. A ``square`` build (targets = the xs) bins j >= i only and
-    copies row i into column i: the shares are symmetric in (i, j) bit for
-    bit, so the tensor is too.
+    appends each j > i triple again as (j, i): the shares are symmetric in
+    (i, j) bit for bit, so both entries, and the cross build's, get the same
+    shares in the same order.
     """
-    out = np.zeros((len(images), len(targets), top))
-    for i, (words, mult) in enumerate(images):
-        first = i if square else 0
-        out[i, first:] = _bins((words, mult), targets[first:], top) / mult.sum()
-        if square:
-            out[i + 1 :, i] = out[i, i + 1 :]
-    return out
+    columns = len(targets)
+    keys, sums = [], []
+    for i, row in enumerate(images):
+        hist = _bins(row, targets[i if square else 0 :], top)
+        nonzero = (hist != 0).nonzero()[0]  # a mask's nonzero is several times faster than a float array's
+        keys.append(nonzero)
+        sums.append(hist[nonzero])
+    rows = np.repeat(np.arange(len(images)), [len(k) for k in keys])
+    key = np.concatenate(keys)
+    cols, dist = key // top, key % top
+    if square:
+        cols += rows
+    pair = rows * columns + cols
+    share = np.concatenate(sums) / images[0][1].sum()  # every x's multiplicities sum to |H|, or to |S|^2
+    if square:
+        below = cols > rows
+        pair = np.concatenate([pair, (cols * columns + rows)[below]])
+        dist = np.concatenate([dist, dist[below]])
+        share = np.concatenate([share, share[below]])
+    return Counts(pair, dist, share, (len(images), columns))
 
 
-def _counts(source: Source, xs: tuple[GraphCode, ...], ys: tuple[GraphCode, ...] | None) -> np.ndarray:
+def _counts(source: Source, xs: tuple[GraphCode, ...], ys: tuple[GraphCode, ...] | None) -> Counts:
     """Counts over a source's node maps: the images of each x against y itself; ys=None means xs."""
     targets = xs if ys is None else ys
     words = code_words(targets, common_space(xs))  # both lists checked before any image is built
     top = _distance_top(xs, targets)
     out = _distance_counts([_distinct_images(source, x) for x in xs], words, top, square=ys is None)
-    out.setflags(write=False)
+    for part in (out.pair, out.dist, out.share):
+        part.setflags(write=False)
     return out
 
 
@@ -465,23 +503,24 @@ def _counts(source: Source, xs: tuple[GraphCode, ...], ys: tuple[GraphCode, ...]
 _group_counts = lru_cache(maxsize=COUNT_CACHE_SIZE)(_counts)
 
 
-def _contract_counts(c: np.ndarray, profile: np.ndarray) -> np.ndarray:
-    """sum over m of c[..., m] profile[m], one fresh sum per entry: equal count rows give equal
-    values wherever they lie, so a symmetric c gives an exactly symmetric Gram and own counts its
-    diagonal bit for bit (a BLAS matrix-vector product rounds a block's tail rows apart)."""
-    return np.einsum("...m,m->...", c, profile[: c.shape[-1]])
+def _contract_counts(c: Counts, profile: np.ndarray) -> np.ndarray:
+    """sum over m of C[..., m] profile[m]: each entry sums its own triples in their order, so
+    equal triples give equal values wherever they lie, a square build an exactly symmetric Gram
+    and own counts its diagonal bit for bit."""
+    weights = profile[c.dist]
+    weights *= c.share
+    return np.bincount(c.pair, weights, minlength=math.prod(c.shape)).reshape(c.shape)
 
 
-def _square_tuning(c: np.ndarray, size: int) -> Callable:
+def _square_tuning(c: Counts, size: int) -> Callable:
     """A function of a profile that gives the square Gram of square counts c and its pullback
     W -> g, of ``size`` entries: W's weights times the counts, so g @ q == <W, Gram at q> for
     every profile q."""
-    rows = c.reshape(-1, c.shape[2])
 
     def pullback(W: np.ndarray) -> np.ndarray:
-        g = np.zeros(size)
-        g[: c.shape[2]] = W.ravel() @ rows
-        return g
+        weights = W.ravel()[c.pair]
+        weights *= c.share
+        return np.bincount(c.dist, weights, minlength=size)
 
     return lambda profile: (_contract_counts(c, profile), pullback)
 
@@ -726,9 +765,11 @@ class ProjectedKernel:
 
     Grams and diagonals of both flavours come from one distance-count
     builder, over the whole group when ``sample`` is None, else over the
-    multiset S^-1 S; only the exact counts are cached. The tuner never
-    builds a Gram's derivatives: it contracts the same counts once with its
-    weight matrix (:meth:`tuning_counts`), fetching exact counts once per
+    multiset S^-1 S, as (pair, distance, share) triples of their nonzeros
+    (:class:`Counts`); a diagonal's own counts are triples with pair = i.
+    Only the exact counts are cached. The tuner never builds a Gram's
+    derivatives: it contracts the same triples once with its weight matrix
+    (:meth:`tuning_counts`), fetching exact counts once per
     tuning run and building Monte Carlo ones at each evaluation, as
     :meth:`gram` does. The Monte Carlo flavour evaluates the sampled
     estimator at :func:`orbit_representative` of each code, so
@@ -793,7 +834,10 @@ class ProjectedKernel:
         xs = self._points(xs)
         top = _distance_top(xs, xs)
         sides = zip((_distinct_images(self._source, x) for x in xs), code_words(xs)[:, None])
-        counts = np.stack([_bins(images, target, top)[0] / images[1].sum() for images, target in sides])
+        own = np.concatenate([_bins(images, target, top) / images[1].sum() for images, target in sides])
+        nonzero = np.flatnonzero(own)
+        pair, dist = np.divmod(nonzero, top)
+        counts = Counts(pair, dist, own[nonzero], (len(xs),))
         return _contract_counts(counts, kernel_profile(self.spec, self.space.d))
 
     def _points(self, xs: Sequence[GraphCode]) -> Sequence[GraphCode]:

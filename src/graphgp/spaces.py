@@ -398,7 +398,7 @@ def word_distances(words: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """(len(words), len(targets)) Hamming distances between two word matrices."""
     acc = np.zeros((words.shape[0], targets.shape[0]), dtype=np.int64)
     for w in range(words.shape[1]):
-        acc += popcount_u64(words[:, w, None] ^ targets[None, :, w])
+        acc += (_bitwise_count or popcount_u64)(words[:, w, None] ^ targets[None, :, w])
     return acc
 
 

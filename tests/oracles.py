@@ -16,6 +16,7 @@ import numpy as np
 
 from graphgp import gp
 from graphgp.kernels import KernelSpec, LaplacianVariant, kernel_profile, level_log_weights
+from graphgp.invariance import Counts
 from graphgp.kravchuk import KravchukTable, build_table
 from graphgp.spaces import GraphCode, GraphSpace, NodePermutation
 
@@ -298,6 +299,22 @@ def sample_counts_by_enumeration(sample, xs, ys, top: int) -> np.ndarray:
             dists = [(a ^ b).bit_count() for a in images_x for b in images_y]
             out[i, j] = np.bincount(dists, minlength=top) / len(sample) ** 2
     return out
+
+
+def dense_counts(counts: Counts, top: int) -> np.ndarray:
+    """The dense (*shape, top) tensor of the package's (pair, distance, share) count triples; a
+    (pair, distance) entry given twice, which assignment would hide, is refused."""
+    keys = counts.pair * top + counts.dist
+    assert len(np.unique(keys)) == len(keys), "a (pair, distance) entry occurs twice"
+    out = np.zeros(math.prod(counts.shape) * top)
+    out[keys] = counts.share
+    return out.reshape(*counts.shape, top)
+
+
+def count_triples(dense: np.ndarray) -> Counts:
+    """The package's count triples of a dense (..., top) tensor: its nonzeros, by entry and then distance."""
+    *entry, dist = np.nonzero(dense)
+    return Counts(np.ravel_multi_index(entry, dense.shape[:-1]), dist, dense[(*entry, dist)], dense.shape[:-1])
 
 
 def orbit_by_closure(H, x) -> set[GraphCode]:

@@ -612,6 +612,35 @@ class TestExperiment:
         assert [k.sample for k in calls[:2] + calls[5:7]] == [draws[0]] * 4
         assert [k.sample for k in calls[3:5] + calls[8:10]] == [draws[1]] * 4
 
+    def test_sequential_codes_only_for_methods_that_read_them(self, tmp_path, monkeypatch):
+        mols_path = tmp_path / "mols.jsonl"
+        datasets.save_molecules(mols_path, molecules_like_demo05(12))
+        config = {
+            "dataset": str(mols_path),
+            "aligned_layout": {"type_slots": {"C": 3, "N": 3, "O": 3, "Cl": 3}},
+            "methods": ["naive", "heat_projected"],
+            "restart_multipliers": [1.0],
+            "n_splits": 1,
+            "budget": 2,
+            "seed": 0,
+        }
+        layouts = []
+        original = datasets.encode
+
+        def counted(mol, layout):
+            layouts.append(type(layout).__name__)
+            return original(mol, layout)
+
+        monkeypatch.setattr(datasets, "encode", counted)
+        projected_only = run_experiment(config)
+        assert layouts == ["TypeAlignedLayout"] * 12  # one aligned code per molecule, no sequential ones
+        layouts.clear()
+        with_linear = run_experiment(dict(config, methods=["naive", "heat_projected", "linear"]))
+        assert sorted(layouts) == ["SequentialLayout"] * 12 + ["TypeAlignedLayout"] * 12
+        for split, split_with_linear in zip(projected_only["splits"], with_linear["splits"]):
+            for method in config["methods"]:
+                assert split["methods"][method] == split_with_linear["methods"][method]
+
     def test_aligned_method_requires_layout(self, tmp_path, capsys):
         mols_path = tmp_path / "m.jsonl"
         datasets.save_molecules(mols_path, molecules_from_prior(8, 4, seed=6))

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from oracles import (
+    count_triples,
+    dense_counts,
     exact_gram_by_pairs,
     group_counts_by_enumeration,
     orbit_by_closure,
@@ -13,8 +15,9 @@ from oracles import (
     sample_counts_by_enumeration,
     sampled_gram_by_pairs,
 )
+from synthetic import molecules_like_demo05
 
-from graphgp import gp, invariance, kravchuk, spaces
+from graphgp import datasets, gp, invariance, kravchuk, spaces
 from graphgp.invariance import (
     COUNT_CACHE_SIZE,
     GroupTooLargeError,
@@ -635,11 +638,11 @@ class TestTuningGram:
         else:
             if flavour == "exact":
                 kernel = ProjectedKernel(spec, BLOCKS_12, U12)
-                counts = _group_counts(BLOCKS_12, tuple(xs), None)
+                counts = dense_counts(_group_counts(BLOCKS_12, tuple(xs), None), U12.d + 1)
             else:
                 kernel = ProjectedKernel.monte_carlo(spec, BLOCKS_12, U12, sample_size=5, seed=2)
                 reps = tuple(orbit_representative(BLOCKS_12, x) for x in xs)
-                counts = invariance._counts(kernel.sample, reps, None)
+                counts = dense_counts(invariance._counts(kernel.sample, reps, None), U12.d + 1)
             assert np.array_equal(counts, counts.transpose(1, 0, 2))  # square counts are stored whole
             gram_q = counts @ q[: counts.shape[2]]
         W = rng.standard_normal((len(xs), len(xs)))
@@ -681,6 +684,43 @@ class TestSquareCounts:
             ProjectedKernel.monte_carlo(spec, BLOCKS_12, U12, sample_size=4, seed=1),
         ):
             assert gp.optimize_hyperparameters(kernel, xs, ys, budget=10).evaluations > 1
+
+
+DEMO05_LAYOUT = datasets.TypeAlignedLayout(tuple((e, 3) for e in ("C", "N", "O", "Cl")))  # U12, |H| = 1296
+
+
+def traced_build(build):
+    """(bytes the result holds, tracemalloc peak) of one call of ``build``."""
+    tracemalloc.start()
+    try:
+        result = build()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return held, peak
+
+
+class TestCountMemory:
+    """Counts keep only their nonzeros (3-6% of the dense (n, m, top) tensor on molecules), and no
+    build allocates that tensor."""
+
+    def test_exact_counts_hold_at_most_30_percent_of_the_dense_tensor(self):
+        H = datasets.subgroup_from_layout(DEMO05_LAYOUT)
+        xs = tuple(datasets.encode(m, DEMO05_LAYOUT) for m in molecules_like_demo05(200))
+        assert H.order() == 1296
+        for x in xs:
+            invariance._distinct_images(H, x)  # orbits cached first, as in a tuning run
+        held, _ = traced_build(lambda: invariance._counts(H, xs, None))
+        assert held <= 0.3 * len(xs) ** 2 * invariance._distance_top(xs, xs) * 8
+
+    def test_monte_carlo_square_build_peaks_below_the_dense_tensor(self):
+        H = datasets.subgroup_from_layout(DEMO05_LAYOUT)
+        sample = draw_sample(H, 16, 0)
+        xs = tuple(orbit_representative(H, datasets.encode(m, DEMO05_LAYOUT)) for m in molecules_like_demo05(96))
+        invariance._counts(sample, xs, None)  # images cached, as at every tuning evaluation after the first
+        _, peak = traced_build(lambda: invariance._counts(sample, xs, None))
+        assert peak < len(xs) ** 2 * invariance._distance_top(xs, xs) * 8
 
 
 class TestCountTensorGram:
@@ -796,13 +836,13 @@ class TestDistinctImages:
         top = space.d + 1  # the complete graph lies at distance d from the empty one
         square = group_counts_by_enumeration(H, xs, xs, top)
         cross = group_counts_by_enumeration(H, xs, ys, top)
-        assert np.array_equal(_group_counts(H, tuple(xs), None), square)
-        assert np.array_equal(_group_counts(H, tuple(xs), tuple(ys)), cross)
+        assert np.array_equal(dense_counts(_group_counts(H, tuple(xs), None), top), square)
+        assert np.array_equal(dense_counts(_group_counts(H, tuple(xs), tuple(ys)), top), cross)
 
         for ys_, counts in ((None, square), (ys, cross)):
-            expect = invariance._contract_counts(counts, profile)
+            expect = invariance._contract_counts(count_triples(counts), profile)
             assert np.array_equal(invariant_gram_exact(spec, H, xs, ys_), expect)
-        own = np.stack([square[i, i] for i in range(len(xs))])
+        own = count_triples(np.stack([square[i, i] for i in range(len(xs))]))
         assert np.array_equal(ProjectedKernel(spec, H, space).diag(xs), invariance._contract_counts(own, profile))
 
     @pytest.mark.parametrize("space,H", [(U12, BLOCKS_12), (DL8, BLOCKS_8)])
@@ -814,11 +854,11 @@ class TestDistinctImages:
         assert any((invariance._distinct_images(sample, x)[1] > 1).any() for x in xs)
         top = space.d + 1
         square = sample_counts_by_enumeration(sample, xs, xs, top)
-        assert np.array_equal(invariance._counts(sample, tuple(xs), None), square)
+        assert np.array_equal(dense_counts(invariance._counts(sample, tuple(xs), None), top), square)
         cross = sample_counts_by_enumeration(sample, xs, ys, top)
-        assert np.array_equal(invariance._counts(sample, tuple(xs), tuple(ys)), cross)
+        assert np.array_equal(dense_counts(invariance._counts(sample, tuple(xs), tuple(ys)), top), cross)
         spec = KernelSpec(Heat(2.0), variance=1.3)
-        own = np.stack([square[i, i] for i in range(len(xs))])
+        own = count_triples(np.stack([square[i, i] for i in range(len(xs))]))
         kernel = ProjectedKernel(spec, H, space, sample=sample)
         assert np.array_equal(kernel.diag(xs), invariance._contract_counts(own, kernel_profile(spec, space.d)))
 
