@@ -343,7 +343,8 @@ def optimize_hyperparameters(
     evaluation only maps theta to a spec and noise, computes the profile
     and its rates, and contracts, factors, inverts and pulls back. A Monte
     Carlo kernel's counts are the exception: the package caches no sample
-    counts, so each evaluation builds them again.
+    counts, so each evaluation bins them again, from the codes' distinct
+    images and words fetched at entry.
     """
     xs, ys = _training_data(xs, ys)
     names, theta0, unpack, rebuild = _theta_layout(kernel, noise, xs[0].space.d)

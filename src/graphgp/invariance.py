@@ -19,7 +19,8 @@ node maps t, of H or of S^-1 S, with |t(x_i) XOR y_j| = m. Each x keeps its
 distinct images with integer multiplicities (|Stab(x)| each over H), so the
 shares, integer sums over an integer total, equal those over all node maps
 bit for bit. One builder makes them all, one x at a time, by one vectorized
-XOR/popcount of its images against all the ys. Only 3-6% of C is nonzero on
+XOR/popcount of its images against all the ys (a square build bins each pair
+once, from its code with fewer images). Only 3-6% of C is nonzero on
 molecules, so the builder keeps just those entries, as (pair, distance,
 share) triples with pair = i * len(ys) + j (:class:`Counts`), and never
 allocates the dense tensor. A code's images over H grow along H's
@@ -244,13 +245,15 @@ def _slot_perms(sample: tuple[NodePermutation, ...], space: GraphSpace) -> np.nd
 @lru_cache(maxsize=ORBIT_IMAGE_CACHE_SIZE)
 def _distinct_images(source: Source, x: GraphCode) -> tuple[np.ndarray, np.ndarray]:
     """The distinct images t(x) over a source's node maps t, sorted, as a (k, ceil(d/64))
-    uint64 word matrix, and how many node maps give each: (words, multiplicities). Over H, x's
-    orbit grown along H's chain, |Stab(x)| = |H| / |orbit| each; over S^-1 S, one gather."""
+    uint64 word matrix, and how many node maps give each: (words, multiplicities), the counts as
+    float64, the dtype of the weights ``np.bincount`` takes without a cast. Over H, x's orbit
+    grown along H's chain, |Stab(x)| = |H| / |orbit| each; over S^-1 S, one gather."""
     if isinstance(source, PermSubgroup):
         words = _orbit_words(source, code_words([x]), x.space)
-        mult = np.full(len(words), source.order() // len(words))
+        mult = np.full(len(words), float(source.order() // len(words)))
     else:
         words, mult = _distinct_rows(permuted_words(x, _slot_perms(source, x.space)))
+        mult = mult.astype(float)
     words.setflags(write=False)
     mult.setflags(write=False)
     return words, mult
@@ -436,9 +439,8 @@ def _bins(images: tuple[np.ndarray, np.ndarray], targets: np.ndarray, top: int) 
     one word row per target."""
     words, mult = images
     n = len(targets)
-    dist = word_distances(words, targets)
-    dist += np.arange(0, n * top, top)
-    return np.bincount(dist.ravel(), weights=mult.repeat(n), minlength=n * top)
+    keys = word_distances(words, targets) + np.arange(0, n * top, top)  # int64 in one add
+    return np.bincount(keys.ravel(), weights=mult.repeat(n), minlength=n * top)
 
 
 class Counts(NamedTuple):
@@ -460,30 +462,43 @@ def _distance_counts(
 
     ``images`` holds one :func:`_distinct_images` pair per x and ``targets``
     one word row per y; each share is an integer sum over an integer total,
-    rounded once. A ``square`` build (targets = the xs) bins j >= i only and
-    appends each j > i triple again as (j, i): the shares are symmetric in
-    (i, j) bit for bit, so both entries, and the cross build's, get the same
-    shares in the same order.
+    rounded once. A ``square`` build (targets = the xs) bins each pair {i, j}
+    once, from the code with fewer distinct images: rows run in a stable
+    order by image count, and each takes the codes from itself onward in
+    that order. H and S^-1 S are both closed under inverses, so either side
+    gives the same integer histogram. Each pair's run of triples then goes
+    back to pair order (i <= j), and each j > i triple is appended again as
+    (j, i): both entries, and the cross build's, get the same shares in the
+    same order, whatever order the rows were binned in.
     """
     columns = len(targets)
+    order = np.argsort([len(words) for words, _ in images], kind="stable") if square else range(len(images))
+    if square:
+        targets = targets[order]
     keys, sums = [], []
-    for i, row in enumerate(images):
-        hist = _bins(row, targets[i if square else 0 :], top)
+    for k, i in enumerate(order):
+        hist = _bins(images[i], targets[k if square else 0 :], top)
         nonzero = (hist != 0).nonzero()[0]  # a mask's nonzero is several times faster than a float array's
         keys.append(nonzero)
         sums.append(hist[nonzero])
     rows = np.repeat(np.arange(len(images)), [len(k) for k in keys])
-    key = np.concatenate(keys)
-    cols, dist = key // top, key % top
-    if square:
-        cols += rows
-    pair = rows * columns + cols
+    cols, dist = np.divmod(np.concatenate(keys), top)
     share = np.concatenate(sums) / images[0][1].sum()  # every x's multiplicities sum to |H|, or to |S|^2
-    if square:
-        below = cols > rows
-        pair = np.concatenate([pair, (cols * columns + rows)[below]])
-        dist = np.concatenate([dist, dist[below]])
-        share = np.concatenate([share, share[below]])
+    if not square:
+        return Counts(rows * columns + cols, dist, share, (len(images), columns))
+    rows, cols = order[rows], order[rows + cols]
+    pair = np.minimum(rows, cols) * columns + np.maximum(rows, cols)
+    # each pair has one run of triples, ending where the pair changes: move the runs into pair order
+    start = np.flatnonzero(np.diff(pair, prepend=-1))
+    runs = np.argsort(pair[start])
+    length = np.diff(start, append=len(pair))[runs]
+    take = np.repeat(start[runs] - (np.cumsum(length) - length), length) + np.arange(len(pair))
+    pair, dist, share = pair[take], dist[take], share[take]
+    rows, cols = np.divmod(pair, columns)
+    below = cols > rows
+    pair = np.concatenate([pair, (cols * columns + rows)[below]])
+    dist = np.concatenate([dist, dist[below]])
+    share = np.concatenate([share, share[below]])
     return Counts(pair, dist, share, (len(images), columns))
 
 
@@ -769,9 +784,10 @@ class ProjectedKernel:
     (:class:`Counts`); a diagonal's own counts are triples with pair = i.
     Only the exact counts are cached. The tuner never builds a Gram's
     derivatives: it contracts the same triples once with its weight matrix
-    (:meth:`tuning_counts`), fetching exact counts once per
-    tuning run and building Monte Carlo ones at each evaluation, as
-    :meth:`gram` does. The Monte Carlo flavour evaluates the sampled
+    (:meth:`tuning_counts`), fetching exact counts once per tuning run.
+    Monte Carlo counts are built again at each evaluation, but from images,
+    target words and a distance axis fetched once per run, so an evaluation
+    hashes no sample. The Monte Carlo flavour evaluates the sampled
     estimator at :func:`orbit_representative` of each code, so
     its values, like the exact ones, do not change when a graph is
     relabelled by H; it is biased toward the unprojected kernel with weight
@@ -790,11 +806,9 @@ class ProjectedKernel:
         sample: tuple[NodePermutation, ...] | None = None,
     ):
         _require_acts_on(subgroup, space)
-        if sample is None:
-            self._source, self._counts = subgroup, partial(_group_counts, subgroup)
-        else:
+        if sample is not None:
             sample = _checked_sample(sample)
-            self._source, self._counts = sample, partial(_counts, sample)
+        self._source = subgroup if sample is None else sample
         self.spec = spec
         self.subgroup = subgroup
         self.space = space
@@ -821,11 +835,14 @@ class ProjectedKernel:
     def tuning_counts(self, xs: Sequence[GraphCode]) -> Callable:
         """Once per tuning run, a function of a (d + 1) profile that gives the square Gram of
         nonempty xs and its pullback W -> g (see :func:`_square_tuning`). The exact counts are
-        fetched here, once; a Monte Carlo kernel's are not cached, so each call builds them."""
+        fetched here, once. A Monte Carlo kernel's are not cached: its images, target words and
+        distance axis are fetched here, once, and each call runs only :func:`_distance_counts`."""
         points, size = tuple(self._points(xs)), self.space.d + 1
         if self.sample is None:
-            return _square_tuning(self._counts(points, None), size)
-        return lambda profile: _square_tuning(self._counts(points, None), size)(profile)
+            return _square_tuning(_group_counts(self.subgroup, points, None), size)
+        images = [_distinct_images(self._source, x) for x in points]
+        words, top = code_words(points), _distance_top(points, points)
+        return lambda profile: _square_tuning(_distance_counts(images, words, top, square=True), size)(profile)
 
     def diag(self, xs: Sequence[GraphCode]) -> np.ndarray:
         """Prior variances k_H(x, x): each point's own counts, built uncached, without the square Gram."""

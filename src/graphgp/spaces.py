@@ -340,13 +340,17 @@ _bitwise_count = getattr(np, "bitwise_count", None)  # numpy >= 2.0
 
 def popcount_u64(a: np.ndarray) -> np.ndarray:
     """Per-element population count of a uint64 array."""
+    return _popcount(a.astype(np.uint64, copy=False)).astype(np.int64)
+
+
+def _popcount(a: np.ndarray) -> np.ndarray:
+    """Per-element population count of a uint64 array, as uint8."""
     if _bitwise_count is not None:
-        return _bitwise_count(a.astype(np.uint64, copy=False)).astype(np.int64)
-    a = a.astype(np.uint64, copy=True)
-    a -= (a >> np.uint64(1)) & _M1
+        return _bitwise_count(a)
+    a = a - ((a >> np.uint64(1)) & _M1)
     a = (a & _M2) + ((a >> np.uint64(2)) & _M2)
     a = (a + (a >> np.uint64(4))) & _M4
-    return ((a * _H01) >> np.uint64(56)).astype(np.int64)
+    return ((a * _H01) >> np.uint64(56)).astype(np.uint8)
 
 
 def _word_count(d: int) -> int:
@@ -395,10 +399,13 @@ def apply_permutation(sigma: NodePermutation, x: GraphCode) -> GraphCode:
 
 
 def word_distances(words: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """(len(words), len(targets)) Hamming distances between two word matrices."""
-    acc = np.zeros((words.shape[0], targets.shape[0]), dtype=np.int64)
-    for w in range(words.shape[1]):
-        acc += (_bitwise_count or popcount_u64)(words[:, w, None] ^ targets[None, :, w])
+    """(len(words), len(targets)) Hamming distances between two word matrices, in the narrowest
+    unsigned dtype that holds 64 bits per word: uint8 up to 3 words, uint16 up to 1,023."""
+    n_words = words.shape[1]
+    dtype = np.uint8 if n_words <= 3 else np.uint16 if n_words <= 1023 else np.uint32
+    acc = _popcount(words[:, 0, None] ^ targets[None, :, 0]).astype(dtype, copy=False)
+    for w in range(1, n_words):
+        acc += _popcount(words[:, w, None] ^ targets[None, :, w])
     return acc
 
 
@@ -409,7 +416,7 @@ def pairwise_hamming(
     if given, else in one space."""
     space = common_space(xs if ys is None else itertools.chain(xs, ys), space)
     words = code_words(xs, space)
-    return word_distances(words, words if ys is None else code_words(ys, space))
+    return word_distances(words, words if ys is None else code_words(ys, space)).astype(np.int64)
 
 
 def bit_matrix(xs: Sequence[GraphCode], space: GraphSpace | None = None) -> np.ndarray:

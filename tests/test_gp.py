@@ -607,15 +607,16 @@ class TestCountsPerRun:
     def test_monte_carlo_counts_are_built_at_every_evaluation(self, rng, monkeypatch):
         """Monte Carlo counts stay uncached (ROADMAP.md item 1): until the benchmark worker stops
         keeping every round it completes, the faster runs a per-run cache gives raise its peak
-        memory past the benchmark's bound."""
+        memory past the benchmark's bound. A run fetches the images once; each evaluation runs
+        the builder."""
         builds = []
-        real = invariance._counts
+        real = invariance._distance_counts
 
-        def counted(source, xs, ys):
-            builds.append(xs)
-            return real(source, xs, ys)
+        def counted(images, targets, top, square):
+            builds.append(len(images))
+            return real(images, targets, top, square)
 
-        monkeypatch.setattr(invariance, "_counts", counted)
+        monkeypatch.setattr(invariance, "_distance_counts", counted)
         kernel = ProjectedKernel.monte_carlo(KernelSpec(Heat(3.0)), FULL_U4, U4, 5, seed=4)
         xs = distinct_codes(U4, 12, rng)
         result = gp.optimize_hyperparameters(kernel, xs, rng.standard_normal(12), noise=0.5, budget=30)

@@ -795,17 +795,34 @@ class TestCountTensorGram:
 
     def test_monte_carlo_tuning_builds_counts_once_per_evaluation(self, rng, monkeypatch):
         builds = []
-        original = invariance._counts
+        original = invariance._distance_counts
 
-        def counted(sample, xs, ys):
-            builds.append(len(xs))
-            return original(sample, xs, ys)
+        def counted(images, targets, top, square):
+            builds.append(len(images))
+            return original(images, targets, top, square)
 
-        monkeypatch.setattr(invariance, "_counts", counted)
+        monkeypatch.setattr(invariance, "_distance_counts", counted)
         xs = sparse_codes(U12, rng, 12, density=0.3)
         kernel = ProjectedKernel.monte_carlo(KernelSpec(Heat(4.0)), BLOCKS_12, U12, sample_size=4, seed=1)
         result = gp.optimize_hyperparameters(kernel, xs, rng.standard_normal(len(xs)), budget=15)
         assert len(builds) == result.evaluations > 1
+
+    def test_monte_carlo_evaluations_fetch_no_per_run_inputs(self, rng, monkeypatch):
+        # images, target words and the distance axis are fetched when the run is set up
+        xs = sparse_codes(U12, rng, 12, density=0.3)
+        kernel = ProjectedKernel.monte_carlo(KernelSpec(Heat(4.0)), BLOCKS_12, U12, sample_size=4, seed=1)
+        expected = kernel.gram(xs)
+        gram_at = kernel.tuning_counts(xs)
+        calls = []
+        for name in ("_distinct_images", "code_words", "_distance_top"):
+            real = getattr(invariance, name)
+            monkeypatch.setattr(invariance, name, lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
+        profile = kernel_profile(kernel.spec, U12.d)
+        for _ in range(3):
+            K, pullback = gram_at(profile)
+            pullback(np.eye(len(xs)))
+        assert calls == []
+        assert np.array_equal(K, expected)
 
     def test_cache_stays_within_its_size(self, rng):
         spec = KernelSpec(Heat(1.0))
@@ -873,6 +890,58 @@ class TestDistinctImages:
                 hist = pair_histogram(H, x, y)
                 assert hist.sum() == H.order()
                 assert np.array_equal(hist / H.order(), group_counts_by_enumeration(H, [x], [y], space.d + 1)[0, 0])
+
+
+class TestSquareBinning:
+    """A square build bins each pair {i, j} once, from the code with fewer distinct images, and
+    keeps the triples in pair order."""
+
+    @pytest.mark.parametrize("sampled", [False, True], ids=["exact", "sample"])
+    def test_each_pair_is_binned_from_its_smaller_side(self, rng, monkeypatch, sampled):
+        source = (*draw_sample(BLOCKS_12, 5, 7), NodePermutation.identity(12)) if sampled else BLOCKS_12
+        xs = tuple(sparse_codes(U12, rng, 5) + stabilized_codes(U12, BLOCKS_12))  # large orbits first
+        sizes = [len(invariance._distinct_images(source, x)[0]) for x in xs]
+        assert min(sizes) == 1 and max(sizes) > 20
+        work = []
+        real = invariance.word_distances
+
+        def recorded(words, targets):
+            work.append(len(words) * len(targets))
+            return real(words, targets)
+
+        monkeypatch.setattr(invariance, "word_distances", recorded)
+        counts = invariance._counts(source, xs, None)
+        n, top = len(xs), U12.d + 1
+        assert sum(work) == sum(min(sizes[i], sizes[j]) for i in range(n) for j in range(i, n))
+
+        enumerate_counts = sample_counts_by_enumeration if sampled else group_counts_by_enumeration
+        assert np.array_equal(dense_counts(counts, top), enumerate_counts(source, xs, xs, top))
+
+        rows, cols = np.divmod(counts.pair, n)
+        upper = int((rows <= cols).sum())
+        assert (rows[:upper] <= cols[:upper]).all()
+        assert (np.diff(counts.pair[:upper] * top + counts.dist[:upper]) > 0).all()  # by pair, then distance
+        below = cols[:upper] > rows[:upper]
+        assert np.array_equal(counts.pair[upper:], (cols[:upper] * n + rows[:upper])[below])
+        assert np.array_equal(counts.dist[upper:], counts.dist[:upper][below])
+        assert np.array_equal(counts.share[upper:], counts.share[:upper][below])
+
+    @pytest.mark.parametrize("bitwise_count", [True, False], ids=["bitwise_count", "swar"])
+    def test_gram_on_four_word_codes_matches_enumeration(self, rng, monkeypatch, bitwise_count):
+        # d = 256: the empty and complete graphs lie at distance 256, beyond a uint8
+        if not bitwise_count:
+            monkeypatch.setattr(spaces, "_bitwise_count", None)
+        DL16 = GraphSpace(GraphSpaceKind.DIRECTED_LOOPS, 16)
+        H = PermSubgroup(16, ((0, 1, 2), (3, 4), *((v,) for v in range(5, 16))))
+        xs = [DL16.empty_code(), DL16.code_from_int((1 << DL16.d) - 1), *sparse_codes(DL16, rng, 3, density=0.05)]
+        top = DL16.d + 1
+        oracle = group_counts_by_enumeration(H, xs, xs, top)
+        assert oracle[0, 1, 256] == 1.0
+        assert np.array_equal(dense_counts(invariance._counts(H, tuple(xs), None), top), oracle)
+        spec = KernelSpec(Heat(8.0))
+        np.testing.assert_allclose(
+            ProjectedKernel(spec, H, DL16).gram(xs), exact_gram_by_pairs(spec, H, xs), rtol=1e-12
+        )
 
 
 class TestSampledCountGram:

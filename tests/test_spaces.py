@@ -349,6 +349,20 @@ class TestBulkBitOps:
             for j, y in enumerate(ys := xs):
                 assert D[i, j] == hamming(x, y)
 
+    @pytest.mark.parametrize("bitwise_count", [True, False], ids=["bitwise_count", "swar"])
+    def test_full_distance_of_four_words_does_not_wrap(self, bitwise_count, monkeypatch):
+        # 256 differing bits: one more than a uint8 distance holds
+        if not bitwise_count:
+            monkeypatch.setattr(spaces, "_bitwise_count", None)
+        space = GraphSpace(GraphSpaceKind.DIRECTED_LOOPS, 16)
+        codes = [space.empty_code(), space.code_from_int((1 << space.d) - 1)]
+        words = spaces.code_words(codes)
+        assert words.shape == (2, 4)
+        assert spaces.word_distances(words, words).tolist() == [[0, 256], [256, 0]]
+        D = pairwise_hamming(codes)
+        assert D.dtype == np.int64
+        assert D.tolist() == [[0, 256], [256, 0]]
+
     def test_bit_matrix(self, rng):
         space = GraphSpace(GraphSpaceKind.UNDIRECTED, 3)
         x = space.code_from_bits([1, 0, 1])
