@@ -15,28 +15,36 @@ per orbit, so it is constant on orbits too, whatever the sample. As
 |s_a(x) XOR s_b(y)| = |s_b^-1 s_a(x) XOR y|, it is a single average too, over
 the multiset S^-1 S of the |S|^2 node maps s_b^-1 s_a. Both are the kernel
 profile k(0..d) contracted with distance counts C[i, j, m]: the share of the
-node maps t, of H or of S^-1 S, with |t(x_i) XOR y_j| = m. Each x keeps its
-distinct images with integer multiplicities (|Stab(x)| each over H), so the
-shares, integer sums over an integer total, equal those over all node maps
-bit for bit. One builder makes them all, one x at a time, by one vectorized
-XOR/popcount of its images against all the ys (a square build bins each pair
-once, from its code with fewer images). Only 3-6% of C is nonzero on
-molecules, so the builder keeps just those entries, as (pair, distance,
-share) triples with pair = i * len(ys) + j (:class:`Counts`), and never
-allocates the dense tensor. A code's images over H grow along H's
-stabilizer chain (below), so exact cost follows the size of its orbit, not
-|H|; only a sample's images come from one gather of its bits through the
-(|S|^2, d) slot-permutation array. The counts do not depend on the kernel;
-the exact ones are cached per (H, xs, ys) and a tuning run fetches them
-once, so each of its objective evaluations costs two weighted bincounts
-over the triples: the Gram, by pair, of share * profile[distance], and the
-pullback of the gradient's weight matrix W, by distance, of share * W[pair].
-Exact
-evaluation visits whole orbits: a chain step that would gather more than
-``ENUMERATION_CAP`` image rows is refused, whatever |H|. Deciding whether two
-graphs share an orbit reduces to three such kernel values, so no shortcut
-exists in general (for H the full symmetric group this is exactly
-graph-isomorphism testing).
+node maps t, of H or of S^-1 S, with |t(x_i) XOR y_j| = m. Each such count
+is an integer over an integer total, so the builder may take it from any
+images that give the same integers. Over H it splits H into two halves,
+H = H_A x H_B, its blocks in two sets of orders as close as possible (H_B
+trivial for one block): as |s_a s_b(x) XOR y| = |s_b(x) XOR s_a^-1(y)|, it
+bins x's distinct H_B images (|Stab_B(x)| node maps each) against y's
+distinct H_A images (|Stab_A(y)| each), half-orbits of at most |H_B| and
+|H_A| rows instead of x's whole orbit. Over a sample it bins x's distinct
+S^-1 S images, with their multiplicities, against y itself. One builder
+makes them all, one x at a time, by one vectorized XOR/popcount of its
+row-side images against the column-side images of all the ys (a square
+build bins each pair once, from its cheaper side). Only 3-6% of C is
+nonzero on molecules, so the builder keeps just those entries, as (pair,
+distance, share) triples with pair = i * len(ys) + j (:class:`Counts`),
+and never allocates the dense tensor. Half-orbits grow along their half's
+stabilizer chain (below), for every code a build needs in one batched walk,
+so exact cost follows half-orbit sizes, not |H|; a sample's images come
+from one gather of each code's bits through the (|S|^2, d)
+slot-permutation array. Images are cached per (source, code) under one
+byte budget. The counts do not depend on the kernel; the exact ones are
+cached per (H, xs, ys) and a tuning run fetches them once, so each of its
+objective evaluations costs two weighted bincounts over the triples: the
+Gram, by pair, of share * profile[distance], and the pullback of the
+gradient's weight matrix W, by distance, of share * W[pair]. Exact
+evaluation visits whole half-orbits: a chain step of one code that would
+gather more than ``ENUMERATION_CAP`` image rows is refused, whatever |H|,
+and so is a pair of codes whose half-orbits would give more image pairs
+than that. Deciding whether two graphs share an orbit reduces to three such
+kernel values, so no shortcut exists in general (for H the full symmetric
+group this is exactly graph-isomorphism testing).
 
 The same orbits, viewed as vertices of a weighted quotient graph, carry the
 spectral kernel directly: the group-averaged kernel equals the quotient
@@ -82,10 +90,15 @@ from .spaces import (
     word_distances,
 )
 
-#: Image rows one gather may produce: a chain step's orbit rows times the step's rows, or a
-#: sample's |S|^2 node maps s_b^-1 s_a. Refusing a dense U11 code under S11 takes 0.1 s and a
-#: 46 MB tracemalloc peak at this cap, against 1.4 s and 464 MB at 5,000,000 rows (2-vCPU host).
+#: Image rows one gather may produce for one code: a chain step's orbit rows times the step's rows,
+#: or a sample's |S|^2 node maps s_b^-1 s_a; and image pairs one pair of codes may bin, a row-side
+#: half-orbit times a column-side one. Refusing a dense U11 code under S11 takes 0.1 s and a 46 MB
+#: tracemalloc peak at this cap, against 1.4 s and 464 MB at 5,000,000 rows (2-vCPU host).
 ENUMERATION_CAP = 2**21
+
+#: Image rows one chain step may gather over several codes at once; a larger batch is split
+#: between codes, so a batched walk peaks no higher than its largest code alone would.
+ORBIT_BATCH_ROWS = 2**16
 
 #: Refuse to enumerate graph spaces with more than 2^QUOTIENT_MAX_DIM codes.
 QUOTIENT_MAX_DIM = 16
@@ -103,14 +116,18 @@ COUNT_CACHE_SIZE = 8
 #: sum over blocks of b(b+1)/2 - 1 rows of d entries (11 KB at |H| = 1296).
 SLOT_PERMS_CACHE_SIZE = 4
 
-#: Distinct-image matrices kept for reuse, one per (source, code), of one
-#: ceil(d/64) * 8-byte row plus an 8-byte multiplicity per distinct image.
-#: Over H: at most |H| rows (16 MB for 512 codes at |H| = 1296, d = 66), 241
-#: on average over the benchmark molecules (about 3 MB for 512 codes). Over a
-#: sample's S^-1 S: at most min(|S|^2, |orbit|) rows, about 100 on average
-#: at |S| = 16 and 195 at |S| = 32 on the benchmark molecules. 512 covers the
-#: 256 codes a 64-train, 192-point prediction touches.
-ORBIT_IMAGE_CACHE_SIZE = 512
+#: Bytes of distinct images kept for reuse, least recently used out first. An entry, one per
+#: (source, code), counts its ceil(d/64) * 8-byte word rows, its multiplicities (one 8-byte value
+#: over a group, 8 bytes per row over a sample) and IMAGE_ENTRY_BYTES for the objects holding
+#: them. Over H an entry is one half-orbit, at most |H_A| or |H_B| rows: 36 at |H| = 1296, 15 on
+#: average over the benchmark molecules' H_B halves, so the 256 codes of a 64-train, 192-point
+#: prediction take about 0.4 MB. Over a sample's S^-1 S: at most min(|S|^2, |orbit|) rows,
+#: about 100 on average at |S| = 16 and 195 at |S| = 32 on the benchmark molecules.
+ORBIT_IMAGE_CACHE_BYTES = 8 << 20
+
+#: The Python objects around one cached image entry: its key, the pair, the word array and the
+#: multiplicities (250-400 bytes an entry under tracemalloc, over 300 entries of U12 codes).
+IMAGE_ENTRY_BYTES = 512
 
 #: Class-by-class kernel matrices a quotient keeps, least recently used first
 #: out; each is num_classes^2 float64 values (195 KB for the 156 classes of U6
@@ -242,31 +259,119 @@ def _slot_perms(sample: tuple[NodePermutation, ...], space: GraphSpace) -> np.nd
     return perms
 
 
-@lru_cache(maxsize=ORBIT_IMAGE_CACHE_SIZE)
-def _distinct_images(source: Source, x: GraphCode) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct images t(x) over a source's node maps t, sorted, as a (k, ceil(d/64))
-    uint64 word matrix, and how many node maps give each: (words, multiplicities), the counts as
-    float64, the dtype of the weights ``np.bincount`` takes without a cast. Over H, x's orbit
-    grown along H's chain, |Stab(x)| = |H| / |orbit| each; over S^-1 S, one gather."""
+#: One code's distinct images: a (k, ceil(d/64)) uint64 word matrix, sorted, and how many node maps
+#: give each image, as one float over a group (where they are all |Stab(x)|) or as a float64 array
+#: over a sample, the dtype of the weights ``np.bincount`` takes without a cast.
+Images = tuple[np.ndarray, float | np.ndarray]
+
+
+class ImageCacheInfo(NamedTuple):
+    """``functools.lru_cache``'s counters (``maxsize`` None: the budget is in bytes), plus bytes."""
+
+    hits: int
+    misses: int
+    maxsize: None
+    currsize: int
+    bytes: int
+    maxbytes: int
+
+
+class ImageCache:
+    """Distinct images per (source, code), least recently used out past a byte budget.
+
+    ``cache(source, x)`` gives x's :data:`Images` under a source's node maps;
+    :meth:`many` gives those of many codes, growing all the codes it does not
+    hold together (over a group, in one walk of its chain). Entries sit in
+    one bucket per source, so a call hashes its source once (a sample's hash
+    walks all of its maps), each in its bucket's order of use and stamped
+    with its last use. Each entry counts its arrays' bytes plus
+    ``IMAGE_ENTRY_BYTES``; one larger than the whole budget is returned
+    uncached.
+    """
+
+    def __init__(self, maxbytes: int):
+        self.maxbytes = maxbytes
+        self.cache_clear()
+
+    def cache_clear(self) -> None:
+        self._buckets: dict[Source, OrderedDict[GraphCode, tuple[Images, int, int]]] = {}
+        self._bytes = self._hits = self._misses = self._uses = 0
+
+    def cache_info(self) -> ImageCacheInfo:
+        size = sum(len(bucket) for bucket in self._buckets.values())
+        return ImageCacheInfo(self._hits, self._misses, None, size, self._bytes, self.maxbytes)
+
+    def __call__(self, source: Source, x: GraphCode) -> Images:
+        return self.many(source, (x,))[0]
+
+    def many(self, source: Source, xs: Sequence[GraphCode]) -> list[Images]:
+        """The images of each code, in order; each code not held is a miss, grown once."""
+        bucket, found = self._buckets.setdefault(source, OrderedDict()), {}
+        for x in xs:
+            if x in bucket:
+                images, size, _ = bucket.pop(x)
+                bucket[x] = images, size, self._uses
+                self._uses += 1
+                found[x] = images
+        missing = [x for x in dict.fromkeys(xs) if x not in found]
+        self._hits += len(xs) - len(missing)
+        self._misses += len(missing)
+        for x, images in zip(missing, _grown_images(source, missing)):
+            found[x] = images
+            size = images[0].nbytes + np.asarray(images[1]).nbytes + IMAGE_ENTRY_BYTES
+            if size <= self.maxbytes:
+                bucket[x] = images, size, self._uses
+                self._uses += 1
+                self._bytes += size
+                while self._bytes > self.maxbytes:  # out goes the least recently used first entry of a bucket
+                    stale, oldest = min(self._buckets.items(), key=lambda kv: next(iter(kv[1].values()))[2])
+                    self._bytes -= oldest.popitem(last=False)[1][1]
+                    if not oldest:
+                        del self._buckets[stale]
+        if not bucket:
+            del self._buckets[source]
+        return [found[x] for x in xs]
+
+
+def _grown_images(source: Source, xs: Sequence[GraphCode]) -> list[Images]:
+    """The distinct images of each code under a source's node maps, read-only: over a group, its
+    orbit, all codes grown in one chain walk, |H| / |orbit| node maps each; over S^-1 S, one
+    gather per code."""
+    if not xs:
+        return []
+    space = xs[0].space
     if isinstance(source, PermSubgroup):
-        words = _orbit_words(source, code_words([x]), x.space)
-        mult = np.full(len(words), float(source.order() // len(words)))
+        images, sizes = _orbit_words(source, code_words(xs, space), space)
+        order = source.order()
+        # each its own buffer, so the cache's bytes are the bytes it holds
+        out = [(words.copy(), float(order // len(words))) for words in np.split(images, np.cumsum(sizes)[:-1])]
     else:
-        words, mult = _distinct_rows(permuted_words(x, _slot_perms(source, x.space)))
-        mult = mult.astype(float)
-    words.setflags(write=False)
-    mult.setflags(write=False)
-    return words, mult
+        out = [_distinct_rows(permuted_words(x, _slot_perms(source, space)))[:2] for x in xs]
+        out = [(words, mult.astype(float)) for words, mult in out]
+    for words, mult in out:
+        words.setflags(write=False)
+        if isinstance(mult, np.ndarray):
+            mult.setflags(write=False)
+    return out
 
 
-def _distinct_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a word matrix, sorted with the last word as the most significant key
-    (row 0 is the least code), and how many times each occurs."""
-    words = words[np.lexsort(words.T)]
+#: The distinct images of codes, cached: ``_distinct_images(source, x)``, or ``.many(source, xs)``.
+_distinct_images = ImageCache(ORBIT_IMAGE_CACHE_BYTES)
+
+
+def _distinct_rows(words: np.ndarray, ids: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The distinct rows of a word matrix, of each id's rows apart when ``ids`` are given, sorted
+    by id and then with the last word as the most significant key (row 0 is the least code), how
+    many times each occurs, and their ids."""
+    sort = np.lexsort((*words.T,) if ids is None else (*words.T, ids))
+    words = words[sort]
     new = np.ones(len(words), dtype=bool)
     (words[1:] != words[:-1]).any(axis=1, out=new[1:])
+    if ids is not None:
+        ids = ids[sort]
+        new[1:] |= ids[1:] != ids[:-1]
     first = new.nonzero()[0]
-    return words[first], np.diff(first, append=len(words))
+    return words[first], np.diff(first, append=len(words)), None if ids is None else ids[first]
 
 
 @lru_cache(maxsize=PAIR_HISTOGRAM_CACHE_SIZE)
@@ -277,11 +382,12 @@ def pair_histogram(H: PermSubgroup, x: GraphCode, y: GraphCode) -> np.ndarray:
     single exact group-averaged kernel value contracts with the profile
     (:func:`invariant_kernel_exact` builds those as a 1x1 Gram). Nothing in
     the package reads it; it stays cached for outside readers of its
-    ``cache_info()``.
+    ``cache_info()``. It bins the whole orbit of one code against the other.
     """
     if y.bits < x.bits:
         x, y = y, x
-    hist = _bins(_distinct_images(H, x), code_words([y], x.space), x.space.d + 1)
+    words, mult = _distinct_images(H, x)
+    hist = _bins((words, mult), code_words([y], x.space), 0, x.space.d + 1) * mult
     hist.setflags(write=False)
     return hist
 
@@ -315,22 +421,65 @@ def _chain(H: PermSubgroup, space: GraphSpace) -> tuple[np.ndarray, ...]:
     return tuple(steps)
 
 
-def _orbit_words(H: PermSubgroup, words: np.ndarray, space: GraphSpace) -> np.ndarray:
-    """The distinct images under H of a (1, ceil(d/64)) word row, sorted (the last word is the
-    most significant key): grown along H's chain, duplicates dropped after each step. A step
-    that would gather more than ``ENUMERATION_CAP`` image rows is refused before it runs."""
-    for step in _chain(H, space):
-        if len(words) * len(step) > ENUMERATION_CAP:
-            raise GroupTooLargeError(
-                f"growing an orbit under a group of order {H.order()} would gather "
-                f"{len(words) * len(step)} image rows in one step, above the enumeration cap "
-                f"{ENUMERATION_CAP}; exact computation over equivalence classes scales with the "
-                f"orbit size (deciding orbit equivalence this way is as hard as the underlying "
-                f"matching problem) - use the Monte Carlo estimator instead, which meets this "
-                f"only where colour refinement leaves an orbit this large (as for regular graphs)"
-            )
-        words, _ = _distinct_rows(_pack_words(_unpack_words(words, space.d)[:, step].reshape(-1, space.d)))
-    return words
+@lru_cache(maxsize=SLOT_PERMS_CACHE_SIZE)
+def _halves(H: PermSubgroup) -> tuple[PermSubgroup, PermSubgroup]:
+    """H = H_A x H_B: H's blocks in two sets whose orders are as close as possible, H_A the one
+    of larger order (H_B is trivial when H has one block), each a subgroup on all of H's nodes."""
+    moving = [block for block in H.blocks if len(block) > 1]
+    reach = {1: ()}  # order of a set of blocks -> the first set found with it
+    for k, block in enumerate(moving):
+        for order, chosen in list(reach.items()):
+            reach.setdefault(order * math.factorial(len(block)), (*chosen, k))
+    total = H.order()
+    order = min(reach, key=lambda o: max(o, total // o))
+    chosen = [[block for k, block in enumerate(moving) if (k in reach[order]) == side] for side in (True, False)]
+    if order * order < total:
+        chosen.reverse()
+
+    def on(blocks):
+        fixed = set(range(H.n)).difference(*blocks)
+        return PermSubgroup(H.n, (*blocks, *((v,) for v in sorted(fixed))))
+
+    return on(chosen[0]), on(chosen[1])
+
+
+def _orbit_words(H: PermSubgroup, words: np.ndarray, space: GraphSpace) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct images under H of each row of a (k, ceil(d/64)) word matrix, grown along H's
+    chain in one walk for all rows, duplicates dropped after each step: (images, sizes), the images
+    of row 0 first, each row's sorted (the last word is the most significant key), and how many
+    each row has. A step over several rows' images that would gather more than
+    ``ORBIT_BATCH_ROWS`` rows is split between them; a step of one row's images that would gather
+    more than ``ENUMERATION_CAP`` is refused before it runs."""
+    steps, done, rows = _chain(H, space), [], len(words)
+    todo = [(np.arange(rows), words, 0)]  # (row ids, their images so far, next step), lowest ids last
+    while todo:
+        ids, words, first = todo.pop()
+        for k in range(first, len(steps)):
+            gather, single = len(words) * len(steps[k]), ids[0] == ids[-1]
+            if gather > ORBIT_BATCH_ROWS and not single:
+                bounds = np.flatnonzero(ids[1:] != ids[:-1]) + 1
+                cut = bounds[np.abs(bounds - len(ids) // 2).argmin()]
+                todo += [(ids[cut:], words[cut:], k), (ids[:cut], words[:cut], k)]
+                break
+            if gather > ENUMERATION_CAP:
+                raise GroupTooLargeError(
+                    f"growing an orbit under a group of order {H.order()} would gather "
+                    f"{gather} image rows in one step, above the enumeration cap "
+                    f"{ENUMERATION_CAP}; exact computation over equivalence classes scales with the "
+                    f"orbit size (deciding orbit equivalence this way is as hard as the underlying "
+                    f"matching problem) - use the Monte Carlo estimator instead, which meets this "
+                    f"only where colour refinement leaves an orbit this large (as for regular graphs)"
+                )
+            gathered = _pack_words(_unpack_words(words, space.d)[:, steps[k]].reshape(-1, space.d))
+            if single:  # one row's images need no id key
+                words = _distinct_rows(gathered)[0]
+                ids = np.full(len(words), ids[0])
+            else:
+                words, _, ids = _distinct_rows(gathered, ids.repeat(len(steps[k])))
+        else:
+            done.append((ids, words))
+    ids = np.concatenate([ids for ids, _ in done])
+    return np.concatenate([words for _, words in done]), np.bincount(ids, minlength=rows)
 
 
 def _fold(steps: Sequence[np.ndarray], values: np.ndarray, combine: np.ufunc) -> np.ndarray:
@@ -350,7 +499,7 @@ def enumerate_orbit(H: PermSubgroup, x: GraphCode, keep_members: bool = True) ->
     """The orbit of a graph under H, grown along H's chain, with its lexicographically minimal
     member; ``GroupTooLargeError`` if a chain step would gather more than ``ENUMERATION_CAP`` rows."""
     space = x.space
-    bits = decode_words(_orbit_words(H, code_words([x]), space))
+    bits = decode_words(_orbit_words(H, code_words([x]), space)[0])
     members = tuple(GraphCode(space, b) for b in bits) if keep_members else None
     return OrbitClass(canonical=GraphCode(space, bits[0]), size=len(bits), members=members)
 
@@ -412,7 +561,7 @@ def orbit_representative(H: PermSubgroup, x: GraphCode) -> GraphCode:
             classes.append(tuple(block[k] for k, _v in run))
     residual = PermSubgroup(H.n, tuple(classes))
     ordered = permuted_words(x, image_sources(order[None], x.space))
-    return GraphCode(x.space, decode_words(_orbit_words(residual, ordered, x.space)[:1])[0])
+    return GraphCode(x.space, decode_words(_orbit_words(residual, ordered, x.space)[0][:1])[0])
 
 
 # -- exact and Monte Carlo group-averaged kernels ---------------------------
@@ -433,14 +582,15 @@ def _distance_top(xs: Sequence[GraphCode], ys: Sequence[GraphCode]) -> int:
     return min(xs[0].space.d, max(x.weight for x in xs) + max(y.weight for y in ys)) + 1
 
 
-def _bins(images: tuple[np.ndarray, np.ndarray], targets: np.ndarray, top: int) -> np.ndarray:
-    """Flat (len(targets) * top) histogram: entry j * top + m counts, by multiplicity, the node
-    maps that take x to distance m of target j, from one :func:`_distinct_images` pair of x and
-    one word row per target."""
+def _bins(images: Images, targets: np.ndarray, keys: np.ndarray | int, size: int) -> np.ndarray:
+    """Histogram of ``size`` entries of one code's images against target word rows: entry
+    keys[t] + m counts the image and target t at distance m. A sample's images count by their
+    multiplicities; a group's share one, so they count once each, and the caller scales."""
     words, mult = images
-    n = len(targets)
-    keys = word_distances(words, targets) + np.arange(0, n * top, top)  # int64 in one add
-    return np.bincount(keys.ravel(), weights=mult.repeat(n), minlength=n * top)
+    keys = (word_distances(words, targets) + keys).ravel()  # int64 in one add for array keys
+    if np.ndim(mult) == 0:
+        return np.bincount(keys, minlength=size)
+    return np.bincount(keys, weights=mult.repeat(len(targets)), minlength=size)
 
 
 class Counts(NamedTuple):
@@ -454,60 +604,113 @@ class Counts(NamedTuple):
     shape: tuple[int, ...]
 
 
-def _distance_counts(
-    images: Sequence[tuple[np.ndarray, np.ndarray]], targets: np.ndarray, top: int, square: bool
-) -> Counts:
-    """C[i, j, m], the share of x_i's images, by multiplicity, at distance m from target j, as
-    the triples of its nonzeros, built row by row.
+def _require_pair_work(work: np.ndarray) -> None:
+    """Refuse, before any distance is taken, a pair of codes whose image pairs exceed the cap."""
+    if work.max() > ENUMERATION_CAP:
+        raise GroupTooLargeError(
+            f"binning one pair of codes would take {work.max()} pairs of their half-orbit images, "
+            f"above the enumeration cap {ENUMERATION_CAP}; exact computation over equivalence "
+            f"classes scales with the orbit sizes - use the Monte Carlo estimator instead"
+        )
 
-    ``images`` holds one :func:`_distinct_images` pair per x and ``targets``
-    one word row per y; each share is an integer sum over an integer total,
-    rounded once. A ``square`` build (targets = the xs) bins each pair {i, j}
-    once, from the code with fewer distinct images: rows run in a stable
-    order by image count, and each takes the codes from itself onward in
-    that order. H and S^-1 S are both closed under inverses, so either side
-    gives the same integer histogram. Each pair's run of triples then goes
-    back to pair order (i <= j), and each j > i triple is appended again as
-    (j, i): both entries, and the cross build's, get the same shares in the
-    same order, whatever order the rows were binned in.
+
+def _shares(counts: np.ndarray, rows: Sequence[Images], columns: Sequence[Images], i, j) -> np.ndarray:
+    """Counts of row i's images against column j's as shares of all node maps: over H, scaled by
+    |Stab_B(x_i)| |Stab_A(y_j)| first (integers, exact), then divided by |H_B| |H_A|; over a
+    sample, counted by multiplicity already, divided by |S|^2."""
+    (words, mult), (targets, scale) = rows[0], columns[0]
+    if np.ndim(mult):
+        return counts / (mult.sum() * scale * len(targets))
+    counts = counts * (np.array([mult for _, mult in rows])[i] * np.array([mult for _, mult in columns])[j])
+    return counts / (mult * len(words) * scale * len(targets))
+
+
+def _distance_counts(rows: Sequence[Images], columns: Sequence[Images], top: int, square: bool) -> Counts:
+    """C[i, j, m], the share of the node maps that take x_i to distance m of y_j, as the triples
+    of its nonzeros, built row by row from x_i's row-side images against y_j's column-side
+    images (:func:`_sides`).
+
+    Each share is an integer count over an integer total, rounded once. A
+    ``square`` build (columns = the xs' own) bins each pair {i, j} once, from
+    its cheaper side: codes run in a stable order by row-side over
+    column-side image counts D / E, and each row bins against the columns of
+    the codes from itself onward, so pair {i, j} costs min(D_i E_j, D_j E_i)
+    image pairs (for a sample, E = 1: from the code with fewer images). H and
+    S^-1 S are both closed under inverses, so either side gives the same
+    integer histogram. Each pair's run of triples then goes back to pair
+    order (i <= j), and each j > i triple is appended again as (j, i): both
+    entries, and the cross build's, get the same shares in the same order,
+    whatever order the rows were binned in. A pair whose image pairs exceed
+    ``ENUMERATION_CAP`` is refused before any distance is taken.
     """
-    columns = len(targets)
-    order = np.argsort([len(words) for words, _ in images], kind="stable") if square else range(len(images))
+    n, m = len(rows), len(columns)
+    D, E = np.array([len(words) for words, _ in rows]), np.array([len(words) for words, _ in columns])
     if square:
-        targets = targets[order]
-    keys, sums = [], []
+        order = np.argsort(D / E, kind="stable")
+        _require_pair_work(D[order] * np.maximum.accumulate(E[order][::-1])[::-1])
+        E = E[order]
+    else:
+        order = np.arange(n)
+        _require_pair_work(D * E.max())
+    targets = np.concatenate([columns[j][0] for j in (order if square else range(m))])
+    keys = np.repeat(np.arange(0, m * top, top), E)  # target row -> its column's first entry
+    start = np.cumsum(E) - E
+    found, sums = [], []
     for k, i in enumerate(order):
-        hist = _bins(images[i], targets[k if square else 0 :], top)
+        first = k if square else 0
+        hist = _bins(rows[i], targets[start[first] :], keys[start[first] :] - first * top, (m - first) * top)
         nonzero = (hist != 0).nonzero()[0]  # a mask's nonzero is several times faster than a float array's
-        keys.append(nonzero)
+        found.append(nonzero)
         sums.append(hist[nonzero])
-    rows = np.repeat(np.arange(len(images)), [len(k) for k in keys])
-    cols, dist = np.divmod(np.concatenate(keys), top)
-    share = np.concatenate(sums) / images[0][1].sum()  # every x's multiplicities sum to |H|, or to |S|^2
+    at = np.repeat(np.arange(n), [len(k) for k in found])
+    cols, dist = np.divmod(np.concatenate(found), top)
+    if square:
+        at, cols = order[at], order[at + cols]
+    share = _shares(np.concatenate(sums), rows, columns, at, cols)
     if not square:
-        return Counts(rows * columns + cols, dist, share, (len(images), columns))
-    rows, cols = order[rows], order[rows + cols]
-    pair = np.minimum(rows, cols) * columns + np.maximum(rows, cols)
+        return Counts(at * m + cols, dist, share, (n, m))
+    pair = np.minimum(at, cols) * m + np.maximum(at, cols)
     # each pair has one run of triples, ending where the pair changes: move the runs into pair order
     start = np.flatnonzero(np.diff(pair, prepend=-1))
     runs = np.argsort(pair[start])
     length = np.diff(start, append=len(pair))[runs]
     take = np.repeat(start[runs] - (np.cumsum(length) - length), length) + np.arange(len(pair))
     pair, dist, share = pair[take], dist[take], share[take]
-    rows, cols = np.divmod(pair, columns)
-    below = cols > rows
-    pair = np.concatenate([pair, (cols * columns + rows)[below]])
+    at, cols = np.divmod(pair, m)
+    below = cols > at
+    pair = np.concatenate([pair, (cols * m + at)[below]])
     dist = np.concatenate([dist, dist[below]])
     share = np.concatenate([share, share[below]])
-    return Counts(pair, dist, share, (len(images), columns))
+    return Counts(pair, dist, share, (n, m))
+
+
+def _own_counts(rows: Sequence[Images], columns: Sequence[Images], top: int) -> Counts:
+    """Each x's counts against itself, C[i, i, m], as triples with pair = i: row i's images
+    against column i's, both x_i's own."""
+    _require_pair_work(np.array([len(r[0]) * len(c[0]) for r, c in zip(rows, columns)]))
+    hist = np.concatenate([_bins(r, c[0], 0, top) for r, c in zip(rows, columns)])
+    nonzero = np.flatnonzero(hist)
+    pair, dist = np.divmod(nonzero, top)
+    return Counts(pair, dist, _shares(hist[nonzero], rows, columns, pair, pair), (len(rows),))
+
+
+def _sides(source: Source, xs: Sequence[GraphCode], ys: Sequence[GraphCode], words: np.ndarray) -> tuple[list, list]:
+    """The row-side images of the xs and the column-side images of the ys (``words``: the ys' word
+    rows). Over H = H_A x H_B (:func:`_halves`), the xs' H_B half-orbits and the ys' H_A
+    half-orbits, as |s_a s_b(x) XOR y| = |s_b(x) XOR s_a^-1(y)|: one chain walk per half grows
+    those of every code not cached. Over a sample, the xs' S^-1 S images and the ys themselves."""
+    if isinstance(source, PermSubgroup):
+        A, B = _halves(source)
+        return _distinct_images.many(B, xs), _distinct_images.many(A, ys)
+    return _distinct_images.many(source, xs), [(row[None], 1.0) for row in words]
 
 
 def _counts(source: Source, xs: tuple[GraphCode, ...], ys: tuple[GraphCode, ...] | None) -> Counts:
-    """Counts over a source's node maps: the images of each x against y itself; ys=None means xs."""
+    """Counts over a source's node maps of the xs against the ys; ys=None means xs."""
     targets = xs if ys is None else ys
     words = code_words(targets, common_space(xs))  # both lists checked before any image is built
     top = _distance_top(xs, targets)
-    out = _distance_counts([_distinct_images(source, x) for x in xs], words, top, square=ys is None)
+    out = _distance_counts(*_sides(source, xs, targets, words), top, square=ys is None)
     for part in (out.pair, out.dist, out.share):
         part.setflags(write=False)
     return out
@@ -779,23 +982,28 @@ class ProjectedKernel:
     """Group-averaged kernel bound to a space: exact, or Monte Carlo with a fixed sample.
 
     Grams and diagonals of both flavours come from one distance-count
-    builder, over the whole group when ``sample`` is None, else over the
-    multiset S^-1 S, as (pair, distance, share) triples of their nonzeros
+    builder, as (pair, distance, share) triples of their nonzeros
     (:class:`Counts`); a diagonal's own counts are triples with pair = i.
-    Only the exact counts are cached. The tuner never builds a Gram's
-    derivatives: it contracts the same triples once with its weight matrix
-    (:meth:`tuning_counts`), fetching exact counts once per tuning run.
-    Monte Carlo counts are built again at each evaluation, but from images,
-    target words and a distance axis fetched once per run, so an evaluation
-    hashes no sample. The Monte Carlo flavour evaluates the sampled
-    estimator at :func:`orbit_representative` of each code, so
-    its values, like the exact ones, do not change when a graph is
-    relabelled by H; it is biased toward the unprojected kernel with weight
-    1/|S| (see :func:`invariant_kernel_sampled`). ``GroupTooLargeError``
-    refuses |S|^2 above ``ENUMERATION_CAP`` at construction, and a code
-    whose orbit (for Monte Carlo, its representative's search) needs a
-    chain step of more image rows than that when the code is first met;
-    |H| itself is never capped.
+    When ``sample`` is None the builder bins each code's half-orbit under
+    H_B against each other code's half-orbit under H_A (H = H_A x H_B), so
+    no code's whole orbit is grown; else each code's images over the
+    multiset S^-1 S against the other codes. A build grows the half-orbits
+    it lacks in one chain walk per half, and keeps them in the byte-bounded
+    image cache. Only the exact counts are cached. The tuner never builds a
+    Gram's derivatives: it contracts the same triples once with its weight
+    matrix (:meth:`tuning_counts`), fetching exact counts once per tuning
+    run. Monte Carlo counts are built again at each evaluation, but from
+    images, target words and a distance axis fetched once per run, so an
+    evaluation hashes no sample. The Monte Carlo flavour evaluates the
+    sampled estimator at :func:`orbit_representative` of each code, so its
+    values, like the exact ones, do not change when a graph is relabelled by
+    H; it is biased toward the unprojected kernel with weight 1/|S| (see
+    :func:`invariant_kernel_sampled`). ``GroupTooLargeError`` refuses |S|^2
+    above ``ENUMERATION_CAP`` at construction; a code whose half-orbit (for
+    Monte Carlo, its representative's search) needs a chain step of more
+    image rows than that when the code is first met; and a pair of codes
+    whose half-orbits give more image pairs than that, before any distance
+    is taken. |H| itself is never capped.
     """
 
     def __init__(
@@ -840,22 +1048,17 @@ class ProjectedKernel:
         points, size = tuple(self._points(xs)), self.space.d + 1
         if self.sample is None:
             return _square_tuning(_group_counts(self.subgroup, points, None), size)
-        images = [_distinct_images(self._source, x) for x in points]
-        words, top = code_words(points), _distance_top(points, points)
-        return lambda profile: _square_tuning(_distance_counts(images, words, top, square=True), size)(profile)
+        rows, columns = _sides(self._source, points, points, code_words(points))
+        top = _distance_top(points, points)
+        return lambda profile: _square_tuning(_distance_counts(rows, columns, top, square=True), size)(profile)
 
     def diag(self, xs: Sequence[GraphCode]) -> np.ndarray:
         """Prior variances k_H(x, x): each point's own counts, built uncached, without the square Gram."""
         if len(xs) == 0:
             return np.zeros(0)
         xs = self._points(xs)
-        top = _distance_top(xs, xs)
-        sides = zip((_distinct_images(self._source, x) for x in xs), code_words(xs)[:, None])
-        own = np.concatenate([_bins(images, target, top) / images[1].sum() for images, target in sides])
-        nonzero = np.flatnonzero(own)
-        pair, dist = np.divmod(nonzero, top)
-        counts = Counts(pair, dist, own[nonzero], (len(xs),))
-        return _contract_counts(counts, kernel_profile(self.spec, self.space.d))
+        own = _own_counts(*_sides(self._source, xs, xs, code_words(xs)), _distance_top(xs, xs))
+        return _contract_counts(own, kernel_profile(self.spec, self.space.d))
 
     def _points(self, xs: Sequence[GraphCode]) -> Sequence[GraphCode]:
         """The codes, all in the kernel's space, that counts are built at (for Monte Carlo, their representatives)."""

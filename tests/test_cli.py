@@ -305,6 +305,61 @@ class TestFitPredict:
 
         assert isinstance(model.kernel, ProjectedKernel)
 
+    def test_cold_projected_fit_and_predict_walk_each_half_once_per_build(self, tmp_path, monkeypatch):
+        # the benchmark's round: fit --optimize on 64 molecules, then predict at 192, under four S_3
+        # blocks; each build grows the half-orbits it lacks in one chain walk per half (H_A, H_B of
+        # order 36), never a whole orbit of up to 1,296 images
+        layout = datasets.TypeAlignedLayout(tuple((e, 3) for e in ("C", "N", "O", "Cl")))
+        mols = molecules_like_demo05(256)
+        codes = [datasets.encode(m, layout) for m in mols]
+        train, test, model = tmp_path / "train.jsonl", tmp_path / "test.jsonl", tmp_path / "model.json"
+        datasets.write_codes(train, codes[:64], [m.target for m in mols[:64]])
+        datasets.write_codes(test, codes[64:], [m.target for m in mols[64:]])
+        H = datasets.subgroup_from_layout(layout)
+        assert H.order() == 1296
+        events = []
+        walk, build, diag = invariance._orbit_words, invariance._distance_counts, ProjectedKernel.diag
+
+        def walked(G, words, space):
+            out = walk(G, words, space)
+            sizes = out[1] if isinstance(out, tuple) else [len(out)]
+            events.append((G, len(words), max(sizes)))
+            return out
+
+        def built(*args, **kwargs):
+            out = build(*args, **kwargs)
+            events.append("build")
+            return out
+
+        def diagonal(self, xs):
+            out = diag(self, xs)
+            events.append("build")
+            return out
+
+        monkeypatch.setattr(invariance, "_orbit_words", walked)
+        monkeypatch.setattr(invariance, "_distance_counts", built)
+        monkeypatch.setattr(ProjectedKernel, "diag", diagonal)
+        blocks = ["--projected", "|".join(",".join(map(str, b)) for b in H.blocks)]
+        fit = ["fit", "--dataset", str(train), "--kernel", '{"family":"heat","kappa":8}', "--optimize", *blocks]
+        for argv in (fit + ["--out", str(model)], ["predict", "--model", str(model), "--points", str(test), "--out", str(tmp_path / "p.csv")]):
+            for cached in (invariance._distinct_images, invariance._group_counts):
+                cached.cache_clear()  # each command cold, as in a fresh process
+            assert main(argv) == 0
+        walks, per_build = [], []
+        for event in events:
+            if event == "build":
+                per_build.append(walks)
+                walks = []
+            else:
+                walks.append(event)
+        assert walks == [] and len(per_build) == 4  # fit: tuning; predict: square, cross, diagonal
+        trained, fresh = len(set(codes[:64])), len(set(codes[64:]) - set(codes[:64]))  # distinct, not yet grown
+        assert [sorted(n for _, n, _ in build) for build in per_build] == [[trained] * 2] * 2 + [[fresh]] * 2
+        assert all(G.order() == 36 and most <= 36 for build in per_build for G, _, most in build)
+        for build in per_build:
+            groups = [G for G, _, _ in build]
+            assert len(set(groups)) == len(groups) and set(groups) <= set(invariance._halves(H))
+
     def test_fit_refuses_group_above_enumeration_cap(self, tmp_path, capsys, monkeypatch):
         H = PermSubgroup.full(11)
         assert H.order() == 39_916_800 > ENUMERATION_CAP

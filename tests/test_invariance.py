@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -892,16 +893,26 @@ class TestDistinctImages:
                 assert np.array_equal(hist / H.order(), group_counts_by_enumeration(H, [x], [y], space.d + 1)[0, 0])
 
 
+def on_blocks(n, blocks):
+    """The product of symmetric groups on ``blocks``, every other node fixed."""
+    fixed = set(range(n)).difference(*blocks)
+    return PermSubgroup(n, (*blocks, *((v,) for v in fixed)))
+
+
 class TestSquareBinning:
-    """A square build bins each pair {i, j} once, from the code with fewer distinct images, and
-    keeps the triples in pair order."""
+    """A square build bins each pair {i, j} once, from its cheaper side, and keeps the triples in
+    pair order."""
 
     @pytest.mark.parametrize("sampled", [False, True], ids=["exact", "sample"])
     def test_each_pair_is_binned_from_its_smaller_side(self, rng, monkeypatch, sampled):
         source = (*draw_sample(BLOCKS_12, 5, 7), NodePermutation.identity(12)) if sampled else BLOCKS_12
         xs = tuple(sparse_codes(U12, rng, 5) + stabilized_codes(U12, BLOCKS_12))  # large orbits first
-        sizes = [len(invariance._distinct_images(source, x)[0]) for x in xs]
-        assert min(sizes) == 1 and max(sizes) > 20
+        if sampled:  # rows: the distinct S^-1 S images; columns: the codes themselves
+            rows, cols = [len(invariance._distinct_images(source, x)[0]) for x in xs], [1] * len(xs)
+        else:  # rows: the H_B half-orbits, columns: the H_A half-orbits, by closure
+            A, B = on_blocks(12, BLOCKS_12.blocks[:2]), on_blocks(12, BLOCKS_12.blocks[2:])
+            rows, cols = [len(orbit_by_closure(B, x)) for x in xs], [len(orbit_by_closure(A, x)) for x in xs]
+        assert min(rows) == 1 and max(r * c for r, c in zip(rows, cols)) > 20
         work = []
         real = invariance.word_distances
 
@@ -912,7 +923,9 @@ class TestSquareBinning:
         monkeypatch.setattr(invariance, "word_distances", recorded)
         counts = invariance._counts(source, xs, None)
         n, top = len(xs), U12.d + 1
-        assert sum(work) == sum(min(sizes[i], sizes[j]) for i in range(n) for j in range(i, n))
+        assert sum(work) == sum(min(rows[i] * cols[j], rows[j] * cols[i]) for i in range(n) for j in range(i, n))
+        if not sampled:
+            assert invariance._halves(BLOCKS_12) == (A, B)
 
         enumerate_counts = sample_counts_by_enumeration if sampled else group_counts_by_enumeration
         assert np.array_equal(dense_counts(counts, top), enumerate_counts(source, xs, xs, top))
@@ -942,6 +955,149 @@ class TestSquareBinning:
         np.testing.assert_allclose(
             ProjectedKernel(spec, H, DL16).gram(xs), exact_gram_by_pairs(spec, H, xs), rtol=1e-12
         )
+
+
+#: Product groups whose halves H_A x H_B split unevenly, with singleton blocks, over every kind
+#: of space, each with a code that couples a block of H_A to a block of H_B by a matching, so
+#: that its stabilizer holds (a b)(c e) but neither (a b) nor (c e): not Stab_A x Stab_B.
+HALF_CASES = [
+    (GraphSpace(GraphSpaceKind.UNDIRECTED, 7), ((0, 1, 2), (3, 4), (5, 6)), [[0, 3], [1, 4]]),
+    (GraphSpace(GraphSpaceKind.UNDIRECTED_LOOPS, 7), ((0, 1, 2, 3), (4, 5, 6)), [[0, 4], [1, 5], [2, 2], [3, 3]]),
+    (GraphSpace(GraphSpaceKind.DIRECTED, 9), ((0, 1, 2), (3, 4, 5), (6, 7, 8)), [[0, 6], [1, 7]]),
+    (
+        GraphSpace(GraphSpaceKind.DIRECTED_LOOPS, 12),  # d = 144, three words
+        ((0, 1), (2, 3), (4, 5), (6, 7, 8), (9, 10), (11,)),
+        [[6, 0], [7, 1], [11, 11]],
+    ),
+]
+
+
+class TestHalfOrbits:
+    """Exact counts from x's H_B half-orbit against y's H_A half-orbit equal those over all of H."""
+
+    @pytest.mark.parametrize("space,blocks,coupling", HALF_CASES, ids=["U7", "UL7", "D9", "DL12"])
+    def test_halves_are_as_even_as_the_blocks_allow(self, space, blocks, coupling):
+        H = PermSubgroup(space.n, blocks)
+        A, B = invariance._halves(H)
+        assert A.order() * B.order() == H.order() and A.order() >= B.order()
+        moving = [b for b in H.blocks if len(b) > 1]
+        assert sorted(b for G in (A, B) for b in G.blocks if len(b) > 1) == sorted(moving)
+        orders = {math.prod(math.factorial(len(b)) for b in chosen) for k in range(len(moving) + 1)
+                  for chosen in itertools.combinations(moving, k)}
+        assert A.order() == min(max(o, H.order() // o) for o in orders)
+
+    @pytest.mark.parametrize("space,blocks,coupling", HALF_CASES, ids=["U7", "UL7", "D9", "DL12"])
+    def test_counts_and_diagonal_equal_enumeration(self, rng, space, blocks, coupling):
+        H = PermSubgroup(space.n, blocks)
+        A, B = invariance._halves(H)
+        coupled = space.code_from_edges(coupling)
+        assert len(orbit_by_closure(H, coupled)) < len(orbit_by_closure(A, coupled)) * len(orbit_by_closure(B, coupled))
+        xs = [coupled, space.empty_code(), *sparse_codes(space, rng, 5, density=0.3), coupled]
+        xs.append(space.code_from_int((1 << space.d) - 1))
+        ys = sparse_codes(space, rng, 3, density=0.3) + [coupled]
+        for x in set(xs + ys):  # each side's images are x's half-orbit, |Stab| node maps each
+            for G in (A, B):
+                words, mult = invariance._distinct_images(G, x)
+                assert set(spaces.decode_words(words)) == {c.bits for c in orbit_by_closure(G, x)}
+                assert mult * len(words) == G.order()
+        top = space.d + 1
+        square = group_counts_by_enumeration(H, xs, xs, top)
+        assert np.array_equal(dense_counts(invariance._counts(H, tuple(xs), None), top), square)
+        cross = group_counts_by_enumeration(H, xs, ys, top)
+        assert np.array_equal(dense_counts(invariance._counts(H, tuple(xs), tuple(ys)), top), cross)
+        spec = KernelSpec(Heat(2.0), variance=1.3)
+        own = count_triples(np.stack([square[i, i] for i in range(len(xs))]))
+        expect = invariance._contract_counts(own, kernel_profile(spec, space.d))
+        assert np.array_equal(ProjectedKernel(spec, H, space).diag(xs), expect)
+
+    @pytest.mark.parametrize(
+        "space,H",
+        [(U4, PermSubgroup.full(4)), (GraphSpace(GraphSpaceKind.DIRECTED_LOOPS, 5), PermSubgroup(5, ((1, 2, 4), (0,), (3,))))],
+    )
+    def test_one_block_gives_whole_orbits_against_the_codes(self, rng, space, H):
+        A, B = invariance._halves(H)
+        assert (A, B) == (H, PermSubgroup.trivial(space.n))
+        for x in sparse_codes(space, rng, 6, density=0.4):
+            words, mult = invariance._distinct_images(A, x)
+            orbit = enumerate_orbit(H, x)
+            assert np.array_equal(words, spaces.code_words(orbit.members)) and mult == H.order() // orbit.size
+            words, mult = invariance._distinct_images(B, x)
+            assert np.array_equal(words, spaces.code_words([x])) and mult == 1.0
+
+    def test_pairs_of_half_orbits_above_the_cap_refused_before_any_distance(self, monkeypatch):
+        U16 = GraphSpace(GraphSpaceKind.UNDIRECTED, 16)  # d = 120
+        H = PermSubgroup(16, (tuple(range(8)), tuple(range(8, 16))))  # S8 x S8: halves of 40,320
+        xs = sparse_codes(U16, np.random.default_rng(0), 2, density=0.5)
+
+        def refuse(words, targets):
+            raise AssertionError("took the distances of a pair above the cap")
+
+        monkeypatch.setattr(invariance, "word_distances", refuse)
+        invariance._distinct_images.cache_clear()
+        kernel = ProjectedKernel(KernelSpec(Heat(1.0)), H, U16)
+        tracemalloc.start()
+        try:
+            for call in (lambda: kernel.gram(xs), lambda: kernel.gram(xs[:1], xs[1:]), lambda: kernel.diag(xs)):
+                with pytest.raises(GroupTooLargeError, match="enumeration cap"):
+                    call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for G in invariance._halves(H):  # each half-orbit grew under the cap: 40,320 rows
+            assert [len(invariance._distinct_images(G, x)[0]) for x in xs] == [40_320, 40_320]
+        assert peak < 32e6  # about 14 MB; growing one whole orbit to its refusal peaked at 261 MB
+
+
+class TestImageCache:
+    """One cache of distinct images, bounded by bytes: words, multiplicities and a charge per entry."""
+
+    def test_budget_is_stated(self):
+        info = invariance._distinct_images.cache_info()
+        assert info.maxbytes == invariance.ORBIT_IMAGE_CACHE_BYTES > 0 and info.maxsize is None
+
+    def test_filled_past_its_budget_it_holds_the_newest_entries_that_fit(self, rng, monkeypatch):
+        cache, budget = invariance._distinct_images, 100_000
+        monkeypatch.setattr(cache, "maxbytes", budget)
+        cache.cache_clear()
+        xs = sparse_codes(U12, rng, 40, density=0.3)
+        sample = draw_sample(BLOCKS_12, 6, 2)
+        assert len(set(xs)) == len(xs)
+        sizes = []
+        for k, x in enumerate(xs):
+            words, mult = cache(BLOCKS_12 if k % 2 else sample, x)
+            sizes.append(words.nbytes + np.asarray(mult).nbytes + invariance.IMAGE_ENTRY_BYTES)
+        assert sum(sizes) > 2 * budget
+        kept = 0
+        while kept < len(sizes) and sum(sizes[len(sizes) - kept - 1 :]) <= budget:
+            kept += 1
+        info = cache.cache_info()
+        assert (info.currsize, info.bytes) == (kept, sum(sizes[len(sizes) - kept :]))
+        assert info.bytes <= budget
+        assert (info.hits, info.misses) == (0, len(xs))
+        cache.many(BLOCKS_12, [xs[-1], xs[-1], xs[0]])  # the newest held, the oldest long gone
+        assert cache.cache_info()[:2] == (2, len(xs) + 1)
+
+    def test_bytes_counted_cover_the_memory_held(self, rng):
+        cache = invariance._distinct_images
+        xs = sparse_codes(U12, rng, 300, density=0.05)  # small orbits: the charge per entry dominates
+        cache(BLOCKS_12, xs[0])  # the chain built first
+        cache.cache_clear()
+        tracemalloc.start()
+        try:
+            cache.many(BLOCKS_12, xs)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert 0 < held <= cache.cache_info().bytes
+
+    def test_an_entry_above_the_budget_is_returned_uncached(self, monkeypatch):
+        cache = invariance._distinct_images
+        monkeypatch.setattr(cache, "maxbytes", 1_000)
+        cache.cache_clear()
+        x = sparse_codes(U12, np.random.default_rng(1), 1, density=0.3)[0]
+        words, mult = cache(BLOCKS_12, x)
+        assert words.nbytes > 1_000 and mult * len(words) == BLOCKS_12.order()
+        assert cache.cache_info()[:4] == (0, 1, None, 0)
 
 
 class TestSampledCountGram:
@@ -1104,7 +1260,6 @@ def test_a_group_on_other_nodes_is_refused(call):
         (spaces.edge_permutation, spaces.EDGE_PERMUTATION_CACHE_SIZE),
         (invariance._slot_perms, invariance.SLOT_PERMS_CACHE_SIZE),
         (invariance._chain, invariance.SLOT_PERMS_CACHE_SIZE),
-        (invariance._distinct_images, invariance.ORBIT_IMAGE_CACHE_SIZE),
         pytest.param(invariance._group_counts, invariance.COUNT_CACHE_SIZE, id="_group_counts"),
         (invariance.orbit_representative, invariance.REPRESENTATIVE_CACHE_SIZE),
         (invariance.pair_histogram, invariance.PAIR_HISTOGRAM_CACHE_SIZE),
