@@ -40,11 +40,13 @@ objective evaluations costs two weighted bincounts over the triples: the
 Gram, by pair, of share * profile[distance], and the pullback of the
 gradient's weight matrix W, by distance, of share * W[pair]. Exact
 evaluation visits whole half-orbits: a chain step of one code that would
-gather more than ``ENUMERATION_CAP`` image rows is refused, whatever |H|,
-and so is a pair of codes whose half-orbits would give more image pairs
-than that. Deciding whether two graphs share an orbit reduces to three such
-kernel values, so no shortcut exists in general (for H the full symmetric
-group this is exactly graph-isomorphism testing).
+gather more than ``ENUMERATION_CAP`` image rows is refused, whatever |H|;
+a build where some pair of codes would bin more image pairs than that
+from their half-orbits bins the xs' whole orbits against the ys instead
+(a code dense in both halves is then refused as its orbit grows).
+Deciding whether two graphs share an orbit reduces to three such kernel
+values, so no shortcut exists in general (for H the full symmetric group
+this is exactly graph-isomorphism testing).
 
 The same orbits, viewed as vertices of a weighted quotient graph, carry the
 spectral kernel directly: the group-averaged kernel equals the quotient
@@ -91,13 +93,15 @@ from .spaces import (
 )
 
 #: Image rows one gather may produce for one code: a chain step's orbit rows times the step's rows,
-#: or a sample's |S|^2 node maps s_b^-1 s_a; and image pairs one pair of codes may bin, a row-side
-#: half-orbit times a column-side one. Refusing a dense U11 code under S11 takes 0.1 s and a 46 MB
-#: tracemalloc peak at this cap, against 1.4 s and 464 MB at 5,000,000 rows (2-vCPU host).
+#: or a sample's |S|^2 node maps s_b^-1 s_a; and image pairs a build bins for one pair of codes from
+#: half-orbits, a row-side one times a column-side one, before it bins whole orbits instead.
+#: Refusing a dense U11 code under S11 takes 0.1 s and a 22 MB tracemalloc peak at this cap
+#: (2-vCPU host).
 ENUMERATION_CAP = 2**21
 
 #: Image rows one chain step may gather over several codes at once; a larger batch is split
-#: between codes, so a batched walk peaks no higher than its largest code alone would.
+#: between codes, so a batched walk peaks no higher than its largest code alone would. Also the
+#: image rows a step holds as bits at a time (d bytes each) while gathering: the rest as words.
 ORBIT_BATCH_ROWS = 2**16
 
 #: Refuse to enumerate graph spaces with more than 2^QUOTIENT_MAX_DIM codes.
@@ -306,7 +310,7 @@ class ImageCache:
 
     def many(self, source: Source, xs: Sequence[GraphCode]) -> list[Images]:
         """The images of each code, in order; each code not held is a miss, grown once."""
-        bucket, found = self._buckets.setdefault(source, OrderedDict()), {}
+        bucket, found = self._buckets.get(source, {}), {}  # made when an entry is first stored
         for x in xs:
             if x in bucket:
                 images, size, _ = bucket.pop(x)
@@ -316,20 +320,21 @@ class ImageCache:
         missing = [x for x in dict.fromkeys(xs) if x not in found]
         self._hits += len(xs) - len(missing)
         self._misses += len(missing)
-        for x, images in zip(missing, _grown_images(source, missing)):
+        for x, images in zip(missing, _grown_images(source, missing)):  # a refusal stores nothing
             found[x] = images
             size = images[0].nbytes + np.asarray(images[1]).nbytes + IMAGE_ENTRY_BYTES
             if size <= self.maxbytes:
+                if not bucket:  # the newest entry keeps it out of eviction's way from here on
+                    bucket = self._buckets[source] = OrderedDict()
                 bucket[x] = images, size, self._uses
                 self._uses += 1
                 self._bytes += size
                 while self._bytes > self.maxbytes:  # out goes the least recently used first entry of a bucket
-                    stale, oldest = min(self._buckets.items(), key=lambda kv: next(iter(kv[1].values()))[2])
+                    held = ((s, entries) for s, entries in self._buckets.items() if entries)
+                    stale, oldest = min(held, key=lambda kv: next(iter(kv[1].values()))[2])
                     self._bytes -= oldest.popitem(last=False)[1][1]
                     if not oldest:
                         del self._buckets[stale]
-        if not bucket:
-            del self._buckets[source]
         return [found[x] for x in xs]
 
 
@@ -443,6 +448,18 @@ def _halves(H: PermSubgroup) -> tuple[PermSubgroup, PermSubgroup]:
     return on(chosen[0]), on(chosen[1])
 
 
+def _gathered(words: np.ndarray, step: np.ndarray, d: int) -> np.ndarray:
+    """The images of each row of a word matrix under each row of a chain step, row r's at
+    r * len(step) onward, unpacked to bits ``ORBIT_BATCH_ROWS`` images at a time: a step holds
+    its images as words and one chunk of them as bits (d bytes a row), not all of them."""
+    out = np.empty((len(words) * len(step), words.shape[1]), dtype=np.uint64)
+    per = max(1, ORBIT_BATCH_ROWS // len(step))
+    for r in range(0, len(words), per):
+        bits = _unpack_words(words[r : r + per], d)[:, step].reshape(-1, d)
+        out[r * len(step) : r * len(step) + len(bits)] = _pack_words(bits)
+    return out
+
+
 def _orbit_words(H: PermSubgroup, words: np.ndarray, space: GraphSpace) -> tuple[np.ndarray, np.ndarray]:
     """The distinct images under H of each row of a (k, ceil(d/64)) word matrix, grown along H's
     chain in one walk for all rows, duplicates dropped after each step: (images, sizes), the images
@@ -470,7 +487,7 @@ def _orbit_words(H: PermSubgroup, words: np.ndarray, space: GraphSpace) -> tuple
                     f"matching problem) - use the Monte Carlo estimator instead, which meets this "
                     f"only where colour refinement leaves an orbit this large (as for regular graphs)"
                 )
-            gathered = _pack_words(_unpack_words(words, space.d)[:, steps[k]].reshape(-1, space.d))
+            gathered = _gathered(words, steps[k], space.d)
             if single:  # one row's images need no id key
                 words = _distinct_rows(gathered)[0]
                 ids = np.full(len(words), ids[0])
@@ -604,16 +621,6 @@ class Counts(NamedTuple):
     shape: tuple[int, ...]
 
 
-def _require_pair_work(work: np.ndarray) -> None:
-    """Refuse, before any distance is taken, a pair of codes whose image pairs exceed the cap."""
-    if work.max() > ENUMERATION_CAP:
-        raise GroupTooLargeError(
-            f"binning one pair of codes would take {work.max()} pairs of their half-orbit images, "
-            f"above the enumeration cap {ENUMERATION_CAP}; exact computation over equivalence "
-            f"classes scales with the orbit sizes - use the Monte Carlo estimator instead"
-        )
-
-
 def _shares(counts: np.ndarray, rows: Sequence[Images], columns: Sequence[Images], i, j) -> np.ndarray:
     """Counts of row i's images against column j's as shares of all node maps: over H, scaled by
     |Stab_B(x_i)| |Stab_A(y_j)| first (integers, exact), then divided by |H_B| |H_A|; over a
@@ -640,18 +647,15 @@ def _distance_counts(rows: Sequence[Images], columns: Sequence[Images], top: int
     integer histogram. Each pair's run of triples then goes back to pair
     order (i <= j), and each j > i triple is appended again as (j, i): both
     entries, and the cross build's, get the same shares in the same order,
-    whatever order the rows were binned in. A pair whose image pairs exceed
-    ``ENUMERATION_CAP`` is refused before any distance is taken.
+    whatever order the rows were binned in.
     """
     n, m = len(rows), len(columns)
     D, E = np.array([len(words) for words, _ in rows]), np.array([len(words) for words, _ in columns])
     if square:
         order = np.argsort(D / E, kind="stable")
-        _require_pair_work(D[order] * np.maximum.accumulate(E[order][::-1])[::-1])
         E = E[order]
     else:
         order = np.arange(n)
-        _require_pair_work(D * E.max())
     targets = np.concatenate([columns[j][0] for j in (order if square else range(m))])
     keys = np.repeat(np.arange(0, m * top, top), E)  # target row -> its column's first entry
     start = np.cumsum(E) - E
@@ -687,7 +691,6 @@ def _distance_counts(rows: Sequence[Images], columns: Sequence[Images], top: int
 def _own_counts(rows: Sequence[Images], columns: Sequence[Images], top: int) -> Counts:
     """Each x's counts against itself, C[i, i, m], as triples with pair = i: row i's images
     against column i's, both x_i's own."""
-    _require_pair_work(np.array([len(r[0]) * len(c[0]) for r, c in zip(rows, columns)]))
     hist = np.concatenate([_bins(r, c[0], 0, top) for r, c in zip(rows, columns)])
     nonzero = np.flatnonzero(hist)
     pair, dist = np.divmod(nonzero, top)
@@ -698,10 +701,16 @@ def _sides(source: Source, xs: Sequence[GraphCode], ys: Sequence[GraphCode], wor
     """The row-side images of the xs and the column-side images of the ys (``words``: the ys' word
     rows). Over H = H_A x H_B (:func:`_halves`), the xs' H_B half-orbits and the ys' H_A
     half-orbits, as |s_a s_b(x) XOR y| = |s_b(x) XOR s_a^-1(y)|: one chain walk per half grows
-    those of every code not cached. Over a sample, the xs' S^-1 S images and the ys themselves."""
+    those of every code not cached. Where some pair of those would bin more than
+    ``ENUMERATION_CAP`` image pairs (a code dense in both halves, or one whose stabilizer couples
+    them), the halves are (trivial, H) instead: the xs' whole orbits against the ys themselves, a
+    pair's work one orbit, grown under the cap. Over a sample, the xs' S^-1 S images and the ys
+    themselves."""
     if isinstance(source, PermSubgroup):
         A, B = _halves(source)
-        return _distinct_images.many(B, xs), _distinct_images.many(A, ys)
+        rows, columns = _distinct_images.many(B, xs), _distinct_images.many(A, ys)
+        if max(len(r[0]) for r in rows) * max(len(c[0]) for c in columns) <= ENUMERATION_CAP:
+            return rows, columns
     return _distinct_images.many(source, xs), [(row[None], 1.0) for row in words]
 
 
@@ -999,11 +1008,11 @@ class ProjectedKernel:
     values, like the exact ones, do not change when a graph is relabelled by
     H; it is biased toward the unprojected kernel with weight 1/|S| (see
     :func:`invariant_kernel_sampled`). ``GroupTooLargeError`` refuses |S|^2
-    above ``ENUMERATION_CAP`` at construction; a code whose half-orbit (for
-    Monte Carlo, its representative's search) needs a chain step of more
-    image rows than that when the code is first met; and a pair of codes
-    whose half-orbits give more image pairs than that, before any distance
-    is taken. |H| itself is never capped.
+    above ``ENUMERATION_CAP`` at construction, and a code whose half-orbit,
+    or whole orbit where half-orbits would pair more images than that (for
+    Monte Carlo, its representative's search), needs a chain step of more
+    image rows than that, when the code is first met. |H| itself is never
+    capped.
     """
 
     def __init__(

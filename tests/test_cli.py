@@ -180,7 +180,7 @@ class TestKernelCommands:
         finally:
             tracemalloc.stop()
         assert "enumeration cap" in capsys.readouterr().err
-        assert peak < 64e6  # about 46 MB, the last gather under the cap; 464 MB at a 5,000,000-row cap
+        assert peak < 64e6  # about 22 MB, the last step under the cap
 
 
 class TestTableDump:

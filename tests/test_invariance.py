@@ -710,8 +710,7 @@ class TestCountMemory:
         H = datasets.subgroup_from_layout(DEMO05_LAYOUT)
         xs = tuple(datasets.encode(m, DEMO05_LAYOUT) for m in molecules_like_demo05(200))
         assert H.order() == 1296
-        for x in xs:
-            invariance._distinct_images(H, x)  # orbits cached first, as in a tuning run
+        invariance._sides(H, xs, xs, spaces.code_words(xs))  # half-orbits cached first, as in a tuning run
         held, _ = traced_build(lambda: invariance._counts(H, xs, None))
         assert held <= 0.3 * len(xs) ** 2 * invariance._distance_top(xs, xs) * 8
 
@@ -986,8 +985,11 @@ class TestHalfOrbits:
                   for chosen in itertools.combinations(moving, k)}
         assert A.order() == min(max(o, H.order() // o) for o in orders)
 
+    @pytest.mark.parametrize("batch_rows", [None, 4], ids=["one_batch", "split_batches"])
     @pytest.mark.parametrize("space,blocks,coupling", HALF_CASES, ids=["U7", "UL7", "D9", "DL12"])
-    def test_counts_and_diagonal_equal_enumeration(self, rng, space, blocks, coupling):
+    def test_counts_and_diagonal_equal_enumeration(self, rng, monkeypatch, space, blocks, coupling, batch_rows):
+        if batch_rows:  # every step of a batched walk split between its codes, each gathered in chunks
+            monkeypatch.setattr(invariance, "ORBIT_BATCH_ROWS", batch_rows)
         H = PermSubgroup(space.n, blocks)
         A, B = invariance._halves(H)
         coupled = space.code_from_edges(coupling)
@@ -995,9 +997,11 @@ class TestHalfOrbits:
         xs = [coupled, space.empty_code(), *sparse_codes(space, rng, 5, density=0.3), coupled]
         xs.append(space.code_from_int((1 << space.d) - 1))
         ys = sparse_codes(space, rng, 3, density=0.3) + [coupled]
-        for x in set(xs + ys):  # each side's images are x's half-orbit, |Stab| node maps each
-            for G in (A, B):
-                words, mult = invariance._distinct_images(G, x)
+        codes = list(dict.fromkeys(xs + ys))
+        invariance._distinct_images.cache_clear()
+        for G in (A, B):  # each side's images are x's half-orbit, |Stab| node maps each, grown in one walk
+            for x, (words, mult) in zip(codes, invariance._distinct_images.many(G, codes)):
+                assert np.array_equal(words, invariance._orbit_words(G, spaces.code_words([x]), space)[0])
                 assert set(spaces.decode_words(words)) == {c.bits for c in orbit_by_closure(G, x)}
                 assert mult * len(words) == G.order()
         top = space.d + 1
@@ -1024,7 +1028,55 @@ class TestHalfOrbits:
             words, mult = invariance._distinct_images(B, x)
             assert np.array_equal(words, spaces.code_words([x])) and mult == 1.0
 
-    def test_pairs_of_half_orbits_above_the_cap_refused_before_any_distance(self, monkeypatch):
+    def test_pairs_above_the_cap_bin_whole_orbits_against_the_codes(self, monkeypatch):
+        space, H = HALF_CASES[0][0], PermSubgroup(7, HALF_CASES[0][1])  # U7, H_A = S3, H_B = S2 x S2
+        A, B = invariance._halves(H)
+        assert (A.order(), B.order()) == (6, 4)
+        only_b, only_a = space.code_from_edges([[3, 5], [5, 6]]), space.code_from_edges([[0, 1]])
+        xs = [only_b, only_a, space.empty_code(), only_b]
+        sizes = {x: (len(orbit_by_closure(B, x)), len(orbit_by_closure(A, x)), len(orbit_by_closure(H, x))) for x in xs}
+        assert sizes[only_b][0] * sizes[only_a][1] == 12 and max(whole for *_, whole in sizes.values()) == 4
+        # the halves' image pairs (4 x 3) above the cap; every whole-orbit chain step (4 rows) under it
+        monkeypatch.setattr(invariance, "ENUMERATION_CAP", 8)
+        monkeypatch.setattr(invariance, "ORBIT_BATCH_ROWS", 1)
+        invariance._distinct_images.cache_clear()
+        rows, columns = invariance._sides(H, xs, xs, spaces.code_words(xs))
+        assert [len(words) for words, _ in rows] == [sizes[x][2] for x in xs] and {len(w) for w, _ in columns} == {1}
+        top = space.d + 1
+        for ys in (None, xs[1:]):
+            oracle = group_counts_by_enumeration(H, xs, xs if ys is None else ys, top)
+            assert np.array_equal(dense_counts(invariance._counts(H, tuple(xs), ys and tuple(ys)), top), oracle)
+        spec = KernelSpec(Heat(2.0))
+        np.testing.assert_array_equal(ProjectedKernel(spec, H, space).diag(xs), np.diag(ProjectedKernel(spec, H, space).gram(xs)))
+
+    def test_coupled_and_one_sided_codes_on_u16_are_accepted(self):
+        # S8 x S8 on U16: a perfect matching i - 8+i has half-orbits of 8! each (40,320^2 image
+        # pairs, above the cap) but a whole orbit of 8!, the matchings i - 8+p(i); a code on H_B's
+        # nodes alone against one on H_A's nodes alone likewise
+        U16 = GraphSpace(GraphSpaceKind.UNDIRECTED, 16)
+        H = PermSubgroup(16, (tuple(range(8)), tuple(range(8, 16))))
+        spec = KernelSpec(Heat(1.0))
+        kernel, profile = ProjectedKernel(spec, H, U16), kernel_profile(spec, U16.d)
+        matching = U16.code_from_edges([[i, 8 + i] for i in range(8)])
+        A, B = invariance._halves(H)
+        assert [len(invariance._distinct_images(G, matching)[0]) for G in (A, B)] == [40_320, 40_320]
+        # the matching of a permutation p with f fixed points lies at distance 2 (8 - f) from this one
+        derangements = [1, 0]
+        for n in range(2, 9):
+            derangements.append((n - 1) * (derangements[-1] + derangements[-2]))
+        fixed = np.array([math.comb(8, f) * derangements[8 - f] for f in range(9)])  # permutations by f
+        assert fixed.sum() == math.factorial(8)
+        own = fixed @ profile[2 * (8 - np.arange(9))] / math.factorial(8)
+        gram = kernel.gram([matching, U16.empty_code()])
+        np.testing.assert_allclose(gram, [[own, profile[8]], [profile[8], profile[0]]], rtol=1e-12)
+        assert kernel.diag([matching])[0] == gram[0, 0]
+        rng = np.random.default_rng(3)
+        only_b = U16.code_from_edges([[i, j] for i in range(8, 16) for j in range(i + 1, 16) if rng.random() < 0.5])
+        only_a = U16.code_from_edges([[i, j] for i in range(8) for j in range(i + 1, 8) if rng.random() < 0.5])
+        assert len(invariance._distinct_images(B, only_b)[0]) * len(invariance._distinct_images(A, only_a)[0]) > invariance.ENUMERATION_CAP
+        assert kernel.gram([only_b], [only_a])[0, 0] == profile[only_b.weight + only_a.weight]  # disjoint edges
+
+    def test_codes_dense_in_both_halves_refused_before_any_distance(self, monkeypatch):
         U16 = GraphSpace(GraphSpaceKind.UNDIRECTED, 16)  # d = 120
         H = PermSubgroup(16, (tuple(range(8)), tuple(range(8, 16))))  # S8 x S8: halves of 40,320
         xs = sparse_codes(U16, np.random.default_rng(0), 2, density=0.5)
@@ -1045,7 +1097,9 @@ class TestHalfOrbits:
             tracemalloc.stop()
         for G in invariance._halves(H):  # each half-orbit grew under the cap: 40,320 rows
             assert [len(invariance._distinct_images(G, x)[0]) for x in xs] == [40_320, 40_320]
-        assert peak < 32e6  # about 14 MB; growing one whole orbit to its refusal peaked at 261 MB
+        # the halves' image pairs above the cap, each whole orbit (8!^2) refused as it grows: about
+        # 87 MB, the last step under the cap held as words; unpacked to bits at once, 268 MB
+        assert peak < 128e6
 
 
 class TestImageCache:
@@ -1076,6 +1130,26 @@ class TestImageCache:
         assert (info.hits, info.misses) == (0, len(xs))
         cache.many(BLOCKS_12, [xs[-1], xs[-1], xs[0]])  # the newest held, the oldest long gone
         assert cache.cache_info()[:2] == (2, len(xs) + 1)
+
+    def test_a_refused_growth_stores_nothing_and_the_budget_still_holds(self, rng, monkeypatch):
+        cache, budget = invariance._distinct_images, 8_000
+        monkeypatch.setattr(cache, "maxbytes", budget)
+        cache.cache_clear()
+        xs = sparse_codes(U12, rng, 20, density=0.3)
+        with monkeypatch.context() as capped:  # a refusal on a source the cache has not seen
+            capped.setattr(invariance, "ENUMERATION_CAP", 2)
+            with pytest.raises(GroupTooLargeError, match="enumeration cap"):
+                cache.many(BLOCKS_12, xs[:3])
+        assert cache.cache_info()[1:] == (3, None, 0, 0, budget)
+        sizes, sample = [], draw_sample(BLOCKS_12, 6, 2)
+        for x in xs:  # another source past the budget, evicting as it goes
+            words, mult = cache(sample, x)
+            sizes.append(words.nbytes + np.asarray(mult).nbytes + invariance.IMAGE_ENTRY_BYTES)
+        assert sum(sizes) > 2 * budget
+        kept = 0
+        while kept < len(sizes) and sum(sizes[len(sizes) - kept - 1 :]) <= budget:
+            kept += 1
+        assert cache.cache_info()[3:5] == (kept, sum(sizes[len(sizes) - kept :]))
 
     def test_bytes_counted_cover_the_memory_held(self, rng):
         cache = invariance._distinct_images
