@@ -62,7 +62,6 @@ from .invariance import (
     orbit_equivalence_test,
     orbit_representative,
     project_function,
-    quotient_kernel,
     quotient_kernel_matrix,
 )
 from .gp import (

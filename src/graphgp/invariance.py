@@ -33,10 +33,11 @@ and never allocates the dense tensor. Half-orbits grow along their half's
 stabilizer chain (below), for every code a build needs in one batched walk,
 so exact cost follows half-orbit sizes, not |H|; a sample's images come
 from one gather of each code's bits through the (|S|^2, d)
-slot-permutation array. Images are cached per (source, code) under one
-byte budget. The counts do not depend on the kernel; the exact ones are
-cached per (H, xs, ys) and a tuning run fetches them once, so each of its
-objective evaluations costs two weighted bincounts over the triples: the
+slot-permutation array. The counts do not depend on the kernel. Images
+per (source, code) and exact counts per (H, (xs, ys)) sit in two
+least-recently-used caches of one class (:class:`ByteCache`), each bounded
+by ``CACHE_BYTES``. A tuning run fetches its exact counts once, so each of
+its objective evaluations costs two weighted bincounts over the triples: the
 Gram, by pair, of share * profile[distance], and the pullback of the
 gradient's weight matrix W, by distance, of share * W[pair]. Exact
 evaluation visits whole half-orbits: a chain step of one code that would
@@ -107,36 +108,24 @@ ORBIT_BATCH_ROWS = 2**16
 #: Refuse to enumerate graph spaces with more than 2^QUOTIENT_MAX_DIM codes.
 QUOTIENT_MAX_DIM = 16
 
-#: Distance counts kept for reuse; a tuning run needs two (training square,
-#: test-by-training cross), shared by every restart and projected kernel on
-#: the same split. Each holds 24 bytes per nonzero (an 8-byte pair index,
-#: distance and share): 2.6 MB for the square counts of 200 demo-05 molecules
-#: under |H| = 1296, where the dense (n, n, top) float64 tensor took 13 MB.
-COUNT_CACHE_SIZE = 8
-
 #: Slot-permutation arrays kept for reuse: a sample's S^-1 S gather index, one
 #: per (sample, space), of (|S|^2, d) entries (135 KB at |S| = 16 and 0.5 MB at
 #: |S| = 32 for d = 66); and a group's stabilizer chain, one per (H, space), of
 #: sum over blocks of b(b+1)/2 - 1 rows of d entries (11 KB at |H| = 1296).
 SLOT_PERMS_CACHE_SIZE = 4
 
-#: Bytes of distinct images kept for reuse, least recently used out first. An entry, one per
-#: (source, code), counts its ceil(d/64) * 8-byte word rows, its multiplicities (one 8-byte value
-#: over a group, 8 bytes per row over a sample) and IMAGE_ENTRY_BYTES for the objects holding
-#: them. Over H an entry is one half-orbit, at most |H_A| or |H_B| rows: 36 at |H| = 1296, 15 on
-#: average over the benchmark molecules' H_B halves, so the 256 codes of a 64-train, 192-point
-#: prediction take about 0.4 MB. Over a sample's S^-1 S: at most min(|S|^2, |orbit|) rows,
-#: about 100 on average at |S| = 16 and 195 at |S| = 32 on the benchmark molecules.
-ORBIT_IMAGE_CACHE_BYTES = 8 << 20
+#: Bytes each of the two caches whose entries grow with the number of codes may hold, least
+#: recently used out first: distinct images per (source, code) and exact counts per (H, (xs, ys)).
+#: Over H an image entry is one half-orbit, at most |H_A| or |H_B| rows (36 at |H| = 1296); over
+#: a sample's S^-1 S, at most min(|S|^2, |orbit|) rows. A count entry holds 24 bytes per nonzero
+#: (an 8-byte pair index, distance and share): the square counts of 800 demo-05 molecules under
+#: |H| = 1296 take 39.7 MB, and a tuning run's cross counts about 10 MB more, so both fit.
+CACHE_BYTES = 64 << 20
 
-#: The Python objects around one cached image entry: its key, the pair, the word array and the
-#: multiplicities (250-400 bytes an entry under tracemalloc, over 300 entries of U12 codes).
-IMAGE_ENTRY_BYTES = 512
-
-#: Class-by-class kernel matrices a quotient keeps, least recently used first
-#: out; each is num_classes^2 float64 values (195 KB for the 156 classes of U6
-#: under S6).
-QUOTIENT_KERNEL_CACHE_SIZE = 16
+#: Charged to every cached entry besides its arrays' bytes, for the Python objects around it: its
+#: key, the value and the ordered-dict node (under tracemalloc, about 320 bytes an image entry
+#: over 300 U12 codes, and 540 a count entry, whose value holds three arrays).
+ENTRY_BYTES = 1024
 
 #: Orbit representatives kept for reuse, one code per (group, code).
 REPRESENTATIVE_CACHE_SIZE = 65_536
@@ -269,7 +258,7 @@ def _slot_perms(sample: tuple[NodePermutation, ...], space: GraphSpace) -> np.nd
 Images = tuple[np.ndarray, float | np.ndarray]
 
 
-class ImageCacheInfo(NamedTuple):
+class CacheInfo(NamedTuple):
     """``functools.lru_cache``'s counters (``maxsize`` None: the budget is in bytes), plus bytes."""
 
     hits: int
@@ -280,62 +269,52 @@ class ImageCacheInfo(NamedTuple):
     maxbytes: int
 
 
-class ImageCache:
-    """Distinct images per (source, code), least recently used out past a byte budget.
+class ByteCache:
+    """Values per (source, key), least recently used out past a byte budget.
 
-    ``cache(source, x)`` gives x's :data:`Images` under a source's node maps;
-    :meth:`many` gives those of many codes, growing all the codes it does not
-    hold together (over a group, in one walk of its chain). Entries sit in
-    one bucket per source, so a call hashes its source once (a sample's hash
-    walks all of its maps), each in its bucket's order of use and stamped
-    with its last use. Each entry counts its arrays' bytes plus
-    ``IMAGE_ENTRY_BYTES``; one larger than the whole budget is returned
+    ``cache(source, key)`` gives one key's value; :meth:`many` gives those of
+    many keys, growing all the keys it does not hold in one call of
+    ``grow(source, keys)`` (for images over a group, one walk of its chain),
+    and stores nothing when that call refuses. Each entry counts its arrays'
+    bytes plus ``ENTRY_BYTES``; one larger than the whole budget is returned
     uncached.
     """
 
-    def __init__(self, maxbytes: int):
-        self.maxbytes = maxbytes
+    def __init__(self, grow: Callable[[Source, list], list]):
+        self.grow = grow
+        self.maxbytes = CACHE_BYTES
         self.cache_clear()
 
     def cache_clear(self) -> None:
-        self._buckets: dict[Source, OrderedDict[GraphCode, tuple[Images, int, int]]] = {}
-        self._bytes = self._hits = self._misses = self._uses = 0
+        self._entries: OrderedDict[tuple, tuple[object, int]] = OrderedDict()
+        self._bytes = self._hits = self._misses = 0
 
-    def cache_info(self) -> ImageCacheInfo:
-        size = sum(len(bucket) for bucket in self._buckets.values())
-        return ImageCacheInfo(self._hits, self._misses, None, size, self._bytes, self.maxbytes)
+    def cache_info(self) -> CacheInfo:
+        return CacheInfo(self._hits, self._misses, None, len(self._entries), self._bytes, self.maxbytes)
 
-    def __call__(self, source: Source, x: GraphCode) -> Images:
-        return self.many(source, (x,))[0]
+    def __call__(self, source: Source, key):
+        return self.many(source, (key,))[0]
 
-    def many(self, source: Source, xs: Sequence[GraphCode]) -> list[Images]:
-        """The images of each code, in order; each code not held is a miss, grown once."""
-        bucket, found = self._buckets.get(source, {}), {}  # made when an entry is first stored
-        for x in xs:
-            if x in bucket:
-                images, size, _ = bucket.pop(x)
-                bucket[x] = images, size, self._uses
-                self._uses += 1
-                found[x] = images
-        missing = [x for x in dict.fromkeys(xs) if x not in found]
-        self._hits += len(xs) - len(missing)
+    def many(self, source: Source, keys: Sequence) -> list:
+        """The value of each key, in order; each key not held is a miss, grown once."""
+        entries, found = self._entries, {}
+        for key in keys:
+            entry = entries.pop((source, key), None)  # one key comparison, where get and move_to_end take two
+            if entry is not None:
+                entries[source, key] = entry  # back in as the most recently used
+                found[key] = entry[0]
+        missing = [key for key in dict.fromkeys(keys) if key not in found]
+        self._hits += len(keys) - len(missing)
         self._misses += len(missing)
-        for x, images in zip(missing, _grown_images(source, missing)):  # a refusal stores nothing
-            found[x] = images
-            size = images[0].nbytes + np.asarray(images[1]).nbytes + IMAGE_ENTRY_BYTES
+        for key, value in zip(missing, self.grow(source, missing)):
+            found[key] = value
+            size = ENTRY_BYTES + sum(part.nbytes for part in value if isinstance(part, np.ndarray))
             if size <= self.maxbytes:
-                if not bucket:  # the newest entry keeps it out of eviction's way from here on
-                    bucket = self._buckets[source] = OrderedDict()
-                bucket[x] = images, size, self._uses
-                self._uses += 1
+                entries[source, key] = value, size
                 self._bytes += size
-                while self._bytes > self.maxbytes:  # out goes the least recently used first entry of a bucket
-                    held = ((s, entries) for s, entries in self._buckets.items() if entries)
-                    stale, oldest = min(held, key=lambda kv: next(iter(kv[1].values()))[2])
-                    self._bytes -= oldest.popitem(last=False)[1][1]
-                    if not oldest:
-                        del self._buckets[stale]
-        return [found[x] for x in xs]
+                while self._bytes > self.maxbytes:
+                    self._bytes -= entries.popitem(last=False)[1][1]
+        return [found[key] for key in keys]
 
 
 def _grown_images(source: Source, xs: Sequence[GraphCode]) -> list[Images]:
@@ -361,7 +340,7 @@ def _grown_images(source: Source, xs: Sequence[GraphCode]) -> list[Images]:
 
 
 #: The distinct images of codes, cached: ``_distinct_images(source, x)``, or ``.many(source, xs)``.
-_distinct_images = ImageCache(ORBIT_IMAGE_CACHE_BYTES)
+_distinct_images = ByteCache(_grown_images)
 
 
 def _distinct_rows(words: np.ndarray, ids: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -725,9 +704,9 @@ def _counts(source: Source, xs: tuple[GraphCode, ...], ys: tuple[GraphCode, ...]
     return out
 
 
-#: The exact kernel's counts, cached per (H, xs, ys): keyed by the codes themselves, so a hit
+#: The exact kernel's counts, cached per (H, (xs, ys)): keyed by the codes themselves, so a hit
 #: returns counts built from the same codes (and spaces) as a call that passed the space check.
-_group_counts = lru_cache(maxsize=COUNT_CACHE_SIZE)(_counts)
+_group_counts = ByteCache(lambda H, keys: [_counts(H, *key) for key in keys])
 
 
 def _contract_counts(c: Counts, profile: np.ndarray) -> np.ndarray:
@@ -769,7 +748,7 @@ def invariant_gram_exact(
     ys: Sequence[GraphCode] | None = None,
 ) -> np.ndarray:
     """Exact projected Gram matrix: the cached distance counts over H times the kernel profile."""
-    return _gram(spec, partial(_group_counts, H), xs, ys)
+    return _gram(spec, lambda xs, ys: _group_counts(H, (xs, ys)), xs, ys)
 
 
 def invariant_gram_sampled(
@@ -831,7 +810,6 @@ class QuotientGraph:
         class_of = np.asarray(class_of)
         class_of.setflags(write=False)
         self.class_of = class_of
-        self._kernel_cache: OrderedDict[KernelSpec, np.ndarray] = OrderedDict()
 
     @property
     def num_classes(self) -> int:
@@ -888,10 +866,6 @@ def quotient_kernel_matrix(spec: KernelSpec, quotient: QuotientGraph) -> np.ndar
         raise ValueError(
             "quotient evaluation is only valid for the symmetric normalized Laplacian"
         )
-    cache = quotient._kernel_cache
-    if spec in cache:
-        cache.move_to_end(spec)
-        return cache[spec]
     d = quotient.space.d
     sizes = quotient.sizes()
     inv_sqrt_deg = 1.0 / np.sqrt(sizes * d)
@@ -907,20 +881,7 @@ def quotient_kernel_matrix(spec: KernelSpec, quotient: QuotientGraph) -> np.ndar
     phi_eff = 2**d * level_amplitudes(spec, d)[level]
     k_classes = (vec * phi_eff) @ vec.T
     psi = np.sqrt(sizes)
-    out = k_classes / (psi[:, None] * psi[None, :])
-    out.setflags(write=False)
-    cache[spec] = out
-    if len(cache) > QUOTIENT_KERNEL_CACHE_SIZE:
-        cache.popitem(last=False)
-    return out
-
-
-def quotient_kernel(spec: KernelSpec, quotient: QuotientGraph, i: int, j: int) -> float:
-    """Group-averaged kernel between class i and class j, computed on the quotient."""
-    h = quotient.num_classes
-    if not (0 <= i < h and 0 <= j < h):
-        raise ValueError(f"class indices ({i}, {j}) out of range for {h} classes")
-    return float(quotient_kernel_matrix(spec, quotient)[i, j])
+    return k_classes / (psi[:, None] * psi[None, :])
 
 
 # -- orbit-equivalence decision via kernel values ----------------------------
@@ -998,12 +959,12 @@ class ProjectedKernel:
     no code's whole orbit is grown; else each code's images over the
     multiset S^-1 S against the other codes. A build grows the half-orbits
     it lacks in one chain walk per half, and keeps them in the byte-bounded
-    image cache. Only the exact counts are cached. The tuner never builds a
-    Gram's derivatives: it contracts the same triples once with its weight
-    matrix (:meth:`tuning_counts`), fetching exact counts once per tuning
-    run. Monte Carlo counts are built again at each evaluation, but from
-    images, target words and a distance axis fetched once per run, so an
-    evaluation hashes no sample. The Monte Carlo flavour evaluates the
+    image cache. Only the exact counts are cached, in a second cache of the
+    same budget. The tuner never builds a Gram's derivatives: it contracts
+    the same triples once with its weight matrix (:meth:`tuning_counts`),
+    fetching exact counts once per tuning run. Monte Carlo counts are built
+    again at each evaluation, but from images, target words and a distance
+    axis fetched once per run, so an evaluation hashes no sample. The Monte Carlo flavour evaluates the
     sampled estimator at :func:`orbit_representative` of each code, so its
     values, like the exact ones, do not change when a graph is relabelled by
     H; it is biased toward the unprojected kernel with weight 1/|S| (see
@@ -1056,7 +1017,7 @@ class ProjectedKernel:
         distance axis are fetched here, once, and each call runs only :func:`_distance_counts`."""
         points, size = tuple(self._points(xs)), self.space.d + 1
         if self.sample is None:
-            return _square_tuning(_group_counts(self.subgroup, points, None), size)
+            return _square_tuning(_group_counts(self.subgroup, (points, None)), size)
         rows, columns = _sides(self._source, points, points, code_words(points))
         top = _distance_top(points, points)
         return lambda profile: _square_tuning(_distance_counts(rows, columns, top, square=True), size)(profile)

@@ -20,11 +20,11 @@ The whole kernel is its profile, the d + 1 values k(0..d), which is one
 vector-matrix product of the c_j with the table of G'. Every Gram matrix in
 the package is distance counts contracted with that profile: here each
 pair contributes the single count at its Hamming distance, so the Gram is
-the profile indexed by a Hamming matrix, which is cached for the code lists
-it was built from; :mod:`graphgp.invariance` averages the counts over a
-permutation group. A Gram's derivative in a spectral parameter is the same
-counts contracted with the profile's derivative q (:func:`profile_derivatives`),
-so it is never built: tr(W dK) is q @ g, where g is the counts contracted
+the profile indexed by a Hamming matrix, built afresh for each Gram;
+:mod:`graphgp.invariance` averages the counts over a permutation group. A
+Gram's derivative in a spectral parameter is the same counts contracted
+with the profile's derivative q (:func:`profile_derivatives`), so it is
+never built: tr(W dK) is q @ g, where g is the counts contracted
 once with W. A kernel's ``tuning_counts`` fetches a training set's square
 counts once per tuning run and returns a function that, at each
 evaluation's profile, gives the square Gram and this pullback W -> g.
@@ -261,18 +261,6 @@ def heat_closed_form(kappa: float, sigma2: float, m: int) -> float:
     return sigma2 * math.tanh(kappa**2 / 2.0) ** m
 
 
-#: Hamming matrices kept for reuse, keyed by the code lists they came from;
-#: one tuning run needs two (training square, test-by-training cross).
-HAMMING_CACHE_SIZE = 8
-
-
-@lru_cache(maxsize=HAMMING_CACHE_SIZE)
-def _hamming_matrix(xs: tuple[GraphCode, ...], ys: tuple[GraphCode, ...] | None, space: GraphSpace) -> np.ndarray:
-    out = pairwise_hamming(xs, ys, space)
-    out.setflags(write=False)
-    return out
-
-
 def gram(
     spec: KernelSpec, xs: Sequence[GraphCode], ys: Sequence[GraphCode] | None = None
 ) -> np.ndarray:
@@ -290,13 +278,13 @@ class IsotropicKernel:
         self.space = space
 
     def gram(self, xs: Sequence[GraphCode], ys: Sequence[GraphCode] | None = None) -> np.ndarray:
-        return self.profile()[_hamming_matrix(tuple(xs), None if ys is None else tuple(ys), self.space)]
+        return self.profile()[pairwise_hamming(xs, ys, self.space)]
 
     def tuning_counts(self, xs: Sequence[GraphCode]) -> Callable:
         """Once per tuning run, the Hamming matrix of nonempty xs, as a function of a (d + 1)
         profile that gives the square Gram and its pullback W -> g: the Hamming-distance counts
         weighted by W, so g @ q == <W, Gram at q> for symmetric W."""
-        D = _hamming_matrix(tuple(xs), None, self.space)
+        D = pairwise_hamming(xs, None, self.space)
         flat, size = D.ravel(), self.space.d + 1
         return lambda profile: (profile[D], lambda W: np.bincount(flat, weights=W.ravel(), minlength=size))
 

@@ -76,7 +76,7 @@ def dimension(kind: GraphSpaceKind, n: int) -> int:
     return n * n
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)  # every kind up to the default 16 nodes
 def _slot_table(kind: GraphSpaceKind, n: int) -> tuple[tuple[tuple[int, int], ...], np.ndarray, np.ndarray]:
     """Slot index -> node pair, as a tuple and a (d, 2) array, and the (n, n)
     node pair -> slot array (-1 where no slot; both orders of an undirected
@@ -262,10 +262,16 @@ class NodePermutation:
     """A permutation of the node labels {0..n-1}."""
 
     mapping: tuple[int, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if sorted(self.mapping) != list(range(len(self.mapping))):
             raise ValueError(f"not a permutation of 0..{len(self.mapping) - 1}: {self.mapping}")
+        # taken once: a cache keyed on a sample hashes all of its permutations at each lookup
+        object.__setattr__(self, "_hash", hash(self.mapping))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def identity(cls, n: int) -> "NodePermutation":

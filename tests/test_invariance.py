@@ -1,5 +1,7 @@
+import importlib
 import itertools
 import math
+import pkgutil
 import tracemalloc
 
 import numpy as np
@@ -18,9 +20,9 @@ from oracles import (
 )
 from synthetic import molecules_like_demo05
 
-from graphgp import datasets, gp, invariance, kravchuk, spaces
+import graphgp
+from graphgp import datasets, gp, invariance, spaces
 from graphgp.invariance import (
-    COUNT_CACHE_SIZE,
     GroupTooLargeError,
     PermSubgroup,
     ProjectedKernel,
@@ -37,7 +39,6 @@ from graphgp.invariance import (
     orbit_representative,
     pair_histogram,
     project_function,
-    quotient_kernel,
     quotient_kernel_matrix,
 )
 from graphgp.kernels import (
@@ -369,7 +370,7 @@ class TestQuotientKernel:
         for _ in range(20):
             x, y = U3.random_code(rng), U3.random_code(rng)
             i, j = quotient.class_index(x), quotient.class_index(y)
-            assert quotient_kernel(spec, quotient, i, j) == pytest.approx(
+            assert quotient_kernel_matrix(spec, quotient)[i, j] == pytest.approx(
                 profile[hamming(x, y)], rel=1e-10
             )
 
@@ -387,11 +388,6 @@ class TestQuotientKernel:
         exact = invariant_gram_exact(spec, H, reps)
         assert np.abs(qk - exact).max() <= 1e-8
 
-    def test_index_bounds(self):
-        quotient = build_quotient(PermSubgroup.full(3), U3)
-        with pytest.raises(ValueError):
-            quotient_kernel(KernelSpec(Heat(1.0)), quotient, 0, 99)
-
     def test_eigenvalues_off_the_hypercube_levels_rejected(self):
         quotient = build_quotient(PermSubgroup.full(3), U3)
         weights = quotient.weights.copy()
@@ -400,22 +396,6 @@ class TestQuotientKernel:
         skewed = QuotientGraph(U3, quotient.subgroup, quotient.classes, weights, quotient.class_of)
         with pytest.raises(ValueError, match="hypercube levels 2j/d"):
             quotient_kernel_matrix(KernelSpec(Heat(1.0)), skewed)
-
-    def test_kernel_cache_is_bounded(self):
-        quotient = build_quotient(PermSubgroup.full(4), U4)
-        size = invariance.QUOTIENT_KERNEL_CACHE_SIZE
-        specs = [KernelSpec(Heat(0.5 + 0.1 * k)) for k in range(size + 3)]
-        first = quotient_kernel_matrix(specs[0], quotient)
-        for spec in specs:
-            quotient_kernel_matrix(spec, quotient)
-        assert len(quotient._kernel_cache) == size
-        assert specs[0] not in quotient._kernel_cache  # the least recently used went first
-        last = quotient_kernel_matrix(specs[-1], quotient)
-        assert quotient_kernel_matrix(specs[-1], quotient) is last
-        assert not last.flags.writeable
-        again = quotient_kernel_matrix(specs[0], quotient)  # rebuilt after eviction, equal
-        assert again is not first and np.array_equal(again, first)
-        assert len(quotient._kernel_cache) == size
 
 
 class TestOrbitEquivalenceTest:
@@ -639,7 +619,7 @@ class TestTuningGram:
         else:
             if flavour == "exact":
                 kernel = ProjectedKernel(spec, BLOCKS_12, U12)
-                counts = dense_counts(_group_counts(BLOCKS_12, tuple(xs), None), U12.d + 1)
+                counts = dense_counts(_group_counts(BLOCKS_12, (tuple(xs), None)), U12.d + 1)
             else:
                 kernel = ProjectedKernel.monte_carlo(spec, BLOCKS_12, U12, sample_size=5, seed=2)
                 reps = tuple(orbit_representative(BLOCKS_12, x) for x in xs)
@@ -785,13 +765,13 @@ class TestCountTensorGram:
         # the octave-spaced restarts of run_experiment, all on one split
         xs = sparse_codes(U12, rng, 12, density=0.3)
         ys = rng.standard_normal(len(xs))
-        before = _group_counts.cache_info().misses
+        _group_counts.cache_clear()  # an earlier test may have built these very counts
         evaluations = 0
         for kappa in (2.0, 4.0, 8.0):
             kernel = ProjectedKernel(KernelSpec(Heat(kappa)), BLOCKS_12, U12)
             evaluations += gp.optimize_hyperparameters(kernel, xs, ys, budget=30, normalize_y=True).evaluations
         assert evaluations > 10
-        assert _group_counts.cache_info().misses - before == 1
+        assert _group_counts.cache_info().misses == 1
 
     def test_monte_carlo_tuning_builds_counts_once_per_evaluation(self, rng, monkeypatch):
         builds = []
@@ -824,13 +804,16 @@ class TestCountTensorGram:
         assert calls == []
         assert np.array_equal(K, expected)
 
-    def test_cache_stays_within_its_size(self, rng):
+    def test_cache_stays_within_its_size(self, rng, monkeypatch):
         spec = KernelSpec(Heat(1.0))
         H = PermSubgroup.full(4)
-        for k in range(COUNT_CACHE_SIZE + 5):
+        assert _group_counts.cache_info().maxbytes == invariance.CACHE_BYTES
+        monkeypatch.setattr(_group_counts, "maxbytes", 4 * invariance.ENTRY_BYTES)
+        _group_counts.cache_clear()
+        for k in range(13):
             invariant_gram_exact(spec, H, sparse_codes(U4, rng, 3 + k % 4))
-            assert _group_counts.cache_info().currsize <= COUNT_CACHE_SIZE
-        assert _group_counts.cache_info().maxsize == COUNT_CACHE_SIZE
+            assert _group_counts.cache_info().bytes <= 4 * invariance.ENTRY_BYTES
+        assert 0 < _group_counts.cache_info().currsize < 4
 
 
 def stabilized_codes(space, H):
@@ -853,8 +836,8 @@ class TestDistinctImages:
         top = space.d + 1  # the complete graph lies at distance d from the empty one
         square = group_counts_by_enumeration(H, xs, xs, top)
         cross = group_counts_by_enumeration(H, xs, ys, top)
-        assert np.array_equal(dense_counts(_group_counts(H, tuple(xs), None), top), square)
-        assert np.array_equal(dense_counts(_group_counts(H, tuple(xs), tuple(ys)), top), cross)
+        assert np.array_equal(dense_counts(_group_counts(H, (tuple(xs), None)), top), square)
+        assert np.array_equal(dense_counts(_group_counts(H, (tuple(xs), tuple(ys))), top), cross)
 
         for ys_, counts in ((None, square), (ys, cross)):
             expect = invariance._contract_counts(count_triples(counts), profile)
@@ -1102,76 +1085,111 @@ class TestHalfOrbits:
         assert peak < 128e6
 
 
+def charge(value) -> int:
+    """The bytes a byte-bounded cache counts for one entry: its arrays and the charge per entry."""
+    return invariance.ENTRY_BYTES + sum(part.nbytes for part in value if isinstance(part, np.ndarray))
+
+
+def newest_that_fit(sizes: list[int], budget: int) -> int:
+    """How many of the last entries, in insertion order, fit the budget together."""
+    kept = 0
+    while kept < len(sizes) and sum(sizes[len(sizes) - kept - 1 :]) <= budget:
+        kept += 1
+    return kept
+
+
 class TestImageCache:
-    """One cache of distinct images, bounded by bytes: words, multiplicities and a charge per entry."""
+    """The byte-bounded cache, least recently used out first, on distinct images per (source, code);
+    :class:`TestCountCache` runs the same cases on exact counts per (H, (xs, ys))."""
+
+    cache = invariance._distinct_images
+    #: two sources, each on U12
+    sources = (BLOCKS_12, draw_sample(BLOCKS_12, 6, 2))
+
+    def keys(self, rng, count: int) -> list:
+        """``count`` distinct keys, most of them several kB as entries."""
+        return sparse_codes(U12, rng, count, density=0.3)
+
+    def small_keys(self, rng) -> list:
+        """Keys whose entries are a few hundred bytes of arrays, so the charge per entry dominates."""
+        return sparse_codes(U12, rng, 300, density=0.05)
 
     def test_budget_is_stated(self):
-        info = invariance._distinct_images.cache_info()
-        assert info.maxbytes == invariance.ORBIT_IMAGE_CACHE_BYTES > 0 and info.maxsize is None
+        info = self.cache.cache_info()
+        assert info.maxbytes == invariance.CACHE_BYTES > 0 and info.maxsize is None
 
     def test_filled_past_its_budget_it_holds_the_newest_entries_that_fit(self, rng, monkeypatch):
-        cache, budget = invariance._distinct_images, 100_000
+        cache, budget = self.cache, 100_000
         monkeypatch.setattr(cache, "maxbytes", budget)
         cache.cache_clear()
-        xs = sparse_codes(U12, rng, 40, density=0.3)
-        sample = draw_sample(BLOCKS_12, 6, 2)
-        assert len(set(xs)) == len(xs)
+        keys = self.keys(rng, 40)
+        assert len(set(keys)) == len(keys)
         sizes = []
-        for k, x in enumerate(xs):
-            words, mult = cache(BLOCKS_12 if k % 2 else sample, x)
-            sizes.append(words.nbytes + np.asarray(mult).nbytes + invariance.IMAGE_ENTRY_BYTES)
+        for k, key in enumerate(keys):
+            sizes.append(charge(cache(self.sources[k % 2], key)))
+            assert cache.cache_info().bytes <= budget
         assert sum(sizes) > 2 * budget
-        kept = 0
-        while kept < len(sizes) and sum(sizes[len(sizes) - kept - 1 :]) <= budget:
-            kept += 1
+        kept = newest_that_fit(sizes, budget)
         info = cache.cache_info()
         assert (info.currsize, info.bytes) == (kept, sum(sizes[len(sizes) - kept :]))
-        assert info.bytes <= budget
-        assert (info.hits, info.misses) == (0, len(xs))
-        cache.many(BLOCKS_12, [xs[-1], xs[-1], xs[0]])  # the newest held, the oldest long gone
-        assert cache.cache_info()[:2] == (2, len(xs) + 1)
+        assert (info.hits, info.misses) == (0, len(keys))
+        cache.many(self.sources[1], [keys[-1], keys[-1], keys[0]])  # the newest held, the oldest long gone
+        assert cache.cache_info()[:2] == (2, len(keys) + 1)
 
     def test_a_refused_growth_stores_nothing_and_the_budget_still_holds(self, rng, monkeypatch):
-        cache, budget = invariance._distinct_images, 8_000
+        cache, budget = self.cache, 8_000
         monkeypatch.setattr(cache, "maxbytes", budget)
+        invariance._distinct_images.cache_clear()  # so that a count build grows images too
         cache.cache_clear()
-        xs = sparse_codes(U12, rng, 20, density=0.3)
+        keys = self.keys(rng, 20)
         with monkeypatch.context() as capped:  # a refusal on a source the cache has not seen
             capped.setattr(invariance, "ENUMERATION_CAP", 2)
             with pytest.raises(GroupTooLargeError, match="enumeration cap"):
-                cache.many(BLOCKS_12, xs[:3])
+                cache.many(self.sources[0], keys[:3])
         assert cache.cache_info()[1:] == (3, None, 0, 0, budget)
-        sizes, sample = [], draw_sample(BLOCKS_12, 6, 2)
-        for x in xs:  # another source past the budget, evicting as it goes
-            words, mult = cache(sample, x)
-            sizes.append(words.nbytes + np.asarray(mult).nbytes + invariance.IMAGE_ENTRY_BYTES)
+        sizes = []
+        for key in keys:  # another source past the budget, evicting as it goes
+            sizes.append(charge(cache(self.sources[1], key)))
+            assert cache.cache_info().bytes <= budget
         assert sum(sizes) > 2 * budget
-        kept = 0
-        while kept < len(sizes) and sum(sizes[len(sizes) - kept - 1 :]) <= budget:
-            kept += 1
+        kept = newest_that_fit(sizes, budget)
         assert cache.cache_info()[3:5] == (kept, sum(sizes[len(sizes) - kept :]))
 
     def test_bytes_counted_cover_the_memory_held(self, rng):
-        cache = invariance._distinct_images
-        xs = sparse_codes(U12, rng, 300, density=0.05)  # small orbits: the charge per entry dominates
-        cache(BLOCKS_12, xs[0])  # the chain built first
+        cache, keys = self.cache, self.small_keys(rng)
+        cache.many(BLOCKS_12, keys)  # the chain, and any images a count build needs, built first
         cache.cache_clear()
         tracemalloc.start()
         try:
-            cache.many(BLOCKS_12, xs)
+            cache.many(BLOCKS_12, keys)
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         assert 0 < held <= cache.cache_info().bytes
 
-    def test_an_entry_above_the_budget_is_returned_uncached(self, monkeypatch):
-        cache = invariance._distinct_images
+    def test_an_entry_above_the_budget_is_returned_uncached(self, rng, monkeypatch):
+        cache = self.cache
         monkeypatch.setattr(cache, "maxbytes", 1_000)
         cache.cache_clear()
-        x = sparse_codes(U12, np.random.default_rng(1), 1, density=0.3)[0]
-        words, mult = cache(BLOCKS_12, x)
-        assert words.nbytes > 1_000 and mult * len(words) == BLOCKS_12.order()
+        key = self.keys(rng, 1)[0]
+        value = cache(BLOCKS_12, key)
+        assert charge(value) > 1_000 + invariance.ENTRY_BYTES
+        assert all(np.array_equal(a, b) for a, b in zip(value, cache.grow(BLOCKS_12, [key])[0], strict=True))
         assert cache.cache_info()[:4] == (0, 1, None, 0)
+
+
+class TestCountCache(TestImageCache):
+    cache = invariance._group_counts
+    sources = (BLOCKS_12, PermSubgroup(12, ((0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11))))
+
+    def keys(self, rng, count: int) -> list:
+        """``count`` keys (xs, ys) over a pool of codes, square (ys None) and cross by turns."""
+        codes = sparse_codes(U12, rng, count + 8, density=0.3)
+        return [(tuple(codes[k : k + 4]), None if k % 2 else tuple(codes[k + 4 : k + 8])) for k in range(count)]
+
+    def small_keys(self, rng) -> list:
+        codes = sparse_codes(U12, rng, 300, density=0.05)
+        return [(tuple(codes[k : k + 2]), None) for k in range(0, 300, 2)]
 
 
 class TestSampledCountGram:
@@ -1328,17 +1346,25 @@ def test_a_group_on_other_nodes_is_refused(call):
         call(PermSubgroup.full(5))
 
 
-@pytest.mark.parametrize(
-    "cached,size",
-    [
-        (spaces.edge_permutation, spaces.EDGE_PERMUTATION_CACHE_SIZE),
-        (invariance._slot_perms, invariance.SLOT_PERMS_CACHE_SIZE),
-        (invariance._chain, invariance.SLOT_PERMS_CACHE_SIZE),
-        pytest.param(invariance._group_counts, invariance.COUNT_CACHE_SIZE, id="_group_counts"),
-        (invariance.orbit_representative, invariance.REPRESENTATIVE_CACHE_SIZE),
-        (invariance.pair_histogram, invariance.PAIR_HISTOGRAM_CACHE_SIZE),
-        (kravchuk.build_table, kravchuk.TABLE_CACHE_SIZE),
-    ],
-)
-def test_image_caches_are_bounded(cached, size):
-    assert cached.cache_info().maxsize == size > 0
+def _package_caches() -> list:
+    """Every cache among the attributes of graphgp's modules, once each, named by its attribute
+    (and, for an ``lru_cache``, its maxsize)."""
+    found = {}
+    for module in pkgutil.iter_modules(graphgp.__path__):
+        for name, value in vars(importlib.import_module(f"graphgp.{module.name}")).items():
+            if isinstance(value, invariance.ByteCache):
+                found.setdefault(id(value), pytest.param(value, id=name))
+            elif hasattr(value, "cache_parameters"):  # a functools.lru_cache wrapper
+                found.setdefault(id(value), pytest.param(value, id=f"{name}-{value.cache_parameters()['maxsize']}"))
+    return list(found.values())
+
+
+@pytest.mark.parametrize("cached", _package_caches())
+def test_image_caches_are_bounded(cached):
+    """Every cache in the package is bounded: an lru_cache by entries, a ByteCache by bytes."""
+    if isinstance(cached, invariance.ByteCache):
+        info = cached.cache_info()
+        assert 0 < info.maxbytes and info.bytes <= info.maxbytes
+    else:
+        maxsize = cached.cache_parameters()["maxsize"]
+        assert maxsize is not None and maxsize > 0

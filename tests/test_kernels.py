@@ -6,7 +6,6 @@ import pytest
 from oracles import brute_force_level_sum, dense_spectral_profile, log_sign_profile, permute_bits
 
 from graphgp.kernels import (
-    HAMMING_CACHE_SIZE,
     CustomPhi,
     Heat,
     IsotropicKernel,
@@ -14,7 +13,6 @@ from graphgp.kernels import (
     LaplacianVariant,
     LinearKernel,
     Matern,
-    _hamming_matrix,
     evaluate,
     gram,
     heat_closed_form,
@@ -346,17 +344,3 @@ class TestDiag:
             assert kernel.diag([]).shape == (0,)
             assert kernel.gram([], xs).shape == (0, 12)
             assert kernel.gram(xs, []).shape == (12, 0)
-
-
-class TestHammingCache:
-    def test_reused_and_bounded(self, rng):
-        space = GraphSpace(GraphSpaceKind.UNDIRECTED, 5)
-        xs = tuple(space.random_code(rng) for _ in range(6))
-        spec = KernelSpec(Heat(1.0))
-        gram(spec, xs)
-        before = _hamming_matrix.cache_info()
-        gram(KernelSpec(Heat(2.0)), xs)
-        assert _hamming_matrix.cache_info().hits == before.hits + 1
-        for k in range(HAMMING_CACHE_SIZE + 5):
-            gram(spec, [space.random_code(rng) for _ in range(2 + k % 3)])
-            assert _hamming_matrix.cache_info().currsize <= HAMMING_CACHE_SIZE
