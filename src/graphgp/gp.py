@@ -7,9 +7,9 @@ observed under i.i.d. Gaussian noise, the posterior mean and covariance are
     k(., .') = k(., .') - K(., x) (K(x, x) + noise I)^-1 K(x, .')
 
 computed through the Cholesky factor L of K + noise I (escalating jitter if
-needed) and its inverse, formed once per fit: every solve is a product with
-L^-1, in numpy alone. Hyperparameters are tuned by maximizing the log
-marginal likelihood over log-scale parameters with an in-package port of
+needed) and its inverse, formed once per fit by 2 x 2 blocks: every solve is
+a product with L^-1, in numpy alone. Hyperparameters are tuned by maximizing
+the log marginal likelihood over log-scale parameters with an in-package port of
 L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995; v3.0, Morales & Nocedal 2011) with a
 More-Thuente line search (More & Thuente 1994) in a box of +-10 around the
 origin of log space, fed by the analytic gradient 0.5 tr(W dK/dtheta),
@@ -147,8 +147,26 @@ def _factor(K: np.ndarray, noise: float, z: np.ndarray) -> tuple:
     Shared by ``fit`` and the tuner's objective, so their likelihoods are bit-equal.
     """
     L, jitter = _cholesky_with_jitter(K, noise)
-    L_inv = np.linalg.inv(L)
+    L_inv = _lower_inverse(L)
     return L, jitter, L_inv, L_inv.T @ (L_inv @ z)
+
+
+#: Rows up to which :func:`_lower_inverse` hands a block to ``np.linalg.inv`` whole.
+_INVERSE_LEAF = 32
+
+
+def _lower_inverse(L: np.ndarray) -> np.ndarray:
+    """L^-1 of a lower-triangular L, by 2 x 2 blocks: [[A, 0], [B, C]]^-1 is
+    [[A^-1, 0], [-C^-1 B A^-1, C^-1]], the diagonal blocks' inverses found the same way, down to
+    ``_INVERSE_LEAF`` rows; two half-size products replace a general LU on the whole."""
+    n = len(L)
+    if n <= _INVERSE_LEAF:
+        return np.linalg.inv(L)
+    h = n // 2
+    out = np.zeros_like(L)
+    out[:h, :h], out[h:, h:] = _lower_inverse(L[:h, :h]), _lower_inverse(L[h:, h:])
+    out[h:, :h] = -(out[h:, h:] @ (L[h:, :h] @ out[:h, :h]))
+    return out
 
 
 def prior_moments(kernel, xs: Sequence[GraphCode]) -> tuple[np.ndarray, np.ndarray]:
@@ -338,13 +356,14 @@ def optimize_hyperparameters(
     counted in ``failed``; any other error propagates.
 
     The objective is built once per run: the normalized targets and the
-    kernel's distance counts (the Hamming matrix, the cached exact count
-    tensor, or the linear kernel's bit Gram) are fixed at entry, so an
-    evaluation only maps theta to a spec and noise, computes the profile
-    and its rates, and contracts, factors, inverts and pulls back. A Monte
-    Carlo kernel's counts are the exception: the package caches no sample
-    counts, so each evaluation bins them again, from the codes' distinct
-    images and words fetched at entry.
+    kernel's distance counts (the isotropic kernel's Hamming matrix, the
+    exact kernel's cached (pair, distance, share) triples, or the linear
+    kernel's bit Gram) are fixed at entry, so an evaluation only maps theta
+    to a spec and noise, computes the profile and its rates, and contracts,
+    factors, inverts and pulls back. A Monte Carlo kernel's counts are the
+    exception: the package caches no sample triples, so each evaluation
+    bins them again, from the codes' distinct images and words fetched at
+    entry.
     """
     xs, ys = _training_data(xs, ys)
     names, theta0, unpack, rebuild = _theta_layout(kernel, noise, xs[0].space.d)

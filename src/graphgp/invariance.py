@@ -28,8 +28,9 @@ makes them all, one x at a time, by one vectorized XOR/popcount of its
 row-side images against the column-side images of all the ys (a square
 build bins each pair once, from its cheaper side). Only 3-6% of C is
 nonzero on molecules, so the builder keeps just those entries, as (pair,
-distance, share) triples with pair = i * len(ys) + j (:class:`Counts`),
-and never allocates the dense tensor. Half-orbits grow along their half's
+distance, share) triples with pair = i * len(ys) + j (:class:`Counts`; a
+square build keeps each unordered pair once, at i <= j), and never
+allocates the dense tensor. Half-orbits grow along their half's
 stabilizer chain (below), for every code a build needs in one batched walk,
 so exact cost follows half-orbit sizes, not |H|; a sample's images come
 from one gather of each code's bits through the (|S|^2, d)
@@ -111,7 +112,8 @@ QUOTIENT_MAX_DIM = 16
 #: Slot-permutation arrays kept for reuse: a sample's S^-1 S gather index, one
 #: per (sample, space), of (|S|^2, d) entries (135 KB at |S| = 16 and 0.5 MB at
 #: |S| = 32 for d = 66); and a group's stabilizer chain, one per (H, space), of
-#: sum over blocks of b(b+1)/2 - 1 rows of d entries (11 KB at |H| = 1296).
+#: sum over blocks of b(b+1)/2 - 1 rows of d entries (11 KB at |H| = 1296). Also
+#: the samples kept interned.
 SLOT_PERMS_CACHE_SIZE = 4
 
 #: Bytes each of the two caches whose entries grow with the number of codes may hold, least
@@ -119,7 +121,8 @@ SLOT_PERMS_CACHE_SIZE = 4
 #: Over H an image entry is one half-orbit, at most |H_A| or |H_B| rows (36 at |H| = 1296); over
 #: a sample's S^-1 S, at most min(|S|^2, |orbit|) rows. A count entry holds 24 bytes per nonzero
 #: (an 8-byte pair index, distance and share): the square counts of 800 demo-05 molecules under
-#: |H| = 1296 take 39.7 MB, and a tuning run's cross counts about 10 MB more, so both fit.
+#: |H| = 1296, each unordered pair once, take 19.6 MB, and a tuning run's cross counts about 10 MB
+#: more, so both fit.
 CACHE_BYTES = 64 << 20
 
 #: Charged to every cached entry besides its arrays' bytes, for the Python objects around it: its
@@ -155,11 +158,19 @@ def _require_sample_size(size: int) -> None:
 
 
 def _checked_sample(sample: Sequence[NodePermutation]) -> tuple[NodePermutation, ...]:
-    """The sample as a tuple; refused if empty, or if its |S|^2 node maps s_b^-1 s_a exceed the cap."""
+    """The sample as a tuple, interned; refused if empty, or if its |S|^2 node maps s_b^-1 s_a
+    exceed the cap."""
     if len(sample) == 0:
         raise ValueError("sample must contain at least one permutation")
     _require_sample_size(len(sample))
-    return tuple(sample)
+    return _interned(tuple(sample))
+
+
+@lru_cache(maxsize=SLOT_PERMS_CACHE_SIZE)
+def _interned(sample: tuple[NodePermutation, ...]) -> tuple[NodePermutation, ...]:
+    """The first of equal samples met, so that cache keys holding a sample match by identity
+    rather than comparing its permutations one by one."""
+    return sample
 
 
 @dataclass(frozen=True)
@@ -299,9 +310,11 @@ class ByteCache:
         """The value of each key, in order; each key not held is a miss, grown once."""
         entries, found = self._entries, {}
         for key in keys:
-            entry = entries.pop((source, key), None)  # one key comparison, where get and move_to_end take two
+            entry = entries.get((source, key))
             if entry is not None:
-                entries[source, key] = entry  # back in as the most recently used
+                # the held key stays: no new key tuple, no dict churn (samples are interned, so the
+                # second key comparison is by identity)
+                entries.move_to_end((source, key))
                 found[key] = entry[0]
         missing = [key for key in dict.fromkeys(keys) if key not in found]
         self._hits += len(keys) - len(missing)
@@ -592,12 +605,15 @@ def _bins(images: Images, targets: np.ndarray, keys: np.ndarray | int, size: int
 class Counts(NamedTuple):
     """Distance counts as CSR-style triples: entry k adds ``share[k]`` of the node maps at
     distance ``dist[k]`` to the flat entry ``pair[k]`` (i * columns + j) of a ``shape`` Gram.
-    Each (pair, dist) occurs once, and a pair's triples run by distance."""
+    Each (pair, dist) occurs once, and a pair's triples run by distance. ``square`` counts (of
+    codes against themselves) hold each unordered pair once, at i <= j, with the diagonal's
+    shares halved: the Gram is the triples' contraction plus its transpose."""
 
     pair: np.ndarray
     dist: np.ndarray
     share: np.ndarray
     shape: tuple[int, ...]
+    square: bool = False
 
 
 def _shares(counts: np.ndarray, rows: Sequence[Images], columns: Sequence[Images], i, j) -> np.ndarray:
@@ -623,10 +639,9 @@ def _distance_counts(rows: Sequence[Images], columns: Sequence[Images], top: int
     the codes from itself onward, so pair {i, j} costs min(D_i E_j, D_j E_i)
     image pairs (for a sample, E = 1: from the code with fewer images). H and
     S^-1 S are both closed under inverses, so either side gives the same
-    integer histogram. Each pair's run of triples then goes back to pair
-    order (i <= j), and each j > i triple is appended again as (j, i): both
-    entries, and the cross build's, get the same shares in the same order,
-    whatever order the rows were binned in.
+    integer histogram, and so the cross build's shares in the same order.
+    It keeps that one run per unordered pair, at i * n + j with i <= j, the
+    diagonal's shares halved (:class:`Counts`).
     """
     n, m = len(rows), len(columns)
     D, E = np.array([len(words) for words, _ in rows]), np.array([len(words) for words, _ in columns])
@@ -652,19 +667,8 @@ def _distance_counts(rows: Sequence[Images], columns: Sequence[Images], top: int
     share = _shares(np.concatenate(sums), rows, columns, at, cols)
     if not square:
         return Counts(at * m + cols, dist, share, (n, m))
-    pair = np.minimum(at, cols) * m + np.maximum(at, cols)
-    # each pair has one run of triples, ending where the pair changes: move the runs into pair order
-    start = np.flatnonzero(np.diff(pair, prepend=-1))
-    runs = np.argsort(pair[start])
-    length = np.diff(start, append=len(pair))[runs]
-    take = np.repeat(start[runs] - (np.cumsum(length) - length), length) + np.arange(len(pair))
-    pair, dist, share = pair[take], dist[take], share[take]
-    at, cols = np.divmod(pair, m)
-    below = cols > at
-    pair = np.concatenate([pair, (cols * m + at)[below]])
-    dist = np.concatenate([dist, dist[below]])
-    share = np.concatenate([share, share[below]])
-    return Counts(pair, dist, share, (n, m))
+    share[at == cols] *= 0.5  # exact: the contraction adds the diagonal to itself
+    return Counts(np.minimum(at, cols) * m + np.maximum(at, cols), dist, share, (n, m), square=True)
 
 
 def _own_counts(rows: Sequence[Images], columns: Sequence[Images], top: int) -> Counts:
@@ -711,22 +715,28 @@ _group_counts = ByteCache(lambda H, keys: [_counts(H, *key) for key in keys])
 
 def _contract_counts(c: Counts, profile: np.ndarray) -> np.ndarray:
     """sum over m of C[..., m] profile[m]: each entry sums its own triples in their order, so
-    equal triples give equal values wherever they lie, a square build an exactly symmetric Gram
-    and own counts its diagonal bit for bit."""
+    equal triples give equal values wherever they lie. Square counts add their transpose, which
+    puts each pair's one sum on both sides (x + 0 is x) and doubles the halved diagonal: an
+    exactly symmetric Gram, equal to the cross build's and, on its diagonal, own counts' bit for
+    bit."""
     weights = profile[c.dist]
     weights *= c.share
-    return np.bincount(c.pair, weights, minlength=math.prod(c.shape)).reshape(c.shape)
+    out = np.bincount(c.pair, weights, minlength=math.prod(c.shape)).reshape(c.shape)
+    if c.square:
+        out += out.T
+    return out
 
 
 def _square_tuning(c: Counts, size: int) -> Callable:
-    """A function of a profile that gives the square Gram of square counts c and its pullback
-    W -> g, of ``size`` entries: W's weights times the counts, so g @ q == <W, Gram at q> for
-    every profile q."""
+    """A function of a profile that gives the Gram of square counts c and its pullback W -> g,
+    of ``size`` entries: twice W at each stored pair (the halved diagonal then counts W's once)
+    times the shares, so g @ q == <W, Gram at q> for every profile q and symmetric W, as the
+    tuner's is. For such W this is W + W^T at the stored pairs, without forming it."""
 
     def pullback(W: np.ndarray) -> np.ndarray:
         weights = W.ravel()[c.pair]
         weights *= c.share
-        return np.bincount(c.dist, weights, minlength=size)
+        return 2 * np.bincount(c.dist, weights, minlength=size)
 
     return lambda profile: (_contract_counts(c, profile), pullback)
 
@@ -953,7 +963,8 @@ class ProjectedKernel:
 
     Grams and diagonals of both flavours come from one distance-count
     builder, as (pair, distance, share) triples of their nonzeros
-    (:class:`Counts`); a diagonal's own counts are triples with pair = i.
+    (:class:`Counts`); a square Gram's hold each unordered pair once, and a
+    diagonal's own counts are triples with pair = i.
     When ``sample`` is None the builder bins each code's half-orbit under
     H_B against each other code's half-orbit under H_A (H = H_A x H_B), so
     no code's whole orbit is grown; else each code's images over the

@@ -303,12 +303,19 @@ def sample_counts_by_enumeration(sample, xs, ys, top: int) -> np.ndarray:
 
 def dense_counts(counts: Counts, top: int) -> np.ndarray:
     """The dense (*shape, top) tensor of the package's (pair, distance, share) count triples; a
-    (pair, distance) entry given twice, which assignment would hide, is refused."""
+    (pair, distance) entry given twice, which assignment would hide, is refused. Square counts
+    hold each unordered pair once, at i <= j, with the diagonal halved: their i < j entries are
+    copied to (j, i) and their diagonal doubled."""
     keys = counts.pair * top + counts.dist
     assert len(np.unique(keys)) == len(keys), "a (pair, distance) entry occurs twice"
     out = np.zeros(math.prod(counts.shape) * top)
     out[keys] = counts.share
-    return out.reshape(*counts.shape, top)
+    out = out.reshape(*counts.shape, top)
+    if counts.square:
+        rows, cols = np.divmod(counts.pair, counts.shape[1])
+        assert (rows <= cols).all(), "a square pair is stored below the diagonal"
+        out += out.transpose(1, 0, 2)
+    return out
 
 
 def count_triples(dense: np.ndarray) -> Counts:

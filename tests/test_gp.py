@@ -653,6 +653,24 @@ class TestJitter:
             gp.fit(BrokenKernel(), [U4.empty_code(), U4.code_from_int(1)], [0.0, 1.0], 0.0)
 
 
+class TestLowerInverse:
+    """The factor's inverse by 2 x 2 blocks of lower-triangular halves."""
+
+    @pytest.mark.parametrize("n", [0, 1, 31, 32, 33, 64, 65, 96, 200])
+    def test_matches_the_general_inverse(self, rng, n):
+        A = rng.standard_normal((n, n + 4))
+        L = np.linalg.cholesky(A @ A.T / (n + 4) + 0.1 * np.eye(n))
+        expected, got = np.linalg.inv(L), gp._lower_inverse(L)
+        if n <= gp._INVERSE_LEAF:
+            assert np.array_equal(got, expected)  # one leaf: the general inverse itself
+        # a computed triangular inverse X is within n eps |L^-1| |L| |X| of L^-1 entry by entry, to
+        # first order (Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 14): two
+        # such differ by at most twice that
+        eps = np.finfo(float).eps
+        bound = 2 * n * eps * (np.abs(expected) @ np.abs(L) @ np.abs(expected))
+        assert (np.abs(got - expected) <= bound).all()
+
+
 class FailingKernel(IsotropicKernel):
     """Kernel whose tuning Grams raise ``error`` away from its starting profile, logging each raise.
 

@@ -576,6 +576,14 @@ class TestProjectedKernelObject:
         assert kernel2.sample == kernel.sample
         assert np.allclose(kernel2.gram(xs), 2.0 * K1)
 
+    def test_equal_samples_are_one_object(self):
+        # so that cache keys holding the sample match by identity, not permutation by permutation
+        H = PermSubgroup.full(4)
+        first, again = (ProjectedKernel.monte_carlo(matern_u4(), H, U4, sample_size=6, seed=3) for _ in range(2))
+        assert first.sample is again.sample
+        assert ProjectedKernel(matern_u4(), H, U4, sample=list(first.sample)).sample is first.sample
+        assert first.sample is not ProjectedKernel.monte_carlo(matern_u4(), H, U4, sample_size=6, seed=4).sample
+
 
 U11 = GraphSpace(GraphSpaceKind.UNDIRECTED, 11)  # |S_11| is above 2^21; its sparse codes' orbits are not
 #: Graphs of at most three edges on U11, with orbits of 1 to 6,930 members under S_11.
@@ -619,12 +627,14 @@ class TestTuningGram:
         else:
             if flavour == "exact":
                 kernel = ProjectedKernel(spec, BLOCKS_12, U12)
-                counts = dense_counts(_group_counts(BLOCKS_12, (tuple(xs), None)), U12.d + 1)
+                stored = _group_counts(BLOCKS_12, (tuple(xs), None))
             else:
                 kernel = ProjectedKernel.monte_carlo(spec, BLOCKS_12, U12, sample_size=5, seed=2)
                 reps = tuple(orbit_representative(BLOCKS_12, x) for x in xs)
-                counts = dense_counts(invariance._counts(kernel.sample, reps, None), U12.d + 1)
-            assert np.array_equal(counts, counts.transpose(1, 0, 2))  # square counts are stored whole
+                stored = invariance._counts(kernel.sample, reps, None)
+            rows, cols = np.divmod(stored.pair, len(xs))
+            assert stored.square and (rows <= cols).all()  # square counts hold each unordered pair once
+            counts = dense_counts(stored, U12.d + 1)
             gram_q = counts @ q[: counts.shape[2]]
         W = rng.standard_normal((len(xs), len(xs)))
         W += W.T
@@ -636,11 +646,12 @@ class TestTuningGram:
 
 
 class TestSquareCounts:
-    """Square count tensors are stored whole, so a square Gram is one contraction of them."""
+    """Square counts hold each unordered pair once, so a square Gram is one contraction of them
+    plus its transpose."""
 
     @pytest.mark.parametrize("flavour", ["exact", "monte_carlo"])
     def test_square_gram_is_symmetric_and_equals_the_cross_build(self, rng, flavour):
-        # the cross build bins every ordered pair; the square one bins j >= i and copies row i into column i
+        # the cross build bins every ordered pair; the square one bins each unordered pair once
         spec = KernelSpec(Heat(4.0), variance=1.3)
         if flavour == "exact":
             kernel = ProjectedKernel(spec, BLOCKS_12, U12)
@@ -651,10 +662,11 @@ class TestSquareCounts:
             K = kernel.gram(xs)
             assert np.array_equal(K, K.T)
             assert np.array_equal(K, kernel.gram(xs, xs))
+            assert np.array_equal(K.diagonal(), kernel.diag(xs))
 
     def test_tuning_builds_no_triangle(self, rng, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("square counts are symmetric; nothing mirrors a triangle")
+            raise AssertionError("a square Gram adds its transpose; nothing takes a triangle")
 
         monkeypatch.setattr(np, "triu", refuse)
         xs = sparse_codes(U12, rng, 12, density=0.3)
@@ -882,8 +894,8 @@ def on_blocks(n, blocks):
 
 
 class TestSquareBinning:
-    """A square build bins each pair {i, j} once, from its cheaper side, and keeps the triples in
-    pair order."""
+    """A square build bins each pair {i, j} once, from its cheaper side, and keeps that one run of
+    triples, at i <= j."""
 
     @pytest.mark.parametrize("sampled", [False, True], ids=["exact", "sample"])
     def test_each_pair_is_binned_from_its_smaller_side(self, rng, monkeypatch, sampled):
@@ -912,14 +924,21 @@ class TestSquareBinning:
         enumerate_counts = sample_counts_by_enumeration if sampled else group_counts_by_enumeration
         assert np.array_equal(dense_counts(counts, top), enumerate_counts(source, xs, xs, top))
 
+        # each unordered pair once (dense_counts refuses a repeated (pair, dist)), at i <= j, in one
+        # run by distance; the diagonal's shares halved
+        assert counts.square
         rows, cols = np.divmod(counts.pair, n)
-        upper = int((rows <= cols).sum())
-        assert (rows[:upper] <= cols[:upper]).all()
-        assert (np.diff(counts.pair[:upper] * top + counts.dist[:upper]) > 0).all()  # by pair, then distance
-        below = cols[:upper] > rows[:upper]
-        assert np.array_equal(counts.pair[upper:], (cols[:upper] * n + rows[:upper])[below])
-        assert np.array_equal(counts.dist[upper:], counts.dist[:upper][below])
-        assert np.array_equal(counts.share[upper:], counts.share[:upper][below])
+        assert (rows <= cols).all()
+        keys = counts.pair * top + counts.dist
+        same = np.diff(counts.pair) == 0
+        assert len(same) - same.sum() + 1 == len(np.unique(counts.pair))
+        assert (np.diff(counts.dist)[same] > 0).all()
+        own = invariance._own_counts(*invariance._sides(source, xs, xs, spaces.code_words(xs)), top)
+        diagonal = np.flatnonzero(rows == cols)
+        diagonal = diagonal[np.argsort(keys[diagonal], kind="stable")]
+        assert np.array_equal(counts.pair[diagonal], own.pair * (n + 1))
+        assert np.array_equal(counts.dist[diagonal], own.dist)
+        assert np.array_equal(counts.share[diagonal], own.share / 2)
 
     @pytest.mark.parametrize("bitwise_count", [True, False], ids=["bitwise_count", "swar"])
     def test_gram_on_four_word_codes_matches_enumeration(self, rng, monkeypatch, bitwise_count):
@@ -1183,9 +1202,10 @@ class TestCountCache(TestImageCache):
     sources = (BLOCKS_12, PermSubgroup(12, ((0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11))))
 
     def keys(self, rng, count: int) -> list:
-        """``count`` keys (xs, ys) over a pool of codes, square (ys None) and cross by turns."""
-        codes = sparse_codes(U12, rng, count + 8, density=0.3)
-        return [(tuple(codes[k : k + 4]), None if k % 2 else tuple(codes[k + 4 : k + 8])) for k in range(count)]
+        """``count`` keys (xs, ys) of five codes each over a pool of codes, square (ys None) and
+        cross by turns."""
+        codes = sparse_codes(U12, rng, count + 10, density=0.3)
+        return [(tuple(codes[k : k + 5]), None if k % 2 else tuple(codes[k + 5 : k + 10])) for k in range(count)]
 
     def small_keys(self, rng) -> list:
         codes = sparse_codes(U12, rng, 300, density=0.05)
