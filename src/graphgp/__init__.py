@@ -21,7 +21,6 @@ from .spaces import (
     GraphSpace,
     GraphSpaceKind,
     NodePermutation,
-    apply_permutation,
     dimension,
     edge_permutation,
     graph_from_json,
@@ -61,7 +60,6 @@ from .invariance import (
     invariant_kernel_sampled,
     orbit_equivalence_test,
     orbit_representative,
-    project_function,
     quotient_kernel_matrix,
 )
 from .gp import (

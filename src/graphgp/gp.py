@@ -169,12 +169,6 @@ def _lower_inverse(L: np.ndarray) -> np.ndarray:
     return out
 
 
-def prior_moments(kernel, xs: Sequence[GraphCode]) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and pointwise variance before conditioning on any data: (0, k(x, x))."""
-    xs = tuple(xs)
-    return np.zeros(len(xs)), kernel.diag(xs)
-
-
 def predict(model: GPModel, xs: Sequence[GraphCode], full_cov: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and (co)variance at new codes, on the original scale.
 

@@ -55,10 +55,9 @@ spectral kernel directly: the group-averaged kernel equals the quotient
 graph's kernel scaled by sqrt(orbit sizes), provided the symmetric
 normalized Laplacian and the full-space normalizer are used.
 
-Nothing enumerates H one element at a time. Grams, quotients, function
-projection, orbit enumeration and orbit representatives walk a stabilizer
-chain instead: sum over blocks of b(b-1)/2 transposition gathers rather
-than |H|.
+Nothing enumerates H one element at a time. Grams, quotients, orbit
+enumeration and orbit representatives walk a stabilizer chain instead: sum
+over blocks of b(b-1)/2 transposition gathers rather than |H|.
 """
 
 from __future__ import annotations
@@ -67,7 +66,7 @@ import itertools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, partial
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -404,7 +403,7 @@ class OrbitClass:
 @lru_cache(maxsize=SLOT_PERMS_CACHE_SIZE)
 def _chain(H: PermSubgroup, space: GraphSpace) -> tuple[np.ndarray, ...]:
     """H's stabilizer chain: per step k of a block b, the (k + 1, d) slot permutations of {id} and
-    (b_j b_k), j < k. Each element of H is one product of one row per step, so a minimum, sum or
+    (b_j b_k), j < k. Each element of H is one product of one row per step, so a minimum or an
     orbit over H runs step by step; the rows, of involutions, are gather indices too."""
     _require_acts_on(H, space)
     steps = []
@@ -491,26 +490,13 @@ def _orbit_words(H: PermSubgroup, words: np.ndarray, space: GraphSpace) -> tuple
     return np.concatenate([words for _, words in done]), np.bincount(ids, minlength=rows)
 
 
-def _fold(steps: Sequence[np.ndarray], values: np.ndarray, combine: np.ufunc) -> np.ndarray:
-    """values(x) <- combine over the rows t of a step of values(t(x)), step after step, for
-    every code x at once (``values`` holds one entry per code, indexed by code integer), each
-    row as it is gathered: a step of many rows (a sample) holds two gathered arrays, not all."""
-    d = len(values).bit_length() - 1
-    bits = (np.arange(len(values), dtype=np.int64)[:, None] >> np.arange(d)) & 1
-    weights = np.int64(1) << np.arange(d, dtype=np.int64)
-    for step in steps:
-        # bit s of t(x) is bit src_s of x, so t(x)'s index is bits @ w with w[src_s] = 2^s
-        values = reduce(combine, (values[bits @ w] for w in weights[np.argsort(step, axis=1)]))
-    return values
-
-
-def enumerate_orbit(H: PermSubgroup, x: GraphCode, keep_members: bool = True) -> OrbitClass:
+def enumerate_orbit(H: PermSubgroup, x: GraphCode) -> OrbitClass:
     """The orbit of a graph under H, grown along H's chain, with its lexicographically minimal
     member; ``GroupTooLargeError`` if a chain step would gather more than ``ENUMERATION_CAP`` rows."""
     space = x.space
     bits = decode_words(_orbit_words(H, code_words([x]), space)[0])
-    members = tuple(GraphCode(space, b) for b in bits) if keep_members else None
-    return OrbitClass(canonical=GraphCode(space, bits[0]), size=len(bits), members=members)
+    members = tuple(GraphCode(space, b) for b in bits)
+    return OrbitClass(canonical=members[0], size=len(bits), members=members)
 
 
 def _refined_colors(H: PermSubgroup, x: GraphCode) -> list[int]:
@@ -833,21 +819,21 @@ class QuotientGraph:
         return np.array([c.size for c in self.classes], dtype=float)
 
 
-def _require_small_space(space: GraphSpace) -> None:
-    """Refuse a space of more than 2^QUOTIENT_MAX_DIM codes: quotients and projections visit every code."""
-    if space.d > QUOTIENT_MAX_DIM:
-        raise ValueError(
-            f"space has 2^{space.d} codes, above the enumeration limit 2^{QUOTIENT_MAX_DIM}; "
-            f"quotient construction and function projection visit every code"
-        )
-
-
 def build_quotient(H: PermSubgroup, space: GraphSpace) -> QuotientGraph:
     """Enumerate all orbits and the inter-class edge counts of the hypercube."""
-    _require_small_space(space)
     d = space.d
+    if d > QUOTIENT_MAX_DIM:
+        raise ValueError(
+            f"space has 2^{d} codes, above the enumeration limit 2^{QUOTIENT_MAX_DIM}; "
+            f"quotient construction visits every code"
+        )
     codes = np.arange(1 << d, dtype=np.int64)
-    least = _fold(_chain(H, space), codes, np.minimum)  # each code's orbit minimum
+    bits = (codes[:, None] >> np.arange(d)) & 1
+    weights = np.int64(1) << np.arange(d, dtype=np.int64)
+    least = codes  # each code's orbit minimum once the last chain step is folded in
+    for step in _chain(H, space):
+        # bit s of t(x) is bit src_s of x, so t(x)'s index is bits @ w with w[src_s] = 2^s
+        least = np.minimum.reduce([least[bits @ w] for w in weights[np.argsort(step, axis=1)]])
     canonical, class_of, sizes = np.unique(least, return_inverse=True, return_counts=True)
     classes = tuple(OrbitClass(GraphCode(space, int(c)), int(n)) for c, n in zip(canonical, sizes))
     # one count per (class of x, class of x with one bit flipped), over every code x and bit; unit
@@ -926,36 +912,6 @@ def orbit_equivalence_test(
     _require_strictly_positive(spec, x.space.d)
     K = _gram(spec, partial(_counts, H), [x, y], None)
     return abs(K[0, 1] - 0.5 * (K[0, 0] + K[1, 1])) <= tol * spec.variance
-
-
-# -- averaging arbitrary functions -------------------------------------------
-
-
-def project_function(
-    H: PermSubgroup,
-    space: GraphSpace,
-    values: np.ndarray,
-    sample_size: int | None = None,
-    seed: int | None = None,
-) -> np.ndarray:
-    """Average a function over the group: out(x) = mean over sigma of f(sigma(x)).
-
-    ``values`` holds f over all 2^d codes, indexed by code integer. The exact
-    average is constant on orbits and idempotent, and sums along H's chain: it
-    matches the per-element average within 1e-13 * max|values|. Passing
-    ``sample_size`` averages over an i.i.d. sample of H instead.
-    """
-    _require_small_space(space)
-    _require_acts_on(H, space)
-    values = np.asarray(values, dtype=float)
-    if values.shape[0] != (1 << space.d):
-        raise ValueError(f"expected one value per code (2^{space.d}), got {values.shape[0]}")
-    if sample_size is None:
-        return _fold(_chain(H, space), values, np.add) / H.order()
-    if seed is None:
-        raise ValueError("sample-based averaging requires a seed")
-    maps = [sigma.mapping for sigma in draw_sample(H, sample_size, seed)]
-    return _fold([image_sources(maps, space)], values, np.add) / sample_size
 
 
 class ProjectedKernel:

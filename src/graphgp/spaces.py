@@ -11,9 +11,9 @@ Bulk paths see code lists as (count, ceil(d/64)) uint64 word matrices, slot
 s at bit s % 64 of word s // 64, and k node relabelings as one (k, d) gather
 index; a code's k images are one gather of its bits (:func:`permuted_words`).
 :func:`image_sources` is the one function that turns node maps into that
-index, so every relabelling, :func:`apply_permutation` included, goes through
-it. :func:`code_words` encodes codes as words and :func:`decode_words` turns
-word rows back into code integers, so only this module knows the word layout.
+index, so every relabelling goes through it. :func:`code_words` encodes codes
+as words and :func:`decode_words` turns word rows back into code integers, so
+only this module knows the word layout.
 It also owns the one check that codes share a space, :func:`common_space`,
 made wherever codes become words; callers bound to a space pass it.
 
@@ -200,10 +200,28 @@ class GraphSpace:
             yield GraphCode(self, v)
 
 
-@dataclass(frozen=True, slots=True)
-class GraphCode:
+class _Slotted:
+    """Copy and pickle support for a frozen dataclass that lists its ``__slots__`` in its body.
+
+    ``dataclass(slots=True)`` would write both, but on Python 3.10 and 3.11 the class it rebuilds
+    raises TypeError instead of FrozenInstanceError when a name that is not a field is assigned.
+    """
+
+    __slots__ = ()
+
+    def __getstate__(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
+
+
+@dataclass(frozen=True)
+class GraphCode(_Slotted):
     """A graph as a d-bit vector, element of Z_2^d under XOR."""
 
+    __slots__ = ("space", "bits")
     space: GraphSpace
     bits: int
 
@@ -257,12 +275,12 @@ def hamming(x: GraphCode, y: GraphCode) -> int:
     return (x ^ y).weight
 
 
-@dataclass(frozen=True, slots=True)
-class NodePermutation:
+@dataclass(frozen=True)
+class NodePermutation(_Slotted):
     """A permutation of the node labels {0..n-1}."""
 
+    __slots__ = ("mapping", "_hash")
     mapping: tuple[int, ...]
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if sorted(self.mapping) != list(range(len(self.mapping))):
@@ -344,11 +362,6 @@ _H01 = np.uint64(0x0101010101010101)
 _bitwise_count = getattr(np, "bitwise_count", None)  # numpy >= 2.0
 
 
-def popcount_u64(a: np.ndarray) -> np.ndarray:
-    """Per-element population count of a uint64 array."""
-    return _popcount(a.astype(np.uint64, copy=False)).astype(np.int64)
-
-
 def _popcount(a: np.ndarray) -> np.ndarray:
     """Per-element population count of a uint64 array, as uint8."""
     if _bitwise_count is not None:
@@ -397,11 +410,6 @@ def permuted_words(x: GraphCode, sources: np.ndarray) -> np.ndarray:
     """Word matrix of k images of x: image r holds in slot t the bit x holds in
     slot ``sources[r, t]`` (:func:`image_sources` gives the sources of sigma(x))."""
     return _pack_words(_unpack_words(code_words([x]), x.space.d)[0][sources])
-
-
-def apply_permutation(sigma: NodePermutation, x: GraphCode) -> GraphCode:
-    """Relabel the nodes of a graph: edge {i,j} becomes {sigma(i), sigma(j)}."""
-    return GraphCode(x.space, decode_words(permuted_words(x, image_sources([sigma.mapping], x.space)))[0])
 
 
 def word_distances(words: np.ndarray, targets: np.ndarray) -> np.ndarray:

@@ -282,13 +282,6 @@ def orbit_labels_by_enumeration(H, space) -> np.ndarray:
     return np.array([min(relabel(s, x).bits for s in elements) for x in space.all_codes()])
 
 
-def projection_by_enumeration(H, space, values) -> np.ndarray:
-    """out(x) = the mean of values[s(x)] over all of H.elements(), one element at a time."""
-    elements = list(H.elements())
-    sums = [sum(values[relabel(s, x).bits] for s in elements) for x in space.all_codes()]
-    return np.array(sums) / len(elements)
-
-
 def sample_counts_by_enumeration(sample, xs, ys, top: int) -> np.ndarray:
     """C[i, j, m]: the share of the |S| x |S| pairs (s_a(x_i), s_b(y_j)), enumerated one by one, at distance m."""
     out = np.zeros((len(xs), len(ys), top))

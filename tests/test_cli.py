@@ -460,6 +460,26 @@ class TestExitCodes:
         assert main(["kernel", "eval", "--d", "4"]) == 2
         capsys.readouterr()
 
+    def test_json_option_read_from_an_at_path(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(HEAT_PLAIN)
+        assert main(["kernel", "eval", "--spec", HEAT_PLAIN, "--d", "6", "--m", "2"]) == 0
+        inline = capsys.readouterr().out
+        assert main(["kernel", "eval", "--spec", f"@{spec_path}", "--d", "6", "--m", "2"]) == 0
+        assert capsys.readouterr().out == inline
+
+    def test_json_option_that_is_not_an_object_is_2(self, capsys):
+        assert main(["kernel", "eval", "--spec", "[1, 2]", "--d", "4", "--m", "0"]) == 2
+        assert "expected a JSON object, got list" in capsys.readouterr().err
+
+    def test_fit_on_an_empty_dataset_is_2(self, tmp_path, capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        out = tmp_path / "model.json"
+        assert main(["fit", "--dataset", str(empty), "--kernel", HEAT_PLAIN, "--out", str(out)]) == 2
+        assert f"dataset {empty} is empty" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_method_rejected(self, tmp_path, capsys):
         mols_path = tmp_path / "m.jsonl"
         datasets.save_molecules(mols_path, molecules_from_prior(6, 4, seed=3))
@@ -695,6 +715,30 @@ class TestExperiment:
         for split, split_with_linear in zip(projected_only["splits"], with_linear["splits"]):
             for method in config["methods"]:
                 assert split["methods"][method] == split_with_linear["methods"][method]
+
+    def test_fewer_than_four_molecules_refused(self, tmp_path):
+        mols_path = tmp_path / "m.jsonl"
+        datasets.save_molecules(mols_path, molecules_from_prior(3, 4, seed=6))
+        with pytest.raises(ValueError, match="^dataset has only 3 molecules$"):
+            run_experiment({"dataset": str(mols_path), "methods": ["naive"], "n_splits": 1})
+
+    def test_sequential_n_sets_the_sequential_layout(self, tmp_path, monkeypatch):
+        mols_path = tmp_path / "m.jsonl"
+        mols = molecules_from_prior(8, 4, seed=6)
+        datasets.save_molecules(mols_path, mols)
+        layouts = []
+        original = datasets.encode
+
+        def recorded(mol, layout):
+            layouts.append(layout)
+            return original(mol, layout)
+
+        monkeypatch.setattr(datasets, "encode", recorded)
+        config = {"dataset": str(mols_path), "methods": ["naive", "linear"], "n_splits": 1, "sequential_n": 6}
+        report = run_experiment(config)
+        assert layouts == [datasets.SequentialLayout(6)] * len(mols)
+        assert datasets.infer_sequential_layout(mols).n < 6
+        assert np.isfinite(report["summary"]["linear"]["log_lik_mean"])
 
     def test_aligned_method_requires_layout(self, tmp_path, capsys):
         mols_path = tmp_path / "m.jsonl"

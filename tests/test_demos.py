@@ -1,11 +1,14 @@
-"""The demos run end to end in-process, their own asserts included."""
+"""The demos and README's Python examples run end to end in-process, their own asserts included."""
 
+import re
 import runpy
 from pathlib import Path
 
 import pytest
 
-DEMOS = Path(__file__).resolve().parents[1] / "demos"
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = ROOT / "demos"
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(), re.M | re.S)
 
 
 @pytest.mark.parametrize(
@@ -21,3 +24,12 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
 def test_orbit_demo_runs(capsys, name, expected):
     runpy.run_path(str(DEMOS / name), run_name="__main__")
     assert expected in capsys.readouterr().out
+
+
+def test_readme_has_python_examples():
+    assert README_BLOCKS
+
+
+@pytest.mark.parametrize("block", README_BLOCKS, ids=[f"block{i}" for i in range(len(README_BLOCKS))])
+def test_readme_python_block_runs(block):
+    exec(compile(block, "README.md", "exec"), {"__name__": "readme"})

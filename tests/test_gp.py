@@ -62,13 +62,6 @@ class TestFitPredict:
         assert abs(mean[0]) < 1e-6
         assert var[0] == pytest.approx(1.0, abs=1e-6)
 
-    def test_prior_moments_without_data(self, rng):
-        kernel = heat_kernel(U4, variance=1.7)
-        xs = [U4.random_code(rng) for _ in range(4)]
-        mean, var = gp.prior_moments(kernel, xs)
-        assert np.array_equal(mean, np.zeros(4))
-        assert np.allclose(var, 1.7)
-
     def test_matches_dense_solve_oracle(self, rng):
         for trial in range(10):
             kernel = heat_kernel(DL3, kappa=float(rng.uniform(0.5, 1.5)))

@@ -14,7 +14,7 @@ from oracles import (
     group_counts_by_enumeration,
     orbit_by_closure,
     orbit_labels_by_enumeration,
-    projection_by_enumeration,
+    relabel,
     sample_counts_by_enumeration,
     sampled_gram_by_pairs,
 )
@@ -38,7 +38,6 @@ from graphgp.invariance import (
     orbit_equivalence_test,
     orbit_representative,
     pair_histogram,
-    project_function,
     quotient_kernel_matrix,
 )
 from graphgp.kernels import (
@@ -50,7 +49,7 @@ from graphgp.kernels import (
     kernel_profile,
     matern_spec,
 )
-from graphgp.spaces import GraphSpace, GraphSpaceKind, NodePermutation, apply_permutation, hamming
+from graphgp.spaces import GraphSpace, GraphSpaceKind, NodePermutation, hamming
 
 U3 = GraphSpace(GraphSpaceKind.UNDIRECTED, 3)
 U4 = GraphSpace(GraphSpaceKind.UNDIRECTED, 4)
@@ -122,7 +121,7 @@ class TestOrbits:
         for _ in range(10):
             x = U4.random_code(rng)
             orbit = enumerate_orbit(H, x)
-            stabilizer = sum(1 for s in H.elements() if apply_permutation(s, x) == x)
+            stabilizer = sum(1 for s in H.elements() if relabel(s, x) == x)
             assert orbit.size * stabilizer == H.order()
 
     def test_members_close_under_group(self, rng):
@@ -130,7 +129,7 @@ class TestOrbits:
         x = U4.random_code(rng)
         members = set(enumerate_orbit(H, x).members)
         for s in H.elements():
-            assert apply_permutation(s, x) in members
+            assert relabel(s, x) in members
 
     def test_cap_refusal_mentions_monte_carlo(self):
         H, dense = PermSubgroup.full(11), sparse_codes(U11, np.random.default_rng(0), 1, density=0.5)[0]
@@ -176,7 +175,7 @@ class TestPairHistogram:
         x, y = U4.random_code(rng), U4.random_code(rng)
         expect = np.zeros(U4.d + 1)
         for s in H.elements():
-            expect[hamming(apply_permutation(s, x), y)] += 1
+            expect[hamming(relabel(s, x), y)] += 1
         assert np.array_equal(pair_histogram(H, x, y), expect)
 
 
@@ -196,7 +195,7 @@ class TestInvariantKernelExact:
         spec = matern_u4()
         for _ in range(10):
             x = U4.random_code(rng)
-            y = apply_permutation(H.random_element(rng), x)
+            y = relabel(H.random_element(rng), x)
             assert invariant_kernel_exact(spec, H, x, y) == pytest.approx(
                 invariant_kernel_exact(spec, H, x, x), rel=1e-12
             )
@@ -209,7 +208,7 @@ class TestInvariantKernelExact:
             base = invariant_kernel_exact(spec, H, x, y)
             s1, s2 = H.random_element(rng), H.random_element(rng)
             moved = invariant_kernel_exact(
-                spec, H, apply_permutation(s1, x), apply_permutation(s2, y)
+                spec, H, relabel(s1, x), relabel(s2, y)
             )
             assert moved == pytest.approx(base, rel=1e-12)
 
@@ -430,77 +429,6 @@ class TestOrbitEquivalenceTest:
             orbit_equivalence_test(spec, PermSubgroup.full(4), U4.empty_code(), U4.empty_code())
 
 
-class TestProjectFunction:
-    def test_result_constant_on_orbits_and_idempotent(self, rng):
-        H = PermSubgroup.full(4)
-        values = rng.standard_normal(1 << U4.d)
-        projected = project_function(H, U4, values)
-        quotient = build_quotient(H, U4)
-        for cls in quotient.classes:
-            member_vals = projected[
-                [v for v in range(1 << U4.d) if quotient.class_of[v] == quotient.class_of[cls.canonical.bits]]
-            ]
-            assert np.ptp(member_vals) <= 1e-12
-        again = project_function(H, U4, projected)
-        assert np.allclose(again, projected, atol=1e-12)
-
-    def test_orbit_constant_fixed_point(self, rng):
-        H = PermSubgroup.full(3)
-        quotient = build_quotient(H, U3)
-        class_values = rng.standard_normal(quotient.num_classes)
-        values = class_values[quotient.class_of]
-        assert np.allclose(project_function(H, U3, values), values, atol=1e-14)
-
-    def test_indicator_spreads_over_orbit(self):
-        H = PermSubgroup.full(3)
-        x = U3.code_from_edges([[0, 1]])
-        values = np.zeros(8)
-        values[x.bits] = 1.0
-        projected = project_function(H, U3, values)
-        orbit = enumerate_orbit(H, x)
-        for member in orbit.members:
-            assert projected[member.bits] == pytest.approx(1.0 / orbit.size)
-        assert projected.sum() == pytest.approx(values.sum())
-
-    def test_zero_orbit_sums_project_to_zero(self):
-        H = PermSubgroup.full(3)
-        orbit = enumerate_orbit(H, U3.code_from_edges([[0, 1]]))
-        values = np.zeros(8)
-        values[orbit.members[0].bits] = 1.0
-        values[orbit.members[1].bits] = -1.0
-        assert np.allclose(project_function(H, U3, values), 0.0, atol=1e-14)
-
-    def test_sampled_variant_needs_seed_and_is_deterministic(self, rng):
-        H = PermSubgroup.full(4)
-        values = rng.standard_normal(1 << U4.d)
-        with pytest.raises(ValueError, match="seed"):
-            project_function(H, U4, values, sample_size=4)
-        a = project_function(H, U4, values, sample_size=4, seed=3)
-        b = project_function(H, U4, values, sample_size=4, seed=3)
-        assert np.array_equal(a, b)
-
-    def test_sampled_memory_does_not_grow_with_the_sample(self):
-        # a sample is one step of sample_size rows: combined as they are gathered, not held all at once
-        U6 = GraphSpace(GraphSpaceKind.UNDIRECTED, 6)  # d = 15: each gathered array is 256 KB
-        values = np.random.default_rng(0).standard_normal(1 << U6.d)
-        tracemalloc.start()
-        try:
-            project_function(PermSubgroup.full(6), U6, values, sample_size=400, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 32e6  # 400 arrays held at once peaked at 214 MB
-
-    def test_cap_refusal(self, rng):
-        H = PermSubgroup.full(8)
-        space = GraphSpace(GraphSpaceKind.UNDIRECTED, 8)  # d = 28 > cap as well
-        with pytest.raises(ValueError):
-            project_function(H, space, np.zeros(4))
-
-
-#: The exact projection sums |H| values per code in another order than one element at a time.
-PROJECTION_RTOL = 1e-13
-
 CHAIN_CASES = [
     (U4, PermSubgroup.full(4)),
     (U4, PermSubgroup(4, ((0, 1), (2, 3)))),
@@ -514,19 +442,13 @@ CHAIN_CASES = [
 
 
 class TestChainAgainstEnumeration:
-    """Quotients, projections and orbits walk H's stabilizer chain; these check them against all of H."""
+    """Quotients and orbits walk H's stabilizer chain; these check them against all of H."""
 
     @pytest.mark.parametrize("space,H", CHAIN_CASES)
     def test_quotient_canonicals_are_least_images(self, space, H):
         quotient = build_quotient(H, space)
         canonical = np.array([c.canonical.bits for c in quotient.classes])[quotient.class_of]
         assert np.array_equal(canonical, orbit_labels_by_enumeration(H, space))
-
-    @pytest.mark.parametrize("space,H", CHAIN_CASES)
-    def test_projection_is_the_mean_over_the_group(self, rng, space, H):
-        values = rng.standard_normal(1 << space.d)
-        want = projection_by_enumeration(H, space, values)
-        assert np.abs(project_function(H, space, values) - want).max() <= PROJECTION_RTOL * np.abs(values).max()
 
     def test_orbit_tools_never_enumerate_the_group(self, rng, monkeypatch):
         def refuse(self):
@@ -538,9 +460,6 @@ class TestChainAgainstEnumeration:
             cached.cache_clear()  # so nothing below is served from an earlier test's build
         quotient = build_quotient(H, U5)
         assert quotient.num_classes == 34  # graphs on 5 unlabelled nodes
-        values = rng.standard_normal(1 << U5.d)
-        class_means = np.bincount(quotient.class_of, weights=values) / quotient.sizes()
-        np.testing.assert_allclose(project_function(H, U5, values), class_means[quotient.class_of], atol=1e-13)
         x = U5.code_from_edges([[0, 1], [1, 2], [3, 4]])
         orbit = enumerate_orbit(H, x)
         members = np.flatnonzero(quotient.class_of == quotient.class_index(x))
@@ -878,9 +797,9 @@ class TestDistinctImages:
     def test_pair_histogram_counts_over_the_whole_group(self, space, H):
         codes = stabilized_codes(space, H)
         for x in codes:
-            images, _ = invariance._distinct_images(H, x)
-            assert len(images) == enumerate_orbit(H, x, keep_members=False).size
-            assert np.array_equal(spaces.code_words(enumerate_orbit(H, x).members), images)
+            images, orbit = invariance._distinct_images(H, x)[0], enumerate_orbit(H, x)
+            assert len(images) == orbit.size
+            assert np.array_equal(spaces.code_words(orbit.members), images)
             for y in codes:
                 hist = pair_histogram(H, x, y)
                 assert hist.sum() == H.order()
@@ -1281,7 +1200,7 @@ class TestSampledCountGram:
 
 def relabelled(H, xs, rng):
     """Each code relabelled by its own uniform element of H."""
-    return [apply_permutation(H.random_element(rng), x) for x in xs]
+    return [relabel(H.random_element(rng), x) for x in xs]
 
 
 def in_orbit(H, x, y):
@@ -1356,10 +1275,8 @@ class TestOrbitRepresentative:
         lambda H: ProjectedKernel(KernelSpec(Heat(1.0)), H, U4),
         lambda H: build_quotient(H, U4),
         lambda H: enumerate_orbit(H, U4.code_from_int(3)),
-        lambda H: project_function(H, U4, np.zeros(64)),
-        lambda H: project_function(H, U4, np.zeros(64), sample_size=3, seed=0),
     ],
-    ids=["projected_kernel", "build_quotient", "enumerate_orbit", "project_function", "project_function_sampled"],
+    ids=["projected_kernel", "build_quotient", "enumerate_orbit"],
 )
 def test_a_group_on_other_nodes_is_refused(call):
     with pytest.raises(ValueError, match="^subgroup on 5 nodes does not act on n=4$"):

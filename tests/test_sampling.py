@@ -311,6 +311,11 @@ class TestProjectSample:
         with pytest.raises(ValueError):
             gp.project_sample(np.zeros((1, 1)), [U3.empty_code()], [U3.empty_code()], [])
 
+    def test_no_targets_give_one_empty_row_per_draw(self, rng):
+        codes = list(U3.all_codes())
+        out = gp.project_sample(rng.standard_normal((5, len(codes))), codes, [], list(PermSubgroup.full(3).elements()))
+        assert out.shape == (5, 0)
+
     def test_sample_with_repeated_elements_matches_the_oracle_mean(self, rng):
         codes = list(U4.all_codes())
         sample = list(draw_sample(PermSubgroup.full(4), 40, 2))  # 40 draws from 24 elements
